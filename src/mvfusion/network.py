@@ -363,12 +363,13 @@ class CellOutputs:
             p = self.prob[cls]
             if p.shape != shape or not ((p > 0.0) & (p < 1.0)).all():
                 raise ValueError(f"{cls}: probabilities must be strictly inside (0, 1)")
-            if self.size[cls].shape != (*shape, 2):
-                raise ValueError(f"{cls}: bad size shape")
-            if self.centers[cls].shape != (*shape, h1, 2):
-                raise ValueError(f"{cls}: bad centers shape")
-            if self.headings[cls].shape != (*shape, h1, 2):
-                raise ValueError(f"{cls}: bad headings shape")
+            for name, arr, want in (("size", self.size[cls], (*shape, 2)),
+                                    ("centers", self.centers[cls], (*shape, h1, 2)),
+                                    ("headings", self.headings[cls], (*shape, h1, 2))):
+                if arr.shape != want:
+                    raise ValueError(f"{cls}: bad {name} shape")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{cls}: {name} must be finite")
 
     def pack(self) -> np.ndarray:
         """Flatten to (rows, cols, classes * per_class) channel layout."""

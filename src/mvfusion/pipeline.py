@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockfile import read_blocks, write_blocks
+from .blockfile import BlockFileError, read_blocks, write_blocks
 from .bundle_io import FrameBundle
 from .losses import encode_targets, fit_outputs
 from .metrics import (
@@ -199,4 +199,9 @@ def load_cell_outputs(path: str | Path) -> CellOutputs:
         step_x=float(meta["step_x"]), step_y=float(meta["step_y"]),
     )
     classes = tuple(meta["classes"].split(","))
-    return CellOutputs.unpack(blocks["cells"], grid, int(meta["horizon"]), classes)
+    try:
+        outputs = CellOutputs.unpack(blocks["cells"], grid, int(meta["horizon"]), classes)
+        outputs.validate()
+    except ValueError as exc:
+        raise BlockFileError(f"{path}: {exc}") from exc
+    return outputs

@@ -222,3 +222,42 @@ def monte_carlo_iou(box_a, box_b, samples: int, seed: int) -> float:
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def decode_detections_literal(outputs, score_floor: float, nms_iou: float):
+    """Greedy per-class rotated NMS over every cell above the floor.
+
+    Each candidate is tested against every kept box of its class, with no
+    cap on kept boxes and no neighbour prefilter.
+    """
+    from mvfusion.geometry import RotatedBox2D, rotated_iou
+    from mvfusion.metrics import MIN_DECODED_SIDE, DetBox
+
+    xs, ys = outputs.grid.cell_centers()
+    detections = []
+    for cls in outputs.classes:
+        p = outputs.prob[cls]
+        rows, cols = np.nonzero(p >= score_floor)
+        candidates = []
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            offsets = outputs.centers[cls][r, c]  # (H+1, 2)
+            sc = outputs.headings[cls][r, c]  # (H+1, 2)
+            cell_xy = np.array([xs[r], ys[c]])
+            abs_centers = cell_xy + offsets
+            heading = math.atan2(sc[0, 0], sc[0, 1])
+            length = max(float(outputs.size[cls][r, c, 0]), MIN_DECODED_SIDE)
+            width = max(float(outputs.size[cls][r, c, 1]), MIN_DECODED_SIDE)
+            box = RotatedBox2D(abs_centers[0, 0], abs_centers[0, 1], length, width, heading)
+            candidates.append(DetBox(
+                cls, float(p[r, c]), box,
+                waypoints=abs_centers[1:].copy(),
+                headings=np.arctan2(sc[1:, 0], sc[1:, 1]),
+                cell=(r, c),
+            ))
+        candidates.sort(key=lambda d: (-d.score, d.cell))
+        kept = []
+        for det in candidates:
+            if all(rotated_iou(det.box, k.box) < nms_iou for k in kept):
+                kept.append(det)
+        detections.extend(kept)
+    return detections

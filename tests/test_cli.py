@@ -92,6 +92,22 @@ def test_eval_without_outputs_fails(tmp_path, capsys):
     assert "run `forward` or `fit` first" in capsys.readouterr().err
 
 
+def test_eval_rejects_non_finite_outputs(tmp_path, capsys):
+    from mvfusion.pipeline import load_cell_outputs, save_cell_outputs
+
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    run_cli("forward", "--preset", "desk", "--seed", "5", "--out", str(out))
+    outputs = load_cell_outputs(out / "outputs_000.bin")
+    outputs.prob["vehicle"][:] = float("nan")
+    save_cell_outputs(out / "outputs_000.bin", outputs)
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vehicle" in err
+    assert not (out / "metrics.txt").exists()
+
+
 def test_bench_writes_latency_table(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))

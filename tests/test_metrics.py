@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvfusion import metrics
 from mvfusion.geometry import Pose2, RotatedBox2D, rotated_iou, transform_box
 from mvfusion.metrics import (
+    MAX_DETECTIONS_PER_CLASS,
     DetBox,
     MatchResult,
     RecallUnattainableError,
@@ -25,7 +27,7 @@ from mvfusion.scene import ActorLabel
 from mvfusion.views import CameraModel, OutputGrid, camera_pixel_of
 from mvfusion.geometry import Point3
 
-from oracles import monte_carlo_iou
+from oracles import decode_detections_literal, monte_carlo_iou
 
 
 def _det(cls="vehicle", score=0.9, box=None, waypoints=None, horizon=30):
@@ -158,6 +160,160 @@ def test_decode_score_floor():
     out = _outputs_one_cell(score=0.4)
     assert decode_detections(out, score_floor=0.5) == []
     assert len(decode_detections(out, score_floor=0.3)) == 1
+
+
+def _same_detections(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert repr((g.cls, g.score, g.box, g.cell)) == repr((w.cls, w.score, w.box, w.cell))
+        assert g.waypoints.tobytes() == w.waypoints.tobytes()
+        assert g.headings.tobytes() == w.headings.tobytes()
+
+
+@st.composite
+def cell_outputs(draw):
+    """Small random outputs: dense overlapping boxes, tied scores, touching
+    circumcircles and centers shifted as far as 1e6 m."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    horizon = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    classes = ("vehicle", "pedestrian")[:draw(st.integers(1, 2))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side_scale = draw(st.sampled_from([0.01, 0.5, 1.0, 3.0, 10.0]))
+    jitter = draw(st.sampled_from([0.0, 0.3, 2.0]))
+    shift = draw(st.sampled_from([0.0, 1e3, -1e6, 1e6]))
+    touching = draw(st.booleans())
+    og = OutputGrid(rows, cols, -rows * step / 2, -cols * step / 2, step, step)
+    h1 = horizon + 1
+    prob, sizes, centers, headings = {}, {}, {}, {}
+    for cls in classes:
+        # few distinct levels, so equal scores are common
+        prob[cls] = rng.choice([0.3, 0.55, 0.7, 0.7, 0.9], size=(rows, cols))
+        if touching:
+            # 0.6 x 0.8 sides: adjacent circumcircles meet exactly at one step
+            sizes[cls] = np.broadcast_to([0.6 * step, 0.8 * step], (rows, cols, 2)).copy()
+            sizes[cls][rng.uniform(size=(rows, cols)) < 0.3] = 0.0  # clamped to the minimum side
+        else:
+            sizes[cls] = rng.uniform(-0.2, 1.0, size=(rows, cols, 2)) * side_scale * step
+        centers[cls] = shift + rng.normal(0.0, jitter * step, size=(rows, cols, h1, 2))
+        ang = rng.uniform(-math.pi, math.pi, size=(rows, cols, h1))
+        headings[cls] = np.stack([np.sin(ang), np.cos(ang)], axis=3)
+        if touching:
+            headings[cls][..., 0] = rng.choice([0.0, 1.0], size=(rows, cols, h1))
+            headings[cls][..., 1] = 1.0 - headings[cls][..., 0]
+    return CellOutputs(og, horizon, classes, prob, sizes, centers, headings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_outputs(), st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.5]))
+def test_decode_equals_literal_nms(outputs, nms_iou):
+    want = decode_detections_literal(outputs, 0.5, nms_iou)
+    _same_detections(decode_detections(outputs, 0.5, nms_iou), want)
+
+
+def test_decode_suppresses_small_box_beyond_its_own_diameter():
+    # a 1 x 1 box 1.45 m along x inside a 3.9 x 2.5 box: farther than the
+    # small box's diameter (1.41 m), within the circumradius sum; IoU 1/9.75
+    out = _outputs_one_cell(score=0.9, offset=(0.0, 0.0), size=(3.9, 2.5), heading=0.0)
+    out.prob["vehicle"][3, 1] = 0.8
+    out.size["vehicle"][3, 1] = (1.0, 1.0)
+    out.centers["vehicle"][3, 1, :, 0] = 1.45 - 4.0  # cell (3, 1) is 4 m from cell (2, 1)
+    out.headings["vehicle"][3, 1, :, 1] = 1.0
+    dets = decode_detections(out, nms_iou=0.1)
+    _same_detections(dets, decode_detections_literal(out, 0.5, 0.1))
+    assert [d.cell for d in dets] == [(2, 1)]
+
+
+def _dense_grid_outputs(n=32, side=1000.0):
+    """Every cell of an n x n grid above the floor; boxes of one size, centered on their cells."""
+    og = OutputGrid(n, n, 0.0, 0.0, 1.0, 1.0)
+    rng = np.random.default_rng(11)
+    classes = ("vehicle", "bicyclist")
+    prob = {c: rng.choice([0.6, 0.7, 0.8, 0.9], size=(n, n)) for c in classes}
+    sizes = {c: np.full((n, n, 2), side) for c in classes}
+    centers = {c: np.zeros((n, n, 2, 2)) for c in classes}
+    headings = {c: np.zeros((n, n, 2, 2)) for c in classes}
+    for c in classes:
+        headings[c][..., 1] = 1.0
+    return CellOutputs(og, 1, classes, prob, sizes, centers, headings)
+
+
+def _ranked_cells(p):
+    return sorted(np.ndindex(*p.shape), key=lambda rc: (-p[rc], rc))
+
+
+def _count_iou_calls(monkeypatch):
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append(a)
+        return rotated_iou(a, b)
+
+    monkeypatch.setattr(metrics, "rotated_iou", counting_iou)
+    return calls
+
+
+def test_decode_keeps_top_ranked_disjoint_boxes_up_to_cap(monkeypatch):
+    # 1,024 disjoint 0.5 m boxes per class: the literal loop keeps them all
+    out = _dense_grid_outputs(side=0.5)
+    calls = _count_iou_calls(monkeypatch)
+    dets = decode_detections(out)
+    assert MAX_DETECTIONS_PER_CLASS == 500
+    for cls in out.classes:
+        kept = [d.cell for d in dets if d.cls == cls]
+        assert kept == _ranked_cells(out.prob[cls])[:MAX_DETECTIONS_PER_CLASS]
+    assert calls == []  # no circumcircles meet
+
+
+def test_decode_bounded_work_on_overlapping_outputs(monkeypatch):
+    # 1,024 huge boxes per class over one spot: the top-ranked one
+    # suppresses the rest, each after a single IoU test
+    out = _dense_grid_outputs(side=1000.0)
+    calls = _count_iou_calls(monkeypatch)
+    dets = decode_detections(out)
+    for cls in out.classes:
+        assert [d.cell for d in dets if d.cls == cls] == _ranked_cells(out.prob[cls])[:1]
+    assert len(calls) == 2 * (32 * 32 - 1)
+    _same_detections(dets, decode_detections_literal(out, 0.5, 0.3))
+
+
+def test_decode_keeps_every_object_beyond_cap_candidates():
+    # four fitted 4.48 x 1.92 m vehicles on 0.16 m cells: 28 x 12 equally
+    # scored cells each, 1,344 candidates, all decoding to their object's
+    # box. The top 500 cells by (score, row, col) cover only two of them.
+    og = OutputGrid(rows=120, cols=40, x_min=0.0, y_min=0.0, step_x=0.16, step_y=0.16)
+    xs, ys = og.cell_centers()
+    prob = np.full((120, 40), 1e-3)
+    sizes = np.full((120, 40, 2), 0.1)
+    centers = np.zeros((120, 40, 2, 2))
+    headings = np.zeros((120, 40, 2, 2))
+    headings[..., 1] = 1.0
+    objects = [(0.16 * (row0 + 14), 0.16 * 20) for row0 in (0, 30, 60, 90)]
+    for row0, (ox, oy) in zip((0, 30, 60, 90), objects):
+        block = (slice(row0, row0 + 28), slice(14, 26))
+        prob[block] = 0.9
+        sizes[block] = (4.48, 1.92)
+        centers[block + (slice(None), 0)] = ox - xs[block[0], None, None]
+        centers[block + (slice(None), 1)] = oy - ys[None, block[1], None]
+    out = CellOutputs(og, 1, ("vehicle",), {"vehicle": prob}, {"vehicle": sizes},
+                      {"vehicle": centers}, {"vehicle": headings})
+    assert np.count_nonzero(prob >= 0.5) > MAX_DETECTIONS_PER_CLASS
+    dets = decode_detections(out)
+    assert [d.cell for d in dets] == [(0, 14), (30, 14), (60, 14), (90, 14)]
+    for det, (ox, oy) in zip(dets, objects):
+        assert (det.box.cx, det.box.cy) == pytest.approx((ox, oy))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("size", math.nan), ("size", math.inf), ("centers", math.nan),
+    ("centers", -math.inf), ("headings", math.nan),
+])
+def test_decode_non_finite_raises_value_error(field, value):
+    out = _dense_grid_outputs(n=8, side=2.0)
+    getattr(out, field)["vehicle"][3, 4] = value
+    out.prob["vehicle"][3, 4] = 0.99
+    with pytest.raises(ValueError):
+        decode_detections(out)
 
 
 # ---------------------------------------------------------------------------

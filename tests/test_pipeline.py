@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from mvfusion.blockfile import BlockFileError
 from mvfusion.bundle_io import write_frame_bundle
 from mvfusion.metrics import decode_detections
 from mvfusion.pipeline import (
@@ -101,6 +102,17 @@ def test_cell_outputs_artifact_roundtrip(tmp_path, desk_frame):
     for cls in outputs.classes:
         assert np.allclose(loaded.prob[cls], outputs.prob[cls], atol=1e-6)
         assert np.allclose(loaded.centers[cls], outputs.centers[cls], atol=1e-5)
+
+
+@pytest.mark.parametrize("field", ["prob", "size", "centers", "headings"])
+def test_load_cell_outputs_rejects_non_finite(tmp_path, desk_frame, field):
+    preset, bundle = desk_frame
+    outputs = forward_frame(bundle, preset, make_weights(preset, seed=0))
+    getattr(outputs, field)["pedestrian"][2, 3] = np.nan
+    path = tmp_path / "outputs.bin"
+    save_cell_outputs(path, outputs)
+    with pytest.raises(BlockFileError, match="pedestrian"):
+        load_cell_outputs(path)
 
 
 def test_fit_eval_roundtrip_single_frame(desk_frame):
