@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +106,6 @@ def decode_ppm(raw: bytes) -> np.ndarray:
         raise BundleFormatError("truncated PPM payload")
     pixels = np.frombuffer(body[: h * w * 3], dtype=np.uint8).reshape(h, w, 3)
     return pixels.astype(np.float64) / 255.0
-
-
-def write_ppm(path: str | Path, image: np.ndarray) -> None:
-    Path(path).write_bytes(encode_ppm(image))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +247,20 @@ def read_frame_bundle(path: str | Path, expected_preset: str | None = None,
             raise BundleFormatError(f"{path}: expected {keyword!r} line, got {line!r}")
         return line[len(keyword) + 1:]
 
+    def section(keyword: str) -> list[str]:
+        count = int(expect(keyword))
+        lines = list(islice(it, max(count, 0)))
+        if len(lines) < count:
+            raise BundleFormatError(f"{path}: {keyword} count {count} runs past the manifest")
+        return lines
+
     preset = expect("preset")
     if expected_preset is not None and preset != expected_preset:
         raise PresetMismatchError(f"{path}: bundle preset {preset!r}, expected {expected_preset!r}")
     timestamp = float(expect("timestamp"))
     horizon = int(expect("horizon"))
-    map_lines = [next(it) for _ in range(int(expect("map")))]
-    label_lines = [next(it) for _ in range(int(expect("labels")))]
+    map_lines = section("map")
+    label_lines = section("labels")
     n_sweeps = int(expect("sweeps"))
     sweep_headers = [expect("sweep") for _ in range(n_sweeps)]
     image_bytes = int(expect("image"))

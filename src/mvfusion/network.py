@@ -15,12 +15,12 @@ memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .blockfile import read_blocks, write_blocks
+from .blockfile import BlockFileError, read_blocks, write_blocks
 from .projection import project_features
 from .scene import CLASSES
 from .views import BEV, CAMERA, RV, CameraGeometry, FeatureMap, GridSpec, OutputGrid, RvSpec
@@ -142,7 +142,12 @@ def save_weights(path, weights: NetworkWeights) -> None:
 def load_weights(path) -> NetworkWeights:
     meta, blocks = read_blocks(path, WEIGHTS_MAGIC)
     seed = int(meta["seed"]) if "seed" in meta else None
-    return NetworkWeights(blocks, seed=seed, scheme=meta.get("scheme", "unknown"))
+    weights = NetworkWeights(blocks, seed=seed, scheme=meta.get("scheme", "unknown"))
+    try:
+        weights.validate_finite()
+    except ValueError as exc:
+        raise BlockFileError(f"{path}: {exc}") from exc
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +269,6 @@ def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, weights: NetworkWeights
     else:
         out = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation)
     return FeatureMap(fm.view, out, fm.geometry)
-
-
-def _layer(plan: dict, name: str) -> ConvLayerSpec:
-    return plan[name]
 
 
 def _plan_by_name(config: FusionConfig, bev_in_channels: int) -> dict[str, ConvLayerSpec]:

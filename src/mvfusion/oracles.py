@@ -1,8 +1,10 @@
-"""Independent reference implementations used to freeze expected values.
+"""Literal reference implementations shared by selfcheck and the tests.
 
 These deliberately avoid the library's vectorized paths: cell indices come
-from the scalar per-point projectors and pooling is a literal double loop
-over target cells and points.
+from the scalar per-point projectors, pooling is a literal double loop over
+target cells and points, convolution is a sextuple loop, gradients are
+central finite differences and IoU is a Monte-Carlo area estimate. Nothing
+on the frame path imports this module.
 """
 from __future__ import annotations
 
@@ -10,12 +12,16 @@ import math
 
 import numpy as np
 
-from mvfusion.geometry import Point3
-from mvfusion.scene import PointArray
-from mvfusion.views import (
+from .geometry import Point3, RotatedBox2D, box_corners, points_in_box, rotated_iou
+from .losses import DECAY, CellTargets, loss_gradients, total_loss
+from .metrics import MIN_DECODED_SIDE, DetBox
+from .network import CellOutputs
+from .scene import CLASSES, PointArray
+from .views import (
     CameraGeometry,
     FeatureMap,
     GridSpec,
+    OutputGrid,
     RvSpec,
     bev_cell_of,
     camera_pixel_of,
@@ -146,11 +152,6 @@ def naive_conv2d(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
 def random_loss_frame(rng: np.random.Generator, rows: int, cols: int, horizon: int,
                       fg_fraction: float = 0.25):
     """A random (outputs, targets) pair with probabilities kept well inside (0, 1)."""
-    from mvfusion.losses import CellTargets
-    from mvfusion.network import CellOutputs
-    from mvfusion.scene import CLASSES
-    from mvfusion.views import OutputGrid
-
     grid = OutputGrid(rows, cols, -rows / 2.0, -cols / 2.0, 1.0, 1.0)
     h1 = horizon + 1
     fg, t_size, t_centers, t_headings = {}, {}, {}, {}
@@ -172,14 +173,12 @@ def random_loss_frame(rng: np.random.Generator, rows: int, cols: int, horizon: i
     return outputs, targets
 
 
-def finite_difference_errors(outputs, targets, lam: float = 0.97, step: float = 1e-4):
+def finite_difference_errors(outputs, targets, lam: float = DECAY, step: float = 1e-4):
     """Central-difference check of every output channel of every cell.
 
     Returns (max relative error over significant entries, max absolute error
     where both analytic and numeric gradients are tiny).
     """
-    from mvfusion.losses import loss_gradients, total_loss
-
     grads = loss_gradients(outputs, targets, lam)
     max_rel, max_abs = 0.0, 0.0
     fields = []
@@ -210,8 +209,6 @@ def finite_difference_errors(outputs, targets, lam: float = 0.97, step: float = 
 
 def monte_carlo_iou(box_a, box_b, samples: int, seed: int) -> float:
     """Point-sampling IoU estimate over the union's bounding box."""
-    from mvfusion.geometry import box_corners, points_in_box
-
     corners = np.vstack([box_corners(box_a), box_corners(box_b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     rng = np.random.default_rng(seed)
@@ -230,9 +227,6 @@ def decode_detections_literal(outputs, score_floor: float, nms_iou: float):
     Each candidate is tested against every kept box of its class, with no
     cap on kept boxes and no neighbour prefilter.
     """
-    from mvfusion.geometry import RotatedBox2D, rotated_iou
-    from mvfusion.metrics import MIN_DECODED_SIDE, DetBox
-
     xs, ys = outputs.grid.cell_centers()
     detections = []
     for cls in outputs.classes:

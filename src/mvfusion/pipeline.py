@@ -3,28 +3,20 @@
 Generation simulates the sweep history, camera frame, and labels for each
 reference time; rasterization and the forward pass turn a bundle into
 per-cell outputs; evaluation decodes and scores them against the bundled
-labels. The stage list here also feeds the latency benchmark.
+labels. The forward pass is one list of named stages (pipeline_stages),
+run by forward_frame and timed stage by stage by benchmark_frame.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .blockfile import BlockFileError, read_blocks, write_blocks
 from .bundle_io import FrameBundle
 from .losses import encode_targets, fit_outputs
-from .metrics import (
-    DetBox,
-    MetricsReport,
-    decode_detections,
-    evaluate_frames,
-    time_pipeline,
-)
+from .metrics import MetricsReport, decode_detections, evaluate_frames, time_pipeline
 from .network import (
     CellOutputs,
-    FusionConfig,
     NetworkWeights,
     bev_branch_forward,
     camera_net_forward,
@@ -90,39 +82,12 @@ def make_weights(preset: Preset, seed: int, use_camera: bool = True) -> NetworkW
     return init_network_weights(config, bev_stack_channels(preset), seed)
 
 
-def forward_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights,
-                  use_camera: bool = True) -> CellOutputs:
-    config = replace(preset.fusion, use_camera=use_camera)
-    rasters = rasterize_frame(bundle, preset)
-    points = bundle.sweeps[-1].points
-    cam_feats = None
-    if use_camera:
-        cam_feats = camera_net_forward(bundle.camera_image, weights, config)
-    rv_feats = rv_branch_forward(rasters["rv_image"], cam_feats, points, weights, config)
-    rv_bev, rv_validity = project_features(rv_feats, points, preset.grid)
-    bev_feats = bev_branch_forward(rasters["lidar_stack"], rasters["map_raster"], weights, config)
-    return fuse_and_head_forward(bev_feats, rv_bev, rv_validity, weights, config)
-
-
-def fit_frame(bundle: FrameBundle, preset: Preset, steps: int = 500,
-              learning_rate: float = 0.2, output_stride: int = 1, seed: int = 0):
-    targets = encode_targets(bundle.labels, preset.grid, output_stride, preset.horizon)
-    return fit_outputs(targets, steps=steps, learning_rate=learning_rate, seed=seed), targets
-
-
-def evaluate_bundles(det_label_frames, preset: Preset, recall_target: float = 0.8,
-                     use_fov_slices: bool = True) -> MetricsReport:
-    return evaluate_frames(
-        det_label_frames,
-        recall_target=recall_target,
-        horizon=preset.horizon,
-        camera=preset.camera if use_fov_slices else None,
-        range_bands=preset.range_bands,
-    )
-
-
 def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = True):
-    """Named stages over a shared context, for latency measurement."""
+    """The forward pass as named stages over a shared context, bundle to outputs.
+
+    Each stage reads the context dict and returns the entries it adds; the
+    last one adds "outputs".
+    """
     config = replace(preset.fusion, use_camera=use_camera)
 
     def rasterize(ctx):
@@ -150,9 +115,6 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = 
             ctx["bev_feats"], ctx["rv_bev"], ctx["rv_validity"], weights, config
         )}
 
-    def decode(ctx):
-        return {"detections": decode_detections(ctx["outputs"])}
-
     stages = [("rasterize", rasterize)]
     if use_camera:
         stages.append(("camera_net", camera_net))
@@ -161,15 +123,43 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = 
         ("rv_to_bev", rv_to_bev),
         ("bev_branch", bev_branch),
         ("fuse_head", fuse_head),
-        ("decode", decode),
     ])
     return stages
 
 
+def forward_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights,
+                  use_camera: bool = True) -> CellOutputs:
+    ctx = {"bundle": bundle}
+    for _, stage in pipeline_stages(preset, weights, use_camera):
+        ctx.update(stage(ctx))
+    return ctx["outputs"]
+
+
 def benchmark_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights,
                     use_camera: bool = True, repeats: int = 20):
-    stages = pipeline_stages(preset, weights, use_camera)
+    """Per-stage median latency of the forward pass followed by decode."""
+    def decode(ctx):
+        return {"detections": decode_detections(ctx["outputs"])}
+
+    stages = pipeline_stages(preset, weights, use_camera) + [("decode", decode)]
     return time_pipeline(stages, {"bundle": bundle}, repeats=repeats)
+
+
+def fit_frame(bundle: FrameBundle, preset: Preset, steps: int = 500,
+              learning_rate: float = 0.2, output_stride: int = 1, seed: int = 0):
+    targets = encode_targets(bundle.labels, preset.grid, output_stride, preset.horizon)
+    return fit_outputs(targets, steps=steps, learning_rate=learning_rate, seed=seed), targets
+
+
+def evaluate_bundles(det_label_frames, preset: Preset, recall_target: float = 0.8,
+                     use_fov_slices: bool = True) -> MetricsReport:
+    return evaluate_frames(
+        det_label_frames,
+        recall_target=recall_target,
+        horizon=preset.horizon,
+        camera=preset.camera if use_fov_slices else None,
+        range_bands=preset.range_bands,
+    )
 
 
 # ---------------------------------------------------------------------------

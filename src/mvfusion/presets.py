@@ -10,7 +10,7 @@ forward passes and benchmarks run in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .network import FusionConfig
 from .scene import (

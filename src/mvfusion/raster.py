@@ -9,7 +9,6 @@ rasterize each into their own binary channel.
 """
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Sequence
 

@@ -17,17 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Point3,
-    Pose2,
-    RotatedBox2D,
-    rotated_iou,
-    se2_apply,
-    se2_compose,
-    se2_inverse,
-    transform_box,
-    wrap_angle,
-)
+from .geometry import Pose2, RotatedBox2D, rotated_iou, se2_compose, se2_inverse, transform_box
 from .views import CAMERA, CameraGeometry, CameraModel, FeatureMap, RvSpec
 
 CLASSES = ("vehicle", "pedestrian", "bicyclist")
@@ -572,12 +562,6 @@ class ActorLabel:
     box: RotatedBox2D
     centers: np.ndarray  # (H+1, 2)
     headings: np.ndarray  # (H+1,)
-
-    def box_at(self, h: int) -> RotatedBox2D:
-        return RotatedBox2D(
-            float(self.centers[h, 0]), float(self.centers[h, 1]),
-            self.box.length, self.box.width, float(self.headings[h]),
-        )
 
 
 @dataclass(frozen=True)

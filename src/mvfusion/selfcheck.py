@@ -1,29 +1,22 @@
 """Built-in oracle and invariant suite behind the selfcheck subcommand.
 
 Each check re-derives its expected values from an independent reference
-implementation (literal pooling loops, sextuple-loop convolution, finite
-differences, Monte-Carlo areas) and compares the library's fast paths
-against them. Checks are deterministic: the produced report is
-bit-identical across runs on one machine.
+implementation in oracles.py (literal pooling loops, sextuple-loop
+convolution, finite differences, Monte-Carlo areas) and compares the
+library's fast paths against them. Checks are deterministic: the produced
+report is bit-identical across runs on one machine.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .geometry import RotatedBox2D, box_corners, points_in_box, rotated_iou
-from .losses import (
-    encode_targets,
-    focal_loss,
-    loss_gradients,
-    outputs_at_targets,
-    smooth_l1,
-    total_loss,
-)
+from .geometry import RotatedBox2D, rotated_iou
+from .losses import CellTargets, focal_loss, outputs_at_targets, smooth_l1, total_loss
 from .metrics import MatchResult, average_precision, operating_threshold_for_recall
 from .network import CellOutputs, conv2d_raw
+from .oracles import finite_difference_errors, monte_carlo_iou, naive_conv2d, project_reference, random_points
 from .pipeline import forward_frame, generate_bundles, make_weights, rasterize_frame
 from .presets import get_preset
 from .projection import grid_shape_of, project_features
@@ -39,65 +32,6 @@ class CheckFailure(AssertionError):
 def _require(condition: bool, name: str, detail: str) -> None:
     if not condition:
         raise CheckFailure(f"{name}: {detail}")
-
-
-# ---------------------------------------------------------------------------
-# reference implementations (deliberately slow and literal)
-# ---------------------------------------------------------------------------
-
-def _eq1_literal(shape, channels, tgt_cells, src_feats):
-    rows, cols = shape
-    feats = np.zeros((rows, cols, channels))
-    validity = np.full((rows, cols), -1.0)
-    for row in range(rows):
-        for col in range(cols):
-            acc = [0.0] * channels
-            cnt = 0
-            for cell, f in zip(tgt_cells, src_feats):
-                if f is None or cell is None or cell != (row, col):
-                    continue
-                for c in range(channels):
-                    acc[c] += f[c]
-                cnt += 1
-            if cnt:
-                feats[row, col] = [a / cnt for a in acc]
-                validity[row, col] = 1.0
-    return feats, validity
-
-
-def _naive_conv(data, kernel, bias, stride):
-    h, w, cin = data.shape
-    kh, kw, _, cout = kernel.shape
-    sh, sw = stride
-    oh, ow = -(-h // sh), -(-w // sw)
-    top = (max((oh - 1) * sh + kh - h, 0)) // 2
-    left = (max((ow - 1) * sw + kw - w, 0)) // 2
-    out = np.zeros((oh, ow, cout))
-    for oy in range(oh):
-        for ox in range(ow):
-            for oc in range(cout):
-                acc = float(bias[oc])
-                for ky in range(kh):
-                    iy = oy * sh + ky - top
-                    if not 0 <= iy < h:
-                        continue
-                    for kx in range(kw):
-                        ix = ox * sw + kx - left
-                        if not 0 <= ix < w:
-                            continue
-                        for ic in range(cin):
-                            acc += data[iy, ix, ic] * kernel[ky, kx, ic, oc]
-                out[oy, ox, oc] = max(acc, 0.0)
-    return out
-
-
-def _mc_iou(a, b, samples, seed):
-    corners = np.vstack([box_corners(a), box_corners(b)])
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 2))
-    in_a, in_b = points_in_box(pts, a), points_in_box(pts, b)
-    union = np.count_nonzero(in_a | in_b)
-    return 0.0 if union == 0 else np.count_nonzero(in_a & in_b) / union
 
 
 # ---------------------------------------------------------------------------
@@ -126,58 +60,22 @@ def check_shape_formula_nuscenes() -> str:
     return "800x800x400 bev, 2048x32 rv"
 
 
-def _random_points(rng, n, rv_rows, spread):
-    xyz = rng.uniform([-spread, -spread, 0.0], [spread, spread, 3.0], size=(n, 3))
-    az = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    laser = rng.integers(0, rv_rows, size=n).astype(np.int64)
-    return PointArray(xyz[:, 0], xyz[:, 1], xyz[:, 2], np.linalg.norm(xyz, axis=1),
-                      rng.uniform(0, 1, size=n), az, laser)
-
-
 def check_projection_oracle() -> str:
-    from .views import bev_cell_of, camera_pixel_of, rv_cell_of
-    from .geometry import Point3
-
     rng = np.random.default_rng(11)
     rv = RvSpec(6, 16)
     grid = GridSpec(6.0, 6.0, 2.0, 0.75, 0.75, 1.0, forward_fraction=0.5)
     cam = CameraModel.from_fov(32, 24, 100.0, mount_height=1.0)
     geom = CameraGeometry(cam, pixel_stride=8)
     for trial in range(12):
-        pts = _random_points(rng, int(rng.integers(10, 60)), rv.rows, spread=4.0)
+        pts = random_points(rng, int(rng.integers(10, 60)), rv.rows, spread=4.0)
         if trial % 2 == 0:
             source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, 3)), rv)
             target = grid
-            tgt_cells = [bev_cell_of(pts[i], target) for i in range(len(pts))]
-            tgt_cells = [None if c is None else (c.row, c.col) for c in tgt_cells]
-            src_cells = [tuple(rv_cell_of(pts[i], rv)) for i in range(len(pts))]
-            src_feats = [[float(v) for v in source.data[c]] for c in src_cells]
         else:
             source = FeatureMap("camera", rng.normal(size=(*grid_shape_of(geom), 3)), geom)
             target = rv
-            tgt_cells = [tuple(rv_cell_of(pts[i], rv)) for i in range(len(pts))]
-            src_cells, src_feats = [], []
-            for i in range(len(pts)):
-                p = pts[i]
-                pix = camera_pixel_of(Point3(p.x, p.y, p.z), cam)
-                if pix is None:
-                    src_cells.append(None)
-                    src_feats.append(None)
-                else:
-                    cell = (pix.row // 8, pix.col // 8)
-                    src_cells.append(cell)
-                    src_feats.append([float(v) for v in source.data[cell]])
-        # canonical contribution order: by target cell, then source cell
-        big = (1 << 60, 1 << 60)
-        order = sorted(
-            range(len(pts)),
-            key=lambda i: (tgt_cells[i] or big, src_cells[i] or big),
-        )
         got_f, got_v = project_features(source, pts, target)
-        want_f, want_v = _eq1_literal(
-            grid_shape_of(target), 3,
-            [tgt_cells[i] for i in order], [src_feats[i] for i in order],
-        )
+        want_f, want_v = project_reference(source, pts, target, grid_shape_of(target))
         _require(np.array_equal(got_f.data, want_f), "projection_oracle", f"trial {trial} features differ")
         _require(np.array_equal(got_v.data[:, :, 0], want_v), "projection_oracle", f"trial {trial} validity differs")
     return "12 configurations bit-exact"
@@ -194,7 +92,7 @@ def check_conv_oracle() -> str:
         kernel = rng.normal(size=(3, 3, cin, cout))
         bias = rng.normal(size=cout)
         got = conv2d_raw(data, kernel, bias, stride=stride)
-        want = _naive_conv(data, kernel, bias, stride)
+        want = naive_conv2d(data, kernel, bias, stride, relu=True)
         worst = max(worst, float(np.max(np.abs(got - want))))
     _require(worst < 1e-10, "conv_oracle", f"max abs err {worst}")
     return f"8 instances, max abs err {worst:.3e}"
@@ -206,8 +104,6 @@ def check_loss_closed_forms() -> str:
     _require(abs(smooth_l1(2.0) - 1.5) < 1e-15, "loss_closed_forms", "smooth_l1(2.0)")
     grid = OutputGrid(1, 1, 0.0, 0.0, 1.0, 1.0)
     h1 = 31
-    from .losses import CellTargets
-
     fg = {c: np.array([[c == "vehicle"]]) for c in CLASSES}
     targets = CellTargets(
         grid, 30, CLASSES, fg,
@@ -227,8 +123,6 @@ def check_gradient_finite_difference() -> str:
     rng = np.random.default_rng(17)
     grid = OutputGrid(3, 3, -1.5, -1.5, 1.0, 1.0)
     h1 = 4
-    from .losses import CellTargets
-
     worst = 0.0
     for _ in range(2):
         fg = {c: rng.uniform(size=(3, 3)) < 0.3 for c in CLASSES}
@@ -245,26 +139,7 @@ def check_gradient_finite_difference() -> str:
             {c: rng.normal(0, 1.5, size=(3, 3, h1, 2)) for c in CLASSES},
             {c: rng.normal(0, 1.0, size=(3, 3, h1, 2)) for c in CLASSES},
         )
-        grads = loss_gradients(outputs, targets)
-        step = 1e-4
-        for cls in CLASSES:
-            for arr, grad in ((outputs.prob[cls], grads.prob[cls]),
-                              (outputs.centers[cls], grads.centers[cls]),
-                              (outputs.headings[cls], grads.headings[cls]),
-                              (outputs.size[cls], grads.size[cls])):
-                flat, gflat = arr.reshape(-1), grad.reshape(-1)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + step
-                    up = total_loss(outputs, targets).total
-                    flat[i] = orig - step
-                    down = total_loss(outputs, targets).total
-                    flat[i] = orig
-                    fd = (up - down) / (2 * step)
-                    a = float(gflat[i])
-                    scale = max(abs(a), abs(fd))
-                    err = abs(a - fd) / scale if scale > 1e-6 else abs(a - fd)
-                    worst = max(worst, err)
+        worst = max(worst, *finite_difference_errors(outputs, targets))
     _require(worst < 1e-4, "gradient_finite_difference", f"worst rel err {worst}")
     return f"worst rel err {worst:.2e}"
 
@@ -283,7 +158,7 @@ def check_rotated_iou() -> str:
                          rng.uniform(1, 4), rng.uniform(1, 3), rng.uniform(-3, 3))
         sym = abs(rotated_iou(p, q) - rotated_iou(q, p))
         _require(sym < 1e-9, "rotated_iou", f"asymmetry {sym}")
-        worst = max(worst, abs(rotated_iou(p, q) - _mc_iou(p, q, 100_000, 50 + k)))
+        worst = max(worst, abs(rotated_iou(p, q) - monte_carlo_iou(p, q, 100_000, 50 + k)))
     _require(worst < 0.02, "rotated_iou", f"monte-carlo gap {worst}")
     return f"monte-carlo gap {worst:.4f}"
 
@@ -336,7 +211,7 @@ def check_projection_permutation() -> str:
     rv = RvSpec(6, 16)
     grid = GridSpec(6.0, 6.0, 2.0, 0.75, 0.75, 1.0, forward_fraction=0.5)
     source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, 2)), rv)
-    pts = _random_points(rng, 80, rv.rows, spread=4.0)
+    pts = random_points(rng, 80, rv.rows, spread=4.0)
     base, _ = project_features(source, pts, grid)
     perm = rng.permutation(80)
     shuffled = PointArray(pts.x[perm], pts.y[perm], pts.z[perm], pts.range[perm],

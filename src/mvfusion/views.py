@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Point3, Pose2, se2_inverse
+from .geometry import Pose2, se2_inverse
 
 BEV = "bev"
 RV = "rv"

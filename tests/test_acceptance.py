@@ -2,12 +2,11 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Expected values are frozen from the independent oracles in
-oracles.py (literal pooling loops, sextuple-loop convolution, central
+mvfusion.oracles (literal pooling loops, sextuple-loop convolution, central
 finite differences, Monte-Carlo IoU, hand-enumerated PR curves).
 """
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,14 +23,7 @@ from mvfusion.metrics import (
     operating_threshold_for_recall,
 )
 from mvfusion.network import conv2d_raw
-from mvfusion.pipeline import generate_bundles
-from mvfusion.presets import get_preset
-from mvfusion.projection import grid_shape_of, project_features
-from mvfusion.raster import build_rv_image, stack_history_bev
-from mvfusion.scene import SceneConfig, build_scene, scene_labels, simulate_sweep
-from mvfusion.views import CameraGeometry, CameraModel, FeatureMap, GridSpec, RvSpec
-
-from oracles import (
+from mvfusion.oracles import (
     finite_difference_errors,
     monte_carlo_iou,
     naive_conv2d,
@@ -39,6 +31,12 @@ from oracles import (
     random_loss_frame,
     random_points,
 )
+from mvfusion.pipeline import generate_bundles
+from mvfusion.presets import get_preset
+from mvfusion.projection import grid_shape_of, project_features
+from mvfusion.raster import build_rv_image, stack_history_bev
+from mvfusion.scene import SceneConfig, build_scene, scene_labels, simulate_sweep
+from mvfusion.views import CameraGeometry, CameraModel, FeatureMap, GridSpec, RvSpec
 
 IOU_BY_CLASS = {"vehicle": 0.7, "pedestrian": 0.1, "bicyclist": 0.3}
 

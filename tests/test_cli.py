@@ -1,9 +1,14 @@
+import re
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from mvfusion.cli import main
+from mvfusion.network import save_weights
+from mvfusion.pipeline import make_weights
+from mvfusion.presets import get_preset
 
 
 def run_cli(*argv):
@@ -106,6 +111,34 @@ def test_eval_rejects_non_finite_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "vehicle" in err
     assert not (out / "metrics.txt").exists()
+
+
+@pytest.mark.parametrize("section", ["map", "labels"])
+def test_eval_rejects_bundle_count_overrun(tmp_path, capsys, section):
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    path = out / "bundle_000.bin"
+    body, n = re.subn(rb"\n%s \d+\n" % section.encode(), b"\n%s 999999\n" % section.encode(),
+                      path.read_bytes()[:-len("crc32 00000000\n")], count=1)
+    assert n == 1
+    path.write_bytes(body + b"crc32 %08x\n" % (zlib.crc32(body) & 0xFFFFFFFF))
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {section} count 999999")
+
+
+def test_forward_rejects_non_finite_weights(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    weights = make_weights(get_preset("desk"), seed=5)
+    weights.blocks["cam.conv1.kernel"][0, 0, 0, 0] = float("nan")
+    path = tmp_path / "nan.bin"
+    save_weights(path, weights)
+    capsys.readouterr()
+    assert run_cli("forward", "--preset", "desk", "--weights", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "cam.conv1.kernel" in err
+    assert not (out / "outputs_000.bin").exists()
 
 
 def test_bench_writes_latency_table(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from mvfusion.geometry import RotatedBox2D
 from mvfusion.losses import (
-    CellTargets,
     encode_targets,
     fg_loss_at_h,
     fit_outputs,
@@ -16,6 +15,7 @@ from mvfusion.losses import (
     smooth_l1_grad,
     total_loss,
 )
+from mvfusion.oracles import finite_difference_errors, random_loss_frame
 from mvfusion.scene import (
     Actor,
     MapGeometry,
@@ -24,8 +24,6 @@ from mvfusion.scene import (
     scene_labels,
 )
 from mvfusion.views import GridSpec
-
-from oracles import finite_difference_errors, random_loss_frame
 
 
 def one_actor_scene(box, cls="vehicle", motion=None):

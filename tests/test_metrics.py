@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,11 +24,10 @@ from mvfusion.metrics import (
     time_pipeline,
 )
 from mvfusion.network import CellOutputs
+from mvfusion.oracles import decode_detections_literal, monte_carlo_iou
 from mvfusion.scene import ActorLabel
 from mvfusion.views import CameraModel, OutputGrid, camera_pixel_of
 from mvfusion.geometry import Point3
-
-from oracles import decode_detections_literal, monte_carlo_iou
 
 
 def _det(cls="vehicle", score=0.9, box=None, waypoints=None, horizon=30):
@@ -510,14 +510,21 @@ def test_time_pipeline_total_is_stage_sum():
     assert "a_latency_ms" in text and "total_latency_ms" in text
 
 
-def test_time_pipeline_median_stability():
-    # workload big enough that scheduler jitter stays under the bound, and a
-    # discarded warmup so both measured runs see the same cpu state
-    stages = [("work", _busy_stage(12_000_000))]
-    time_pipeline(stages, {}, repeats=5)
-    a = time_pipeline(stages, {}, repeats=21).total_ms
-    b = time_pipeline(stages, {}, repeats=21).total_ms
-    assert abs(a - b) / max(a, b) < 0.2
+def test_time_pipeline_median_stability(monkeypatch):
+    # Each stage reports the median of its repeats, so two outliers among
+    # seven samples do not move it, however large they grow. The clock is
+    # scripted: the k-th timed call lasts durations[k] seconds.
+    def report(outlier_s):
+        durations = {"a": [0.25, outlier_s, 0.5, 0.125, outlier_s, 0.375, 0.25],
+                     "b": [outlier_s, 0.0625, 0.125, 0.0625, 0.25, outlier_s, 0.125]}
+        ticks = iter([t for name in "ab" for d in durations[name] for t in (0.0, d)])
+        monkeypatch.setattr(metrics, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        stages = [(name, lambda ctx: {}) for name in "ab"]
+        got = time_pipeline(stages, {}, repeats=7)
+        assert got.stages == [(name, 1e3 * float(np.median(durations[name]))) for name in "ab"]
+        return got.stages
+
+    assert report(1.0) == report(1e3) == report(1e6) == [("a", 375.0), ("b", 125.0)]
 
 
 def test_time_pipeline_fewer_stages_less_total():

@@ -6,9 +6,7 @@ import pytest
 from mvfusion.blockfile import BlockFileError
 from mvfusion.network import (
     CellOutputs,
-    ConvLayerSpec,
     FusionConfig,
-    NetworkWeights,
     bev_branch_forward,
     camera_net_forward,
     conv2d_forward,
@@ -22,6 +20,7 @@ from mvfusion.network import (
     rv_branch_forward,
     save_weights,
 )
+from mvfusion.oracles import naive_conv2d
 from mvfusion.projection import grid_shape_of
 from mvfusion.scene import PointArray
 from mvfusion.views import (
@@ -32,8 +31,6 @@ from mvfusion.views import (
     OutputGrid,
     RvSpec,
 )
-
-from oracles import naive_conv2d
 
 
 def tiny_config(**kw):

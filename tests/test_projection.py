@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mvfusion.geometry import Pose2
+from mvfusion.oracles import project_reference, random_points
 from mvfusion.projection import grid_shape_of, project_features
 from mvfusion.scene import PointArray
 from mvfusion.views import CameraGeometry, CameraModel, FeatureMap, GridSpec, RvSpec
-
-from oracles import project_reference, random_points
 
 
 def small_grid():

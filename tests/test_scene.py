@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvfusion.geometry import Pose2, RotatedBox2D, points_in_box, rotated_iou, se2_apply
+from mvfusion.geometry import Pose2, RotatedBox2D, points_in_box, rotated_iou
 from mvfusion.scene import (
     Actor,
     LidarSensorSpec,
