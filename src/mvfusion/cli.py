@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from .blockfile import BlockFileError
 from .bundle_io import (
     BundleFormatError,
     format_scene_config,
@@ -21,7 +23,7 @@ from .bundle_io import (
 )
 from .losses import total_loss
 from .metrics import decode_detections
-from .network import load_weights, save_weights
+from .network import load_weights, network_plan, save_weights
 from .pipeline import (
     benchmark_frame,
     evaluate_bundles,
@@ -34,7 +36,7 @@ from .pipeline import (
     save_cell_outputs,
     scene_config_for,
 )
-from .presets import get_preset, preset_names
+from .presets import bev_stack_channels, get_preset, preset_names
 from .projection import project_features
 from .raster import dump_featuremap_pgm
 from .selfcheck import run_selfcheck
@@ -91,9 +93,15 @@ def _load_bundles(args, preset):
 
 
 def _weights_for(args, preset):
-    if args.weights:
-        return load_weights(args.weights)
-    return make_weights(preset, seed=args.seed, use_camera=not args.no_camera)
+    if not args.weights:
+        return make_weights(preset, seed=args.seed, use_camera=not args.no_camera)
+    weights = load_weights(args.weights)
+    config = replace(preset.fusion, use_camera=not args.no_camera)
+    try:
+        weights.validate_plan(network_plan(config, bev_stack_channels(preset)))
+    except ValueError as exc:
+        raise BlockFileError(f"{args.weights}: {exc}") from exc
+    return weights
 
 
 def cmd_gen(args) -> int:

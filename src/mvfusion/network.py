@@ -11,6 +11,14 @@ Weights are seeded pseudo-random or loaded from a block file; there is no
 training here. Convolutions are plain cross-correlations with zero SAME
 padding computed via im2col + matmul, chunked over output rows to bound
 memory.
+
+Dtype policy: every layer keeps the dtype of its input, and the frame path
+feeds float32 rasters, so activations are float32 end to end. float64 is
+used only inside the projection sums (project_features accumulates and
+returns float64; its features are cast to the dtype of the features they
+are concatenated with) and after the head (CellOutputs.unpack). Seeded
+and loaded kernels are float64 blocks holding float32-exact values, so
+casting them to float32 is exact.
 """
 from __future__ import annotations
 
@@ -127,6 +135,16 @@ class NetworkWeights:
         for name, arr in self.blocks.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite values in block {name}")
+
+    def validate_plan(self, plan: Sequence[ConvLayerSpec]) -> None:
+        """Every planned layer has a kernel of its planned shape and a (cout,) bias."""
+        for layer in plan:
+            for block, want in ((f"{layer.name}.kernel", (*layer.kernel, layer.in_channels, layer.out_channels)),
+                                (f"{layer.name}.bias", (layer.out_channels,))):
+                if block not in self.blocks:
+                    raise ValueError(f"missing block {block}")
+                if self.blocks[block].shape != want:
+                    raise ValueError(f"block {block} has shape {self.blocks[block].shape}, the plan needs {want}")
 
 
 WEIGHTS_MAGIC = "mvfusion-weights"
@@ -301,7 +319,7 @@ def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None,
         if camera_features is None:
             raise ValueError("config.use_camera is set but no camera features were given")
         cam_rv, cam_valid = project_features(camera_features, points, rv)
-        data = np.concatenate([x.data, cam_rv.data, cam_valid.data], axis=2)
+        data = np.concatenate([x.data, cam_rv.data, cam_valid.data], axis=2, dtype=x.data.dtype)
         x = FeatureMap(RV, data, rv)
 
     enc1 = conv2d_forward(x, plan["unet.enc1"], weights)
@@ -394,7 +412,7 @@ class CellOutputs:
         prob, size, centers, headings = {}, {}, {}, {}
         for i, name in enumerate(classes):
             block = raw[:, :, i * per:(i + 1) * per]
-            p = block[:, :, 0]
+            p = block[:, :, 0].astype(np.float64, copy=False)  # in float32, 1 - 1e-12 rounds to 1
             if logits:
                 p = 1.0 / (1.0 + np.exp(-p))
             prob[name] = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
@@ -416,7 +434,8 @@ def fuse_and_head_forward(bev_features: FeatureMap, rv_features_bev: FeatureMap,
     plan = _plan_by_name(config, bev_in_channels=1)
     x = FeatureMap(
         BEV,
-        np.concatenate([bev_features.data, rv_features_bev.data, rv_validity_bev.data], axis=2),
+        np.concatenate([bev_features.data, rv_features_bev.data, rv_validity_bev.data], axis=2,
+                       dtype=bev_features.data.dtype),
         grid,
     )
     for i in range(len(config.head_widths)):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .blockfile import BlockFileError, read_blocks, write_blocks
 from .bundle_io import FrameBundle
 from .losses import encode_targets, fit_outputs
@@ -28,7 +30,7 @@ from .presets import Preset, bev_stack_channels
 from .projection import project_features
 from .raster import build_rv_image, rasterize_map, stack_history_bev
 from .scene import Scene, SceneConfig, build_scene, render_camera, scene_labels, simulate_sweep
-from .views import OutputGrid
+from .views import FeatureMap, OutputGrid
 
 LABEL_RATE = 10.0
 
@@ -82,11 +84,16 @@ def make_weights(preset: Preset, seed: int, use_camera: bool = True) -> NetworkW
     return init_network_weights(config, bev_stack_channels(preset), seed)
 
 
+def _float32(fm: FeatureMap) -> FeatureMap:
+    return FeatureMap(fm.view, fm.data.astype(np.float32), fm.geometry)
+
+
 def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = True):
     """The forward pass as named stages over a shared context, bundle to outputs.
 
     Each stage reads the context dict and returns the entries it adds; the
-    last one adds "outputs".
+    last one adds "outputs". The network sees float32 copies of the float64
+    camera and RV images; the BEV stack and map raster are float32 already.
     """
     config = replace(preset.fusion, use_camera=use_camera)
 
@@ -94,11 +101,11 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = 
         return rasterize_frame(ctx["bundle"], preset)
 
     def camera_net(ctx):
-        return {"cam_feats": camera_net_forward(ctx["bundle"].camera_image, weights, config)}
+        return {"cam_feats": camera_net_forward(_float32(ctx["bundle"].camera_image), weights, config)}
 
     def rv_branch(ctx):
         return {"rv_feats": rv_branch_forward(
-            ctx["rv_image"], ctx.get("cam_feats"), ctx["bundle"].sweeps[-1].points, weights, config
+            _float32(ctx["rv_image"]), ctx.get("cam_feats"), ctx["bundle"].sweeps[-1].points, weights, config
         )}
 
     def rv_to_bev(ctx):

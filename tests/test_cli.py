@@ -141,6 +141,39 @@ def test_forward_rejects_non_finite_weights(tmp_path, capsys):
     assert not (out / "outputs_000.bin").exists()
 
 
+@pytest.mark.parametrize("block, fault", [
+    ("fuse.head.bias", "missing block fuse.head.bias"),
+    ("unet.enc1.kernel", "block unet.enc1.kernel has shape (3, 3, 49, 31), the plan needs (3, 3, 49, 32)"),
+])
+def test_forward_rejects_weights_off_the_plan(tmp_path, capsys, block, fault):
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    weights = make_weights(get_preset("desk"), seed=5)
+    if block.endswith(".bias"):
+        del weights.blocks[block]
+    else:
+        weights.blocks[block] = weights.blocks[block][:, :, :, 1:]
+    path = tmp_path / "off_plan.bin"
+    save_weights(path, weights)
+    capsys.readouterr()
+    assert run_cli("forward", "--preset", "desk", "--weights", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {fault}")
+    assert not (out / "outputs_000.bin").exists()
+
+
+def test_forward_checks_weights_against_the_no_camera_plan(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    path = tmp_path / "no_camera.bin"
+    save_weights(path, make_weights(get_preset("desk"), seed=5, use_camera=False))
+    assert run_cli("forward", "--preset", "desk", "--no-camera", "--weights", str(path), "--out", str(out)) == 0
+    assert (out / "outputs_000.bin").exists()
+    capsys.readouterr()
+    assert run_cli("forward", "--preset", "desk", "--weights", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: missing block cam.conv1.kernel")
+
+
 def test_bench_writes_latency_table(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))

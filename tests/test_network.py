@@ -364,6 +364,25 @@ def test_cell_outputs_pack_unpack_roundtrip():
         assert np.array_equal(out.headings[c], again.headings[c])
 
 
+def test_cell_outputs_unpack_float32_saturated_logits():
+    og = OutputGrid(rows=2, cols=3, x_min=-1.0, y_min=-1.5, step_x=1.0, step_y=1.0)
+    h = 1
+    cls = ("vehicle", "pedestrian")
+    per = 1 + 2 + 2 * 2 + 2 * 2
+    raw = np.zeros((2, 3, 2 * per), dtype=np.float32)
+    raw[:, :, 0] = [[40.0, -40.0, 40.0], [-40.0, 40.0, -40.0]]
+    raw[:, :, per] = -raw[:, :, 0]
+    out = CellOutputs.unpack(raw, og, h, cls, logits=True)
+    out.validate()
+    for c in cls:
+        p = out.prob[c]
+        assert p.dtype == np.float64
+        assert np.all((p > 0.0) & (p < 1.0))
+        assert p.max() > 0.5 > p.min()
+        for arr in (out.size[c], out.centers[c], out.headings[c]):
+            assert arr.dtype == np.float64
+
+
 def test_conv2d_forward_layer_validation():
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=0)
