@@ -82,20 +82,27 @@ def check_projection_oracle() -> str:
 
 
 def check_conv_oracle() -> str:
+    """8 dense instances (im2col), then 8 stride-1 instances with about 12%
+    of their pixels occupied, two corners included (the occupied-pixel kernel)."""
     rng = np.random.default_rng(13)
     worst = 0.0
-    for trial in range(8):
+    for trial in range(16):
         h, w = int(rng.integers(4, 11)), int(rng.integers(4, 11))
         cin, cout = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         data = rng.normal(size=(h, w, cin))
         kernel = rng.normal(size=(3, 3, cin, cout))
         bias = rng.normal(size=cout)
+        if trial >= 8:
+            stride = (1, 1)
+            mask = rng.uniform(size=(h, w)) < 0.12
+            mask[[0, -1], [0, -1]] = True
+            data *= mask[:, :, None]
         got = conv2d_raw(data, kernel, bias, stride=stride)
         want = naive_conv2d(data, kernel, bias, stride, relu=True)
         worst = max(worst, float(np.max(np.abs(got - want))))
     _require(worst < 1e-10, "conv_oracle", f"max abs err {worst}")
-    return f"8 instances, max abs err {worst:.3e}"
+    return f"16 instances (8 sparse), max abs err {worst:.3e}"
 
 
 def check_loss_closed_forms() -> str:

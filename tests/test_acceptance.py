@@ -108,8 +108,8 @@ def test_criterion_3_convolution_oracle():
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     worst = 0.0
-    for trial in range(50):
-        if trial < 46:
+    for trial in range(70):
+        if trial < 46 or trial >= 50:
             h, w = int(rng.integers(4, 10)), int(rng.integers(4, 10))
             cin, cout = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         else:
@@ -118,6 +118,11 @@ def test_criterion_3_convolution_oracle():
         data = rng.normal(size=(h, w, cin))
         kernel = rng.normal(size=(3, 3, cin, cout))
         bias = rng.normal(size=cout)
+        if trial >= 50:  # sparse stride-1 instances: the occupied-pixel kernel
+            stride = (1, 1)
+            mask = rng.uniform(size=(h, w)) < 0.12
+            mask[[0, -1], [0, -1]] = True
+            data *= mask[:, :, None]
         got = conv2d_raw(data, kernel, bias, stride=stride)
         want = naive_conv2d(data, kernel, bias, stride, relu=True)
         worst = max(worst, float(np.max(np.abs(got - want))))

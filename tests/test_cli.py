@@ -113,6 +113,23 @@ def test_eval_rejects_non_finite_outputs(tmp_path, capsys):
     assert not (out / "metrics.txt").exists()
 
 
+def test_eval_rejects_probabilities_outside_the_unit_interval(tmp_path, capsys):
+    from mvfusion.pipeline import load_cell_outputs, save_cell_outputs
+
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    run_cli("forward", "--preset", "desk", "--seed", "5", "--out", str(out))
+    outputs = load_cell_outputs(out / "outputs_000.bin")
+    outputs.prob["vehicle"][0, 0] = 1.5
+    outputs.prob["pedestrian"][0, 0] = -0.25
+    save_cell_outputs(out / "outputs_000.bin", outputs)
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "probabilities must be strictly inside (0, 1)" in err
+    assert not (out / "metrics.txt").exists()
+
+
 @pytest.mark.parametrize("section", ["map", "labels"])
 def test_eval_rejects_bundle_count_overrun(tmp_path, capsys, section):
     out = tmp_path / "run"

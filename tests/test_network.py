@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvfusion import network
 from mvfusion.blockfile import BlockFileError
 from mvfusion.network import (
     CellOutputs,
@@ -98,6 +102,116 @@ def test_conv_matches_naive_oracle(seed, shape, cout, stride):
     got = conv2d_raw(data, kernel, bias, stride=stride)
     want = naive_conv2d(data, kernel, bias, stride, relu=True)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _occupancy_instance(seed, h, w, cin, pattern):
+    """float64 (h, w, cin) input whose occupied pixels follow the named pattern."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(h, w, cin))
+    if pattern == "dense":
+        return data
+    mask = np.zeros((h, w), dtype=bool)
+    if pattern == "sparse":
+        mask = rng.uniform(size=(h, w)) < rng.uniform(0.02, 0.25)
+        mask[[0, 0, -1, -1], [0, -1, 0, -1]] = True  # all four corners
+    elif pattern == "border":
+        mask[[0, -1], :] = rng.uniform(size=(2, w)) < 0.5
+        mask[:, [0, -1]] |= rng.uniform(size=(h, 2)) < 0.5
+    elif pattern == "single":
+        mask[rng.integers(h), rng.integers(w)] = True
+    return data * mask[:, :, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 6), st.integers(1, 4),
+    st.sampled_from([(1, 1), (2, 2), (1, 2)]),
+    st.sampled_from(["sparse", "border", "single", "zeros", "dense"]),
+    st.sampled_from(["relu", "linear"]),
+)
+def test_conv_both_paths_match_naive_oracle(seed, h, w, cin, cout, stride, pattern, activation):
+    data = _occupancy_instance(seed, h, w, cin, pattern)
+    rng = np.random.default_rng(seed + 1)
+    kernel = rng.normal(size=(3, 3, cin, cout))
+    bias = rng.normal(size=cout)
+    got = conv2d_raw(data, kernel, bias, stride=stride, activation=activation)
+    want = naive_conv2d(data, kernel, bias, stride, relu=activation == "relu")
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("extra,stride,takes_occupied", [
+    (0, (1, 1), True),   # exactly the share: occupied-pixel kernel
+    (1, (1, 1), False),  # one pixel more: im2col
+    (0, (2, 2), False),  # only stride (1, 1) has the occupied-pixel kernel
+    (0, (1, 2), False),
+])
+def test_conv_path_follows_input_occupancy(monkeypatch, extra, stride, takes_occupied):
+    calls = []
+    kernel_fn = network._conv2d_occupied
+    monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
+    h, w = 12, 10
+    rng = np.random.default_rng(3)
+    n = int(network._OCCUPIED_SHARE * h * w) + extra
+    data = np.zeros((h * w, 4))
+    data[rng.permutation(h * w)[:n]] = rng.uniform(0.5, 1.0, size=(n, 4))
+    data = data.reshape(h, w, 4)
+    kernel, bias = rng.normal(size=(3, 3, 4, 5)), rng.normal(size=5)
+    got = conv2d_raw(data, kernel, bias, stride=stride)
+    assert bool(calls) == takes_occupied
+    assert np.max(np.abs(got - naive_conv2d(data, kernel, bias, stride, relu=True))) < 1e-12
+
+
+def _whole_input_padding_im2col(data, kernel, bias, stride):
+    """im2col over one zero-padded copy of the whole input, in the same row chunks."""
+    h, w, cin = data.shape
+    kh, kw, _, cout = kernel.shape
+    sh, sw = stride
+    oh, ow = conv_output_shape(h, w, stride)
+    pad_h, pad_w = max((oh - 1) * sh + kh - h, 0), max((ow - 1) * sw + kw - w, 0)
+    padded = np.zeros((h + pad_h, w + pad_w, cin), dtype=data.dtype)
+    padded[pad_h // 2:pad_h // 2 + h, pad_w // 2:pad_w // 2 + w] = data
+    wmat = kernel.reshape(-1, cout).astype(data.dtype)
+    out = np.empty((oh, ow, cout), dtype=data.dtype)
+    chunk = max(1, network._CHUNK_BYTES // (ow * kh * kw * cin * data.itemsize))
+    for r0 in range(0, oh, chunk):
+        r1 = min(r0 + chunk, oh)
+        win = np.lib.stride_tricks.sliding_window_view(padded[r0 * sh:(r1 - 1) * sh + kh], (kh, kw), axis=(0, 1))
+        flat = np.ascontiguousarray(win[::sh, ::sw].transpose(0, 1, 3, 4, 2)).reshape(-1, kh * kw * cin)
+        out[r0:r1] = (flat @ wmat).reshape(r1 - r0, ow, cout) + bias.astype(data.dtype)
+    return np.maximum(out, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2), (2, 1)])
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 7, 100])
+def test_conv_chunk_padding_is_bit_identical(monkeypatch, dtype, stride, rows_per_chunk):
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(23, 17, 5)).astype(dtype)  # dense: the im2col path
+    kernel, bias = rng.normal(size=(3, 3, 5, 6)), rng.normal(size=6)
+    ow = conv_output_shape(23, 17, stride)[1]
+    monkeypatch.setattr(network, "_CHUNK_BYTES", rows_per_chunk * ow * 9 * 5 * np.dtype(dtype).itemsize)
+    got = conv2d_raw(data, kernel, bias, stride=stride)
+    assert got.dtype == dtype
+    assert np.array_equal(got, _whole_input_padding_im2col(data, kernel, bias, stride))
+
+
+@pytest.mark.parametrize("occupied_share", [1.0, 0.1])  # im2col, occupied-pixel kernel
+def test_conv_peak_memory_stays_below_a_padded_input_copy(occupied_share):
+    rng = np.random.default_rng(5)
+    data = rng.random((256, 256, 64), dtype=np.float32)
+    data *= rng.random((256, 256, 1), dtype=np.float32) < occupied_share
+    kernel, bias = rng.uniform(-0.1, 0.1, size=(3, 3, 64, 64)), np.zeros(64)
+    tracemalloc.start()
+    try:
+        out = conv2d_raw(data, kernel, bias)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The input was allocated before tracing started; a padded copy of it
+    # (17.3 MB) on top of the output and a full im2col chunk breaks the bound.
+    assert peak < data.nbytes + out.nbytes + network._CHUNK_BYTES
 
 
 def test_conv_output_shape_ceiling():

@@ -1,6 +1,6 @@
 import pytest
 
-from mvfusion import selfcheck
+from mvfusion import network, selfcheck
 from mvfusion.views import FeatureMap
 
 
@@ -17,3 +17,10 @@ def test_perturbed_fast_paths_fail_their_oracle_checks(monkeypatch):
         selfcheck.check_conv_oracle()
     with pytest.raises(selfcheck.CheckFailure, match="projection_oracle: trial 0 features differ"):
         selfcheck.check_projection_oracle()
+
+
+def test_perturbed_occupied_pixel_kernel_fails_the_conv_oracle_check(monkeypatch):
+    occupied = network._conv2d_occupied
+    monkeypatch.setattr(network, "_conv2d_occupied", lambda *args: occupied(*args) + 1e-9)
+    with pytest.raises(selfcheck.CheckFailure, match="conv_oracle: max abs err"):
+        selfcheck.check_conv_oracle()
