@@ -355,8 +355,10 @@ def time_pipeline(stages: Sequence[tuple[str, Callable[[dict], dict]]], frame: d
                   repeats: int = 20) -> LatencyReport:
     """Median wall time per stage over repeated runs on a monotonic clock.
 
-    Stage functions read the context dict and return new entries; the
-    context passed downstream comes from a single representative run.
+    Stage functions read the context dict and return new entries; each
+    repeat gets a shallow copy of the context, since a stage may pop the
+    entries it reads last. The context passed downstream comes from a single
+    representative run.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -366,8 +368,9 @@ def time_pipeline(stages: Sequence[tuple[str, Callable[[dict], dict]]], frame: d
         samples = []
         result = None
         for _ in range(repeats):
+            local = dict(ctx)
             start = time.perf_counter()
-            result = fn(ctx)
+            result = fn(local)
             samples.append((time.perf_counter() - start) * 1000.0)
         timed.append((name, float(np.median(samples))))
         if result:

@@ -91,44 +91,46 @@ def _float32(fm: FeatureMap) -> FeatureMap:
 def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = True):
     """The forward pass as named stages over a shared context, bundle to outputs.
 
-    Each stage reads the context dict and returns the entries it adds; the
-    last one adds "outputs". The network sees float32 copies of the float64
-    camera and RV images; the BEV stack and map raster are float32 already.
+    Stage order: rasterize, bev_branch, camera_net (with the camera),
+    rv_branch, rv_to_bev, fuse_head. Each stage reads the context dict,
+    pops the entries it is the last reader of, so every large tensor is
+    freed once it has been read for the last time, and returns the entries
+    it adds; the last one adds "outputs". The network sees float32 copies
+    of the float64 camera and RV images; the BEV stack and map raster are
+    float32 already.
     """
     config = replace(preset.fusion, use_camera=use_camera)
 
     def rasterize(ctx):
         return rasterize_frame(ctx["bundle"], preset)
 
+    def bev_branch(ctx):
+        return {"bev_feats": bev_branch_forward(ctx.pop("lidar_stack"), ctx.pop("map_raster"), weights, config)}
+
     def camera_net(ctx):
         return {"cam_feats": camera_net_forward(_float32(ctx["bundle"].camera_image), weights, config)}
 
     def rv_branch(ctx):
         return {"rv_feats": rv_branch_forward(
-            _float32(ctx["rv_image"]), ctx.get("cam_feats"), ctx["bundle"].sweeps[-1].points, weights, config
+            _float32(ctx.pop("rv_image")), ctx.pop("cam_feats", None), ctx["bundle"].sweeps[-1].points,
+            weights, config,
         )}
 
     def rv_to_bev(ctx):
-        feats, validity = project_features(
-            ctx["rv_feats"], ctx["bundle"].sweeps[-1].points, preset.grid
-        )
+        feats, validity = project_features(ctx.pop("rv_feats"), ctx["bundle"].sweeps[-1].points, preset.grid)
         return {"rv_bev": feats, "rv_validity": validity}
-
-    def bev_branch(ctx):
-        return {"bev_feats": bev_branch_forward(ctx["lidar_stack"], ctx["map_raster"], weights, config)}
 
     def fuse_head(ctx):
         return {"outputs": fuse_and_head_forward(
-            ctx["bev_feats"], ctx["rv_bev"], ctx["rv_validity"], weights, config
+            ctx.pop("bev_feats"), ctx.pop("rv_bev"), ctx.pop("rv_validity"), weights, config
         )}
 
-    stages = [("rasterize", rasterize)]
+    stages = [("rasterize", rasterize), ("bev_branch", bev_branch)]
     if use_camera:
         stages.append(("camera_net", camera_net))
     stages.extend([
         ("rv_branch", rv_branch),
         ("rv_to_bev", rv_to_bev),
-        ("bev_branch", bev_branch),
         ("fuse_head", fuse_head),
     ])
     return stages
@@ -189,15 +191,28 @@ def save_cell_outputs(path: str | Path, outputs: CellOutputs) -> None:
 
 
 def load_cell_outputs(path: str | Path) -> CellOutputs:
+    """Cell outputs saved by save_cell_outputs; any other content raises BlockFileError."""
     meta, blocks = read_blocks(path, OUTPUTS_MAGIC)
-    grid = OutputGrid(
-        rows=int(meta["rows"]), cols=int(meta["cols"]),
-        x_min=float(meta["x_min"]), y_min=float(meta["y_min"]),
-        step_x=float(meta["step_x"]), step_y=float(meta["step_y"]),
-    )
-    classes = tuple(meta["classes"].split(","))
     try:
-        outputs = CellOutputs.unpack(blocks["cells"], grid, int(meta["horizon"]), classes)
+        grid = OutputGrid(
+            rows=int(meta["rows"]), cols=int(meta["cols"]),
+            x_min=float(meta["x_min"]), y_min=float(meta["y_min"]),
+            step_x=float(meta["step_x"]), step_y=float(meta["step_y"]),
+        )
+        horizon = int(meta["horizon"])
+        classes = tuple(meta["classes"].split(","))
+        cells = blocks["cells"]
+    except KeyError as exc:
+        raise BlockFileError(f"{path}: no {exc.args[0]!r} entry") from exc
+    except ValueError as exc:
+        raise BlockFileError(f"{path}: bad meta value: {exc}") from exc
+    lattice = [grid.x_min, grid.y_min, grid.step_x, grid.step_y]
+    if horizon < 0 or not np.isfinite(lattice).all() or min(grid.step_x, grid.step_y) <= 0:
+        raise BlockFileError(f"{path}: bad output grid {grid} or horizon {horizon}")
+    if "" in classes or len(set(classes)) != len(classes):
+        raise BlockFileError(f"{path}: bad class list {meta['classes']!r}")
+    try:
+        outputs = CellOutputs.unpack(cells, grid, horizon, classes)
         outputs.validate()
     except ValueError as exc:
         raise BlockFileError(f"{path}: {exc}") from exc

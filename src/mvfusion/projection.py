@@ -13,7 +13,10 @@ single division at the end: contributions are sorted by (target cell,
 source cell) before summing, so results are bit-reproducible and
 bit-identical under any permutation of the input points (points sharing
 both cells carry identical feature vectors, making their mutual order
-irrelevant).
+irrelevant). The sums live in a compact (hit cells, channels) array; only
+the averages are scattered into the target grid, which has the source's
+dtype (float32 stays float32, anything else is float64), so a float32
+result is exactly the float64 result cast to float32.
 """
 from __future__ import annotations
 
@@ -91,7 +94,8 @@ def project_features(
 
     Returns (features, validity): features has the source channel count on
     the target grid; validity is a single channel of +1 where at least one
-    point landed and -1 elsewhere.
+    point landed and -1 elsewhere. Both are float32 for a float32 source and
+    float64 otherwise; sums and the division are float64 either way.
     """
     channels = source.channels
     if out_channels is not None and out_channels != channels:
@@ -110,23 +114,20 @@ def project_features(
     sr, sc, s_ok = cells_for(source.geometry, xyz, laser, azimuth)
     keep = t_ok & s_ok
 
-    acc = np.zeros((rows_t, cols_t, channels))
-    count = np.zeros((rows_t, cols_t))
+    dtype = source.data.dtype if source.data.dtype == np.float32 else np.float64
+    features = np.zeros((rows_t * cols_t, channels), dtype=dtype)
+    validity = np.full(rows_t * cols_t, -1.0, dtype=dtype)
     if keep.any():
         tr, tc = tr[keep], tc[keep]
         sr, sc = sr[keep], sc[keep]
         # canonical accumulation order: by target cell, then source cell
         order = np.lexsort((sr * source.width + sc, tr * cols_t + tc))
-        tr, tc = tr[order], tc[order]
-        feats = source.data[sr[order], sc[order]].astype(np.float64)
-        np.add.at(acc, (tr, tc), feats)
-        np.add.at(count, (tr, tc), 1.0)
-
-    occupied = count > 0
-    features = np.zeros_like(acc)
-    features[occupied] = acc[occupied] / count[occupied, None]
-    validity = np.where(occupied, 1.0, -1.0)[:, :, None]
+        cells, slot, count = np.unique((tr * cols_t + tc)[order], return_inverse=True, return_counts=True)
+        acc = np.zeros((cells.size, channels))
+        np.add.at(acc, slot, source.data[sr[order], sc[order]].astype(np.float64))
+        features[cells] = acc / count[:, None]
+        validity[cells] = 1.0
     return (
-        FeatureMap(target_view, features, target_geometry),
-        FeatureMap(target_view, validity, target_geometry),
+        FeatureMap(target_view, features.reshape(rows_t, cols_t, channels), target_geometry),
+        FeatureMap(target_view, validity.reshape(rows_t, cols_t, 1), target_geometry),
     )

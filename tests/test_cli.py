@@ -144,6 +144,42 @@ def test_eval_rejects_bundle_count_overrun(tmp_path, capsys, section):
     assert capsys.readouterr().err.startswith(f"error: {path}: {section} count 999999")
 
 
+@pytest.mark.parametrize("fault", ["block without a name", "no meta rows", "negative dimensions"])
+def test_eval_rejects_malformed_outputs_files(tmp_path, capsys, fault):
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    run_cli("forward", "--preset", "desk", "--seed", "5", "--out", str(out))
+    path = out / "outputs_000.bin"
+    manifest, payload = path.read_bytes().split(b"\nend\n", 1)
+    if fault == "block without a name":
+        manifest = re.sub(rb"\nblock cells [\d ]+", b"\nblock", manifest)
+    elif fault == "no meta rows":
+        manifest = re.sub(rb"\nmeta rows \d+", b"", manifest)
+    else:
+        manifest, payload = re.sub(rb"\nblock cells [\d ]+", b"\nblock cells 2 -1 -1", manifest), bytes(8)
+    path.write_bytes(manifest + b"\nend\n" + payload)
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (out / "metrics.txt").exists()
+
+
+def test_eval_rejects_a_bundle_with_a_bad_ppm_header(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    path = out / "bundle_000.bin"
+    body = path.read_bytes()[:-len("crc32 00000000\n")]
+    image_at = body.rindex(b"P6\n")
+    old_ppm = body[image_at:]
+    ppm = re.sub(rb"^P6\n\d+ \d+\n", b"P6\n3\n", old_ppm)
+    body = body[:image_at].replace(b"\nimage %d\n" % len(old_ppm), b"\nimage %d\n" % len(ppm)) + ppm
+    path.write_bytes(body + b"crc32 %08x\n" % (zlib.crc32(body) & 0xFFFFFFFF))
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "PPM" in err
+
+
 def test_forward_rejects_non_finite_weights(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))

@@ -163,6 +163,25 @@ def test_conv_path_follows_input_occupancy(monkeypatch, extra, stride, takes_occ
     assert np.max(np.abs(got - naive_conv2d(data, kernel, bias, stride, relu=True))) < 1e-12
 
 
+@pytest.mark.parametrize("extra,takes_occupied", [(0, True), (1, False)])
+@pytest.mark.parametrize("pixels_per_block", [1, 5, 1000])
+def test_blocked_occupancy_scan_keeps_the_kernel_choice(monkeypatch, extra, takes_occupied, pixels_per_block):
+    calls = []
+    kernel_fn = network._conv2d_occupied
+    monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
+    h, w, cin = 16, 12, 3
+    monkeypatch.setattr(network, "_SCAN_BYTES", pixels_per_block * cin * 8)
+    rng = np.random.default_rng(4)
+    n = int(network._OCCUPIED_SHARE * h * w) + extra
+    data = np.zeros((h * w, cin))
+    data[h * w - n:] = rng.uniform(0.5, 1.0, size=(n, cin))  # the occupied pixels come last
+    data = data.reshape(h, w, cin)
+    kernel, bias = rng.normal(size=(3, 3, cin, 4)), rng.normal(size=4)
+    got = conv2d_raw(data, kernel, bias)
+    assert bool(calls) == takes_occupied
+    assert np.max(np.abs(got - naive_conv2d(data, kernel, bias, (1, 1), relu=True))) < 1e-12
+
+
 def _whole_input_padding_im2col(data, kernel, bias, stride):
     """im2col over one zero-padded copy of the whole input, in the same row chunks."""
     h, w, cin = data.shape

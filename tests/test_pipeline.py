@@ -1,9 +1,10 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
 
-from mvfusion import network
+from mvfusion import network, pipeline
 from mvfusion.blockfile import BlockFileError
 from mvfusion.bundle_io import write_frame_bundle
 from mvfusion.metrics import decode_detections
@@ -144,6 +145,43 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
             assert np.abs(got - want).max() <= REGRESSION_BOUND
     dets = [(d.cls, d.cell) for d in decode_detections(outputs)]
     assert dets and dets == [(d.cls, d.cell) for d in decode_detections(reference)]
+
+
+def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monkeypatch):
+    preset, bundle = desk_frame
+    weights = make_weights(preset, seed=0)
+    refs, alive = {}, {}
+    stack_fn, bev_fn = pipeline.stack_history_bev, pipeline.bev_branch_forward
+    project_fn, conv_fn = pipeline.project_features, network.conv2d_forward
+
+    def stack(*args, **kwargs):
+        out = stack_fn(*args, **kwargs)
+        refs["lidar_stack"] = weakref.ref(out.data)
+        return out
+
+    def bev_branch(*args, **kwargs):
+        out = bev_fn(*args, **kwargs)
+        refs["bev_feats"] = weakref.ref(out.data)
+        return out
+
+    def project(source, points, grid):
+        feats, validity = project_fn(source, points, grid)
+        assert feats.data.dtype == validity.data.dtype == source.data.dtype == np.float32
+        refs.update(rv_feats=weakref.ref(source.data), rv_bev=weakref.ref(feats.data),
+                    rv_validity=weakref.ref(validity.data))
+        return feats, validity
+
+    def conv(fm, layer, weights):
+        if layer.name == "fuse.conv1":
+            alive.update((name, ref() is not None) for name, ref in refs.items())
+        return conv_fn(fm, layer, weights)
+
+    monkeypatch.setattr(pipeline, "stack_history_bev", stack)
+    monkeypatch.setattr(pipeline, "bev_branch_forward", bev_branch)
+    monkeypatch.setattr(pipeline, "project_features", project)
+    monkeypatch.setattr(network, "conv2d_forward", conv)
+    forward_frame(bundle, preset, weights)
+    assert alive == dict.fromkeys(["lidar_stack", "bev_feats", "rv_feats", "rv_bev", "rv_validity"], False)
 
 
 def test_cell_outputs_artifact_roundtrip(tmp_path, desk_frame):

@@ -185,3 +185,18 @@ def test_source_geometry_shape_mismatch_errors():
     source = FeatureMap("rv", np.zeros((rv.rows + 1, rv.cols, 3)), rv)
     with pytest.raises(ValueError):
         project_features(source, _points([[1, 1, 0, 0.5, 0]]), grid)
+
+
+@pytest.mark.parametrize("n_points", [0, 3, 600])
+def test_float32_source_gives_the_float64_result_cast_to_float32(n_points):
+    rng = np.random.default_rng(19)
+    rv, grid = rv8(), small_grid()
+    source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, 3)).astype(np.float32), rv)
+    pts = random_points(rng, n_points, rv.rows, spread=3.0)
+    feats, validity = project_features(source, pts, grid)
+    wide = FeatureMap("rv", source.data.astype(np.float64), rv)
+    feats64, validity64 = project_features(wide, pts, grid)
+    assert feats.data.dtype == validity.data.dtype == np.float32
+    assert feats64.data.dtype == validity64.data.dtype == np.float64
+    assert np.array_equal(feats.data, feats64.data.astype(np.float32))
+    assert np.array_equal(validity.data, validity64.data.astype(np.float32))
