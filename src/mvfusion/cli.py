@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = common(sub.add_parser("fit", help="fit outputs directly to the labels"))
     fit.add_argument("--steps", type=int, default=400)
     common(sub.add_parser("eval", help="decode outputs and write the metrics report"))
-    bench = common(sub.add_parser("bench", help="per-stage latency table"))
+    bench = common(sub.add_parser("bench", help="per-stage CPU-time latency table"))
     bench.add_argument("--repeats", type=int, default=20)
     common(sub.add_parser("selfcheck", help="run the oracle/invariant suite"))
     return parser

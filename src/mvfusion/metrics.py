@@ -353,7 +353,10 @@ class LatencyReport:
 
 def time_pipeline(stages: Sequence[tuple[str, Callable[[dict], dict]]], frame: dict,
                   repeats: int = 20) -> LatencyReport:
-    """Median wall time per stage over repeated runs on a monotonic clock.
+    """Median CPU time (time.process_time) per stage over repeated runs.
+
+    CPU time of this process leaves out time other processes take from it,
+    so stage medians do not grow when the machine is loaded.
 
     Stage functions read the context dict and return new entries; each
     repeat gets a shallow copy of the context, since a stage may pop the
@@ -369,9 +372,9 @@ def time_pipeline(stages: Sequence[tuple[str, Callable[[dict], dict]]], frame: d
         result = None
         for _ in range(repeats):
             local = dict(ctx)
-            start = time.perf_counter()
+            start = time.process_time()
             result = fn(local)
-            samples.append((time.perf_counter() - start) * 1000.0)
+            samples.append((time.process_time() - start) * 1000.0)
         timed.append((name, float(np.median(samples))))
         if result:
             ctx.update(result)

@@ -33,6 +33,12 @@ casting them to float32 is exact.
 Memory: the branch functions drop each large input and intermediate after
 its last reader and do residual sums, their ReLU and the BEV LiDAR + map
 sum in place, so a frame's tensors do not all live to the end of the pass.
+One working-set bound, _CHUNK_BYTES, covers both kernels: an im2col chunk's
+patch matrix and, in the occupied-pixel kernel, a row block's per-tap
+product and gathered output rows. It sits below glibc's 32 MiB ceiling on
+its adaptive mmap threshold, so the allocator can serve these temporaries
+again and again from its heap; above the ceiling every one is mmapped,
+faulted in and zero-filled by the OS page by page, and unmapped again.
 """
 from __future__ import annotations
 
@@ -50,7 +56,11 @@ from .views import BEV, CAMERA, RV, CameraGeometry, FeatureMap, GridSpec, Output
 RELU = "relu"
 LINEAR = "linear"
 
-_CHUNK_BYTES = 64 << 20  # im2col working-set bound per chunk
+# Working-set bound of both conv kernels (see Memory above), read off the
+# chunk-size table in CHANGES.md: on the dense atg4d layers, 64 MiB spends
+# a quarter of the im2col time in page faults, 24-32 MiB still fault, and
+# 8 MiB was the fastest of 4, 8 and 16.
+_CHUNK_BYTES = 8 << 20
 # Stride-1 inputs with at most this share of occupied pixels take the
 # occupied-pixel kernel. Measured crossover (CHANGES.md): on the BEV shapes
 # it beats im2col up to about 25% occupancy at 32 -> 64 channels, beyond
@@ -136,13 +146,15 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     Ordinary sparse convolution: every output cell, including the ones next
     to an occupied pixel, equals the dense conv's. The occupied rows are
     gathered once, interior pixels first; each tap multiplies them by its
-    (cin, cout) slice and scatter-adds into the shifted output cells.
-    Indices within one tap are unique, so the gather-add-scatter is exact.
-    Only the pixels on the grid's border can shift off it, so only their
-    taps are masked; the output is never padded.
+    (cin, cout) slice and scatter-adds into the shifted output cells, in
+    blocks of rows whose (rows, max(cin, cout)) temporaries fit
+    _CHUNK_BYTES. Indices within one tap are unique and the taps run in a
+    fixed order, so the gather-add-scatter is exact and the blocking does
+    not change a bit. Only the pixels on the grid's border can shift off
+    it, so only their taps are masked; the output is never padded.
     """
     h, w = grid
-    kh, kw, _, cout = kernel.shape
+    kh, kw, cin, cout = kernel.shape
     top, left = (kh - 1) // 2, (kw - 1) // 2
     iy, ix = np.divmod(occupied, w)
     interior = (iy >= top) & (iy < h - (kh - 1 - top)) & (ix >= left) & (ix < w - (kw - 1 - left))
@@ -151,17 +163,25 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     border_y, border_x = iy[~interior], ix[~interior]
     rows = pixels[order]
     out = np.zeros((h * w, cout), dtype=kernel.dtype)
+    # numpy runs a one-row product as a matrix-vector call, which rounds
+    # differently from the same row in a larger product, so no block is left
+    # with a single row: the last block takes up to one row more.
+    step = max(2, _CHUNK_BYTES // (max(cin, cout) * kernel.itemsize))
+    bounds = [*range(0, max(len(order) - 1, 1), step), len(order)]
     for dy in range(kh):
         for dx in range(kw):
             shift = (top - dy) * w + (left - dx)
-            tap = rows @ kernel[dy, dx]
             oy, ox = border_y + (top - dy), border_x + (left - dx)
             inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
-            for target, contrib in ((order[:n_interior] + shift, tap[:n_interior]),
-                                    (order[n_interior:][inside] + shift, tap[n_interior:][inside])):
-                acc = out.take(target, axis=0)  # take + setitem: faster than a fancy +=
-                acc += contrib
-                out[target] = acc
+            for b0, b1 in zip(bounds, bounds[1:]):
+                tap = rows[b0:b1] @ kernel[dy, dx]
+                target = order[b0:b1] + shift
+                split = min(max(n_interior - b0, 0), b1 - b0)  # the block's interior rows come first
+                border = inside[max(b0 - n_interior, 0):max(b1 - n_interior, 0)]
+                for cells, contrib in ((target[:split], tap[:split]), (target[split:][border], tap[split:][border])):
+                    acc = out.take(cells, axis=0)  # take + setitem: faster than a fancy +=
+                    acc += contrib
+                    out[cells] = acc
     out += bias
     return out.reshape(h, w, cout)
 

@@ -3,12 +3,14 @@
 These deliberately avoid the library's vectorized paths: cell indices come
 from the scalar per-point projectors, pooling is a literal double loop over
 target cells and points, convolution is a sextuple loop, gradients are
-central finite differences and IoU is a Monte-Carlo area estimate. Nothing
+central finite differences, IoU is a Monte-Carlo area estimate and polygon
+simplicity tests every pair of edges in exact rationals. Nothing
 on the frame path imports this module.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -255,3 +257,28 @@ def decode_detections_literal(outputs, score_floor: float, nms_iou: float):
                 kept.append(det)
         detections.extend(kept)
     return detections
+
+
+def polygon_is_simple_pairwise(pts) -> bool:
+    """Literal pairwise test: no two non-adjacent edges cross properly.
+
+    Orientations are exact rationals, so touching and collinear edges are
+    decided exactly (neither counts as a crossing).
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in np.asarray(pts, dtype=np.float64).reshape(-1, 2)]
+    n = len(pts)
+    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    def crosses(a, b, c, d):
+        return orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0
+
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # adjacent through the wrap
+            if crosses(*segs[i], *segs[j]):
+                return False
+    return True

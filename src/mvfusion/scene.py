@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -134,23 +135,62 @@ POLYGON = "polygon"
 POLYLINE = "polyline"
 
 
+# float64 rounding bound of a 2x2 orientation determinant, relative to the sum
+# of its two products' magnitudes: Shewchuk's (3 + 16u)u, rounded up to 4u
+_ORIENT_ERROR = 4 * 2.0 ** -53
+_EDGE_PAIR_BLOCK = 1 << 16  # edge pairs tested per numpy block
+
+
+def _orientation_signs(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Exact signs of the cross products (q - p) x (r - p), row by row.
+
+    float64 decides a sign where the rounding bound leaves it certain (or both
+    products are exactly zero); the rest are recomputed in exact rationals.
+    """
+    dqx, dqy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+    drx, dry = r[:, 0] - p[:, 0], r[:, 1] - p[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves the sign unsure
+        left, right = dqx * dry, dqy * drx
+        det = left - right
+        size = np.abs(left) + np.abs(right)
+        sure = (np.abs(det) > _ORIENT_ERROR * size) & (size > 1e-280)  # no underflow either
+    sure |= ((dqx == 0) | (dry == 0)) & ((dqy == 0) | (drx == 0))
+    signs = np.sign(det)
+    for k in np.flatnonzero(~sure):
+        (px, py), (qx, qy), (rx, ry) = ((Fraction(x), Fraction(y)) for x, y in (p[k], q[k], r[k]))
+        exact = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        signs[k] = (exact > 0) - (exact < 0)
+    return signs
+
+
 def _polygon_is_simple(pts: np.ndarray) -> bool:
-    # pairwise proper-crossing test over non-adjacent edges; fine for tiny polygons
-    n = len(pts)
-    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    """No two non-adjacent edges cross properly; edges that touch or overlap
+    collinearly are allowed.
 
-    def crosses(a, b, c, d):
-        def orient(p, q, r):
-            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-        return orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0
-
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent through the wrap
-            if crosses(*segs[i], *segs[j]):
-                return False
+    Only edges whose x-extents overlap can cross. The edges are sorted by
+    their lower x and each is paired with the later ones that start at or
+    before its upper x (sort and sweep); those pairs are tested in blocks
+    with exact orientation signs. oracles.polygon_is_simple_pairwise is the
+    literal loop over all pairs.
+    """
+    a = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    b = np.roll(a, -1, axis=0)
+    n = len(a)
+    lo, hi = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
+    order = np.argsort(lo, kind="stable")
+    counts = np.searchsorted(lo[order], hi[order], side="right") - np.arange(n) - 1
+    ends = np.cumsum(counts)  # edge k's partners are pairs ends[k] - counts[k] .. ends[k] - 1
+    total = int(counts.sum())
+    for p0 in range(0, total, _EDGE_PAIR_BLOCK):
+        pair = np.arange(p0, min(p0 + _EDGE_PAIR_BLOCK, total))
+        k = np.searchsorted(ends, pair, side="right")
+        i, j = order[k], order[k + 1 + pair - (ends[k] - counts[k])]
+        gap = (i - j) % n
+        apart = (gap != 1) & (gap != n - 1)  # adjacent edges share a vertex
+        i, j = i[apart], j[apart]
+        if np.any((_orientation_signs(a[i], b[i], a[j]) * _orientation_signs(a[i], b[i], b[j]) < 0)
+                  & (_orientation_signs(a[j], b[j], a[i]) * _orientation_signs(a[j], b[j], b[i]) < 0)):
+            return False
     return True
 
 
@@ -167,7 +207,9 @@ class MapGeometry:
             for kind, pts in entries:
                 if kind not in (POLYGON, POLYLINE):
                     raise ValueError(f"bad entry kind {kind!r} in layer {name}")
-                if kind == POLYGON and not _polygon_is_simple(np.asarray(pts)):
+                if not np.isfinite(pts).all():
+                    raise ValueError(f"non-finite vertex in layer {name}")
+                if kind == POLYGON and not _polygon_is_simple(pts):
                     raise ValueError(f"self-intersecting polygon in layer {name}")
 
     @classmethod

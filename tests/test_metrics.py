@@ -518,7 +518,7 @@ def test_time_pipeline_median_stability(monkeypatch):
         durations = {"a": [0.25, outlier_s, 0.5, 0.125, outlier_s, 0.375, 0.25],
                      "b": [outlier_s, 0.0625, 0.125, 0.0625, 0.25, outlier_s, 0.125]}
         ticks = iter([t for name in "ab" for d in durations[name] for t in (0.0, d)])
-        monkeypatch.setattr(metrics, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(metrics, "time", SimpleNamespace(process_time=lambda: next(ticks)))
         stages = [(name, lambda ctx: {}) for name in "ab"]
         got = time_pipeline(stages, {}, repeats=7)
         assert got.stages == [(name, 1e3 * float(np.median(durations[name]))) for name in "ab"]

@@ -233,6 +233,68 @@ def test_conv_peak_memory_stays_below_a_padded_input_copy(occupied_share):
     assert peak < data.nbytes + out.nbytes + network._CHUNK_BYTES
 
 
+def _unblocked_occupied_conv(data, kernel, bias):
+    """The occupied-pixel conv with each tap's product over all occupied rows at once."""
+    h, w, cin = data.shape
+    kh, kw, _, cout = kernel.shape
+    kernel = kernel.astype(data.dtype)
+    pixels = data.reshape(-1, cin)
+    occupied = np.flatnonzero(pixels.any(axis=1))
+    iy, ix = np.divmod(occupied, w)
+    rows = pixels[occupied]
+    out = np.zeros((h * w, cout), dtype=data.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            oy, ox = iy + 1 - dy, ix + 1 - dx
+            inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
+            out[(oy * w + ox)[inside]] += (rows @ kernel[dy, dx])[inside]
+    out += bias.astype(data.dtype)
+    return np.maximum(out, 0).reshape(h, w, cout)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin,cout", [(5, 6), (9, 4)])
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, 7, 100])
+def test_occupied_blocks_are_bit_identical(monkeypatch, dtype, cin, cout, rows_per_block):
+    calls = []
+    kernel_fn = network._conv2d_occupied
+    monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
+    monkeypatch.setattr(network, "_CHUNK_BYTES", rows_per_block * max(cin, cout) * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(12)
+    h, w = 29, 23
+    mask = rng.uniform(size=(h, w)) < 0.15
+    mask[[0, 0, -1, -1], [0, -1, 0, -1]] = True  # all four corners
+    mask[[0, 7, -1, 12], [5, -1, 9, 0]] = True  # a pixel on each side
+    data = (rng.normal(size=(h, w, cin)) * mask[:, :, None]).astype(dtype)
+    kernel, bias = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+    got = conv2d_raw(data, kernel, bias)
+    assert calls and got.dtype == dtype
+    assert np.array_equal(got, _unblocked_occupied_conv(data, kernel, bias))
+
+
+def test_occupied_kernel_temporaries_stay_within_the_chunk_bound(monkeypatch):
+    calls = []
+    kernel_fn = network._conv2d_occupied
+    monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
+    monkeypatch.setattr(network, "_CHUNK_BYTES", 1 << 20)
+    rng = np.random.default_rng(6)
+    data = rng.random((256, 256, 128), dtype=np.float32)
+    data *= rng.random((256, 256, 1), dtype=np.float32) < 0.1
+    kernel = rng.uniform(-0.1, 0.1, size=(3, 3, 128, 128)).astype(np.float32)
+    bias = np.zeros(128, dtype=np.float32)
+    rows_nbytes = np.count_nonzero(data.any(axis=2)) * 128 * data.itemsize
+    tracemalloc.start()
+    try:
+        out = conv2d_raw(data, kernel, bias)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls
+    # A tap's product and its gathered output rows over all 6.5k occupied
+    # pixels (3.4 MB each) break the bound; 1 MiB blocks of them do not.
+    assert peak < out.nbytes + rows_nbytes + 4 * network._CHUNK_BYTES
+
+
 def test_conv_output_shape_ceiling():
     assert conv_output_shape(9, 7, (2, 2)) == (5, 4)
     assert conv_output_shape(64, 2048, (1, 2)) == (64, 1024)

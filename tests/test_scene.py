@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvfusion import scene
 from mvfusion.geometry import Pose2, RotatedBox2D, points_in_box, rotated_iou
 from mvfusion.scene import (
     Actor,
@@ -22,6 +25,7 @@ from mvfusion.scene import (
     simulate_sweep,
     uniform_elevations,
 )
+from mvfusion.oracles import polygon_is_simple_pairwise
 from mvfusion.views import CameraModel, rv_cells_of
 
 SKY = (0.53, 0.81, 0.92)
@@ -330,3 +334,65 @@ def test_labels_deterministic():
     for la, lb in zip(a.labels, b.labels):
         assert np.array_equal(la.centers, lb.centers)
         assert np.array_equal(la.headings, lb.headings)
+
+
+# ---------------------------------------------------------------------------
+# map polygon simplicity
+# ---------------------------------------------------------------------------
+
+_OFFSETS = st.sampled_from([0.0, 1e6, -1e6, 0.1, -12345.678]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _polygons(draw):
+    """Small polygons rich in touching, shared and collinear edges, offset by up to 1e6."""
+    n = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(["lattice", "line", "free"]))
+    if kind == "lattice":  # a 4x4 lattice: repeated vertices, touching and overlapping edges
+        pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n))
+    elif kind == "line":  # nearly collinear: float rounding alone decides the side
+        slope = draw(st.sampled_from([0.0, 0.1, 0.3, 1 / 3, -2.7, 1e-9]))
+        ts = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        bumps = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 0.5]), min_size=n, max_size=n))
+        pts = [(t, slope * t + bump) for t, bump in zip(ts, bumps)]
+    else:
+        coord = st.floats(-10, 10, allow_nan=False)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3, 7.3]))
+    x0, y0 = draw(_OFFSETS), draw(_OFFSETS)
+    return np.array([(x0 + scale * x, y0 + scale * y) for x, y in pts])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_polygons(), st.sampled_from([1, 3, 1 << 16]))
+def test_polygon_is_simple_matches_the_pairwise_loop(pts, pairs_per_block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene, "_EDGE_PAIR_BLOCK", pairs_per_block)
+        assert scene._polygon_is_simple(pts) == polygon_is_simple_pairwise(pts)
+
+
+def _regular_polygon(n, radius=10.0):
+    angle = 2 * np.pi * np.arange(n) / n
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+
+
+@pytest.mark.parametrize("pts,simple", [
+    ([(0, 0), (2, 0), (2, 2), (0, 2)], True),
+    ([(0, 0), (2, 2), (2, 0), (0, 2)], False),  # bow tie
+    ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2, 2)], True),  # two edges touch at a vertex
+    ([(0, 0), (4, 0), (4, 2), (2, 0), (2, 3), (0, 3)], True),  # a vertex on another edge
+    ([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 2), (0, 2)], True),  # collinear overlapping edges
+    (_regular_polygon(1000), True),
+    (_regular_polygon(1000)[[*range(500), 501, 500, *range(502, 1000)]], False),
+])
+def test_polygon_is_simple_known_shapes(pts, simple):
+    assert scene._polygon_is_simple(np.asarray(pts, dtype=float)) == simple
+    if len(pts) < 100:
+        assert polygon_is_simple_pairwise(pts) == simple
+
+
+def test_map_rejects_a_non_finite_vertex():
+    layers = {name: [] for name in scene.LAYER_NAMES}
+    layers["crosswalks"].append((scene.POLYGON, np.array([[0.0, 0.0], [1.0, np.nan], [1.0, 1.0]])))
+    with pytest.raises(ValueError, match="non-finite"):
+        MapGeometry(layers)
