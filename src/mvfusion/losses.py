@@ -8,8 +8,12 @@ cells pay the focal term evaluated at (1 - p). Reduction over cells and
 classes is a plain sum in row-major order.
 
 The gradient of every term with respect to the network outputs is in
-closed form, and fit_outputs runs monotone gradient descent directly on
-output grids to show ground truth minimizes the objective.
+closed form. The probability gradient covers the full grid; the size,
+center and heading gradients are zero off the fg cells, so loss_gradients
+returns them at the fg cells only, as (n_fg, ...) rows in the row-major
+order of arr[targets.fg[cls]]. fit_outputs runs monotone gradient descent
+directly on output grids to show ground truth minimizes the objective; it
+moves only those fg rows of the regression arrays.
 """
 from __future__ import annotations
 
@@ -43,9 +47,6 @@ class CellTargets:
     size: dict[str, np.ndarray]
     centers: dict[str, np.ndarray]
     headings: dict[str, np.ndarray]
-
-    def fg_count(self) -> int:
-        return int(sum(self.fg[c].sum() for c in self.classes))
 
 
 def encode_targets(labels: LabelSet, grid: GridSpec, output_stride: int,
@@ -123,19 +124,6 @@ def focal_bg_grad(p, gamma: float = FOCAL_GAMMA):
     return -gamma * p ** (gamma - 1.0) * np.log(1.0 - p) + p ** gamma / (1.0 - p)
 
 
-def fg_loss_at_h(outputs: CellOutputs, targets: CellTargets, cls: str,
-                 row: int, col: int, h: int) -> float:
-    """Single-cell fg loss at one horizon (no decay factor applied)."""
-    loss = 0.0
-    if h == 0:
-        loss += float(focal_loss(outputs.prob[cls][row, col]))
-        ds = outputs.size[cls][row, col] - targets.size[cls][row, col]
-        loss += float(smooth_l1(ds[0]) + smooth_l1(ds[1]))
-    dc = outputs.centers[cls][row, col, h] - targets.centers[cls][row, col, h]
-    dh = outputs.headings[cls][row, col, h] - targets.headings[cls][row, col, h]
-    return loss + float(smooth_l1(dc).sum() + smooth_l1(dh).sum())
-
-
 # ---------------------------------------------------------------------------
 # frame-level loss
 # ---------------------------------------------------------------------------
@@ -156,9 +144,6 @@ class ClassLossTerms:
 class LossBreakdown:
     total: float
     per_class: dict[str, ClassLossTerms]
-
-    def term_sum(self) -> float:
-        return float(sum(t.total() for t in self.per_class.values()))
 
     def to_text(self) -> str:
         lines = [f"total = {self.total!r}"]
@@ -196,7 +181,13 @@ def total_loss(outputs: CellOutputs, targets: CellTargets, lam: float = DECAY) -
 
 @dataclass
 class CellGradients:
-    """d(total loss)/d(outputs), same layout as the CellOutputs fields."""
+    """d(total loss)/d(outputs).
+
+    prob[cls] is full-grid, (rows, cols). The regression gradients are zero
+    off the fg cells and are kept at the fg cells only: size[cls] is
+    (n_fg, 2), centers[cls] and headings[cls] are (n_fg, H+1, 2), with rows
+    in the row-major order that arr[targets.fg[cls]] gives.
+    """
 
     prob: dict[str, np.ndarray]
     size: dict[str, np.ndarray]
@@ -209,17 +200,12 @@ def loss_gradients(outputs: CellOutputs, targets: CellTargets, lam: float = DECA
     decay = (lam ** np.arange(h1))[None, :, None]
     prob, size, centers, headings = {}, {}, {}, {}
     for cls in targets.classes:
-        # regression gradients live only at fg cells; scatter into zeros
         fg = targets.fg[cls]
         p = outputs.prob[cls]
-        dp = np.where(fg, focal_fg_grad(p), focal_bg_grad(p))
-        ds = np.zeros_like(outputs.size[cls])
-        ds[fg] = smooth_l1_grad(outputs.size[cls][fg] - targets.size[cls][fg])
-        dc = np.zeros_like(outputs.centers[cls])
-        dc[fg] = decay * smooth_l1_grad(outputs.centers[cls][fg] - targets.centers[cls][fg])
-        dh = np.zeros_like(outputs.headings[cls])
-        dh[fg] = decay * smooth_l1_grad(outputs.headings[cls][fg] - targets.headings[cls][fg])
-        prob[cls], size[cls], centers[cls], headings[cls] = dp, ds, dc, dh
+        prob[cls] = np.where(fg, focal_fg_grad(p), focal_bg_grad(p))
+        size[cls] = smooth_l1_grad(outputs.size[cls][fg] - targets.size[cls][fg])
+        centers[cls] = decay * smooth_l1_grad(outputs.centers[cls][fg] - targets.centers[cls][fg])
+        headings[cls] = decay * smooth_l1_grad(outputs.headings[cls][fg] - targets.headings[cls][fg])
     return CellGradients(prob, size, centers, headings)
 
 
@@ -258,6 +244,13 @@ def fit_outputs(targets: CellTargets, steps: int = 500, learning_rate: float = 0
 
     Each step backtracks by halving until the loss does not increase, so the
     recorded loss sequence is monotonically non-increasing.
+
+    The regression gradients vanish off the fg cells, so only the fg rows of
+    the size, center and heading arrays ever move. The fit owns those arrays
+    (a fresh random init, or copies of init's) and every try writes its
+    candidate fg rows into them in place; a step that finds no descent writes
+    the saved rows back. oracles.fit_outputs_dense is the full-array loop,
+    bit-identical to this one.
     """
     rng = np.random.default_rng(seed)
     shape = (targets.grid.rows, targets.grid.cols)
@@ -272,40 +265,36 @@ def fit_outputs(targets: CellTargets, steps: int = 500, learning_rate: float = 0
         size = {c: init.size[c].copy() for c in targets.classes}
         centers = {c: init.centers[c].copy() for c in targets.classes}
         headings = {c: init.headings[c].copy() for c in targets.classes}
+    moving = [(targets.fg[c], arr) for c in targets.classes for arr in (size[c], centers[c], headings[c])]
 
-    def build() -> CellOutputs:
+    def build(z) -> CellOutputs:
         return CellOutputs(
             targets.grid, targets.horizon, targets.classes,
-            {c: _sigmoid(z[c]) for c in targets.classes},
-            {c: size[c] for c in targets.classes},
-            {c: centers[c] for c in targets.classes},
-            {c: headings[c] for c in targets.classes},
+            {c: _sigmoid(z[c]) for c in targets.classes}, size, centers, headings,
         )
 
-    outputs = build()
+    outputs = build(z)
     losses = [total_loss(outputs, targets, lam).total]
     step = learning_rate
     for _ in range(steps):
         grads = loss_gradients(outputs, targets, lam)
+        fg_grads = [g for c in targets.classes for g in (grads.size[c], grads.centers[c], grads.headings[c])]
+        saved = [arr[fg] for fg, arr in moving]
         step = min(learning_rate, step * 2.0)  # warm-start from the last accepted step
         for _try in range(30):
             z_new = {c: z[c] - step * grads.prob[c] * outputs.prob[c] * (1.0 - outputs.prob[c])
                      for c in targets.classes}
-            size_new = {c: size[c] - step * grads.size[c] for c in targets.classes}
-            centers_new = {c: centers[c] - step * grads.centers[c] for c in targets.classes}
-            headings_new = {c: headings[c] - step * grads.headings[c] for c in targets.classes}
-            candidate = CellOutputs(
-                targets.grid, targets.horizon, targets.classes,
-                {c: _sigmoid(z_new[c]) for c in targets.classes},
-                size_new, centers_new, headings_new,
-            )
+            for (fg, arr), old, grad in zip(moving, saved, fg_grads):
+                arr[fg] = old - step * grad
+            candidate = build(z_new)
             new_loss = total_loss(candidate, targets, lam).total
             if new_loss <= losses[-1]:
-                z, size, centers, headings = z_new, size_new, centers_new, headings_new
-                outputs = candidate
+                z, outputs = z_new, candidate
                 losses.append(new_loss)
                 break
             step *= 0.5
         else:
+            for (fg, arr), old in zip(moving, saved):
+                arr[fg] = old
             losses.append(losses[-1])  # no descent direction at float precision
     return FitResult(outputs, np.asarray(losses))

@@ -3,7 +3,8 @@
 These deliberately avoid the library's vectorized paths: cell indices come
 from the scalar per-point projectors, pooling is a literal double loop over
 target cells and points, convolution is a sextuple loop, gradients are
-central finite differences, IoU is a Monte-Carlo area estimate and polygon
+central finite differences, the output fit updates every entry of every
+array at every try, IoU is a Monte-Carlo area estimate and polygon
 simplicity tests every pair of edges in exact rationals. Nothing
 on the frame path imports this module.
 """
@@ -15,7 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import Point3, RotatedBox2D, box_corners, points_in_box, rotated_iou
-from .losses import DECAY, CellTargets, loss_gradients, total_loss
+from .losses import (
+    DECAY,
+    CellGradients,
+    CellTargets,
+    FitResult,
+    focal_loss,
+    loss_gradients,
+    smooth_l1,
+    total_loss,
+)
 from .metrics import MIN_DECODED_SIDE, DetBox
 from .network import CellOutputs
 from .scene import CLASSES, PointArray
@@ -175,13 +185,88 @@ def random_loss_frame(rng: np.random.Generator, rows: int, cols: int, horizon: i
     return outputs, targets
 
 
+def fg_loss_at_h(outputs: CellOutputs, targets: CellTargets, cls: str,
+                 row: int, col: int, h: int) -> float:
+    """Single-cell fg loss at one horizon (no decay factor applied)."""
+    loss = 0.0
+    if h == 0:
+        loss += float(focal_loss(outputs.prob[cls][row, col]))
+        ds = outputs.size[cls][row, col] - targets.size[cls][row, col]
+        loss += float(smooth_l1(ds[0]) + smooth_l1(ds[1]))
+    dc = outputs.centers[cls][row, col, h] - targets.centers[cls][row, col, h]
+    dh = outputs.headings[cls][row, col, h] - targets.headings[cls][row, col, h]
+    return loss + float(smooth_l1(dc).sum() + smooth_l1(dh).sum())
+
+
+def dense_gradients(outputs: CellOutputs, targets: CellTargets, lam: float = DECAY) -> CellGradients:
+    """loss_gradients with the fg-only regression rows scattered into
+    full-grid zeros, so every field has its CellOutputs layout."""
+    grads = loss_gradients(outputs, targets, lam)
+    for name in ("size", "centers", "headings"):
+        rows, like = getattr(grads, name), getattr(outputs, name)
+        for c in targets.classes:
+            full = np.zeros_like(like[c])
+            full[targets.fg[c]] = rows[c]
+            rows[c] = full
+    return grads
+
+
+def fit_outputs_dense(targets: CellTargets, steps: int = 500, learning_rate: float = 0.1,
+                      lam: float = DECAY, seed: int = 0, init: CellOutputs | None = None) -> FitResult:
+    """losses.fit_outputs as a full-array loop: every try builds new size,
+    center and heading arrays as x - step * grad over the whole grid."""
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    rng = np.random.default_rng(seed)
+    shape = (targets.grid.rows, targets.grid.cols)
+    h1 = targets.horizon + 1
+    if init is None:
+        z = {c: rng.normal(0.0, 0.1, size=shape) for c in targets.classes}
+        size = {c: np.abs(rng.normal(1.0, 0.3, size=(*shape, 2))) for c in targets.classes}
+        centers = {c: rng.normal(0.0, 0.5, size=(*shape, h1, 2)) for c in targets.classes}
+        headings = {c: rng.normal(0.0, 0.5, size=(*shape, h1, 2)) for c in targets.classes}
+    else:
+        z = {c: np.log(init.prob[c] / (1.0 - init.prob[c])) for c in targets.classes}
+        size = {c: init.size[c].copy() for c in targets.classes}
+        centers = {c: init.centers[c].copy() for c in targets.classes}
+        headings = {c: init.headings[c].copy() for c in targets.classes}
+    outputs = CellOutputs(targets.grid, targets.horizon, targets.classes,
+                          {c: sigmoid(z[c]) for c in targets.classes}, size, centers, headings)
+    losses = [total_loss(outputs, targets, lam).total]
+    step = learning_rate
+    for _ in range(steps):
+        grads = dense_gradients(outputs, targets, lam)
+        step = min(learning_rate, step * 2.0)
+        for _try in range(30):
+            z_new = {c: z[c] - step * grads.prob[c] * outputs.prob[c] * (1.0 - outputs.prob[c])
+                     for c in targets.classes}
+            size_new = {c: size[c] - step * grads.size[c] for c in targets.classes}
+            centers_new = {c: centers[c] - step * grads.centers[c] for c in targets.classes}
+            headings_new = {c: headings[c] - step * grads.headings[c] for c in targets.classes}
+            candidate = CellOutputs(targets.grid, targets.horizon, targets.classes,
+                                    {c: sigmoid(z_new[c]) for c in targets.classes},
+                                    size_new, centers_new, headings_new)
+            new_loss = total_loss(candidate, targets, lam).total
+            if new_loss <= losses[-1]:
+                z, size, centers, headings = z_new, size_new, centers_new, headings_new
+                outputs = candidate
+                losses.append(new_loss)
+                break
+            step *= 0.5
+        else:
+            losses.append(losses[-1])
+    return FitResult(outputs, np.asarray(losses))
+
+
 def finite_difference_errors(outputs, targets, lam: float = DECAY, step: float = 1e-4):
-    """Central-difference check of every output channel of every cell.
+    """Central-difference check of every output channel of every cell,
+    background regression entries (analytic gradient 0) included.
 
     Returns (max relative error over significant entries, max absolute error
     where both analytic and numeric gradients are tiny).
     """
-    grads = loss_gradients(outputs, targets, lam)
+    grads = dense_gradients(outputs, targets, lam)
     max_rel, max_abs = 0.0, 0.0
     fields = []
     for cls in targets.classes:

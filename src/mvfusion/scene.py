@@ -167,20 +167,24 @@ def _polygon_is_simple(pts: np.ndarray) -> bool:
     """No two non-adjacent edges cross properly; edges that touch or overlap
     collinearly are allowed.
 
-    Only edges whose x-extents overlap can cross. The edges are sorted by
-    their lower x and each is paired with the later ones that start at or
-    before its upper x (sort and sweep); those pairs are tested in blocks
-    with exact orientation signs. oracles.polygon_is_simple_pairwise is the
-    literal loop over all pairs.
+    Only edges whose extents overlap on both axes can cross. Along each
+    axis the edges are sorted by their lower end and each is paired with the
+    later ones that start at or before its upper end (sort and sweep); the
+    sweep runs along the axis that yields fewer pairs, and those pairs are
+    tested in blocks with exact orientation signs.
+    oracles.polygon_is_simple_pairwise is the literal loop over all pairs.
     """
     a = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     b = np.roll(a, -1, axis=0)
     n = len(a)
-    lo, hi = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
-    order = np.argsort(lo, kind="stable")
-    counts = np.searchsorted(lo[order], hi[order], side="right") - np.arange(n) - 1
+    sweeps = []
+    for axis in (0, 1):
+        lo, hi = np.minimum(a[:, axis], b[:, axis]), np.maximum(a[:, axis], b[:, axis])
+        order = np.argsort(lo, kind="stable")
+        counts = np.searchsorted(lo[order], hi[order], side="right") - np.arange(n) - 1
+        sweeps.append((int(counts.sum()), order, counts))
+    total, order, counts = min(sweeps, key=lambda sweep: sweep[0])
     ends = np.cumsum(counts)  # edge k's partners are pairs ends[k] - counts[k] .. ends[k] - 1
-    total = int(counts.sum())
     for p0 in range(0, total, _EDGE_PAIR_BLOCK):
         pair = np.arange(p0, min(p0 + _EDGE_PAIR_BLOCK, total))
         k = np.searchsorted(ends, pair, side="right")

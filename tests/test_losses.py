@@ -1,12 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from mvfusion import losses
 from mvfusion.geometry import RotatedBox2D
 from mvfusion.losses import (
     encode_targets,
-    fg_loss_at_h,
     fit_outputs,
     focal_loss,
     loss_gradients,
@@ -15,7 +16,13 @@ from mvfusion.losses import (
     smooth_l1_grad,
     total_loss,
 )
-from mvfusion.oracles import finite_difference_errors, random_loss_frame
+from mvfusion.oracles import (
+    dense_gradients,
+    fg_loss_at_h,
+    finite_difference_errors,
+    fit_outputs_dense,
+    random_loss_frame,
+)
 from mvfusion.scene import (
     Actor,
     MapGeometry,
@@ -131,7 +138,8 @@ def test_total_loss_terms_sum_and_nonnegative():
     outputs, targets = random_loss_frame(rng, 5, 6, horizon=5)
     breakdown = total_loss(outputs, targets)
     assert breakdown.total >= 0.0
-    assert abs(breakdown.total - breakdown.term_sum()) < 1e-9
+    term_sum = float(sum(t.total() for t in breakdown.per_class.values()))
+    assert abs(breakdown.total - term_sum) < 1e-9
     text = breakdown.to_text()
     assert text.startswith("total = ")
     assert "vehicle.center_h03" in text
@@ -190,6 +198,23 @@ def test_gradients_zero_at_perfect_regression():
     assert not grads.headings["vehicle"].any()
 
 
+def test_regression_gradients_are_fg_rows_of_the_dense_gradient():
+    rng = np.random.default_rng(29)
+    outputs, targets = random_loss_frame(rng, 5, 4, horizon=3)
+    grads = loss_gradients(outputs, targets)
+    dense = dense_gradients(outputs, targets)
+    for cls in targets.classes:
+        fg = targets.fg[cls]
+        n_fg = int(fg.sum())
+        assert grads.prob[cls].shape == (5, 4)
+        assert grads.size[cls].shape == (n_fg, 2)
+        assert grads.centers[cls].shape == grads.headings[cls].shape == (n_fg, 4, 2)
+        for name in ("size", "centers", "headings"):
+            full = getattr(dense, name)[cls]
+            assert np.array_equal(full[fg], getattr(grads, name)[cls])
+            assert not full[~fg].any()
+
+
 def test_gradients_match_finite_differences_quick():
     rng = np.random.default_rng(23)
     for _ in range(2):
@@ -207,7 +232,7 @@ def test_encode_empty_labels_all_bg():
     scene = Scene((), MapGeometry.empty(), (MotionSegment(5, 0, 0),), 0, 30.0, 5.0)
     labels = scene_labels(scene, 0.0, 6)
     targets = encode_targets(labels, grid016(), output_stride=4, horizon=6)
-    assert targets.fg_count() == 0
+    assert int(sum(targets.fg[c].sum() for c in targets.classes)) == 0
 
 
 def test_encode_vehicle_fg_cell_count():
@@ -283,3 +308,53 @@ def test_fit_bg_only_probabilities_decrease():
     result = fit_outputs(targets, steps=10, learning_rate=0.3, init=init)
     for cls in targets.classes:
         assert np.all(result.outputs.prob[cls] < init.prob[cls])
+
+
+def _fit_digest(result):
+    return hashlib.sha256(result.outputs.pack().tobytes() + result.losses.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("start", ["random", "init", "ground_truth"])
+@pytest.mark.parametrize("fg_fraction", [0.0, 0.3, 1.0])
+def test_fit_matches_the_dense_oracle_bit_for_bit(start, fg_fraction):
+    rng = np.random.default_rng(31)
+    outputs, targets = random_loss_frame(rng, 6, 5, horizon=3, fg_fraction=fg_fraction)
+    init = {"random": None, "init": outputs, "ground_truth": outputs_at_targets(targets)}[start]
+    before = None if init is None else init.pack()
+    result = fit_outputs(targets, steps=40, learning_rate=0.2, seed=7, init=init)
+    assert _fit_digest(result) == _fit_digest(
+        fit_outputs_dense(targets, steps=40, learning_rate=0.2, seed=7, init=init))
+    if init is not None:
+        assert np.array_equal(init.pack(), before)  # the fit updated its own copies
+
+
+def test_fit_restores_its_rows_after_a_step_with_no_descent(monkeypatch):
+    # ground truth plus a center residue, with a learning rate that 30
+    # halvings cannot bring into the descent range: the first step rejects
+    # every try and must put the fg rows back before the next step
+    rng = np.random.default_rng(31)
+    _, targets = random_loss_frame(rng, 6, 5, horizon=3, fg_fraction=0.3)
+    init = outputs_at_targets(targets)
+    for cls in targets.classes:
+        init.centers[cls][targets.fg[cls]] += 0.01
+    tries = []
+    real_loss, real_gradients = losses.total_loss, losses.loss_gradients
+
+    def gradients(*args, **kwargs):
+        tries.append([])
+        return real_gradients(*args, **kwargs)
+
+    def loss(*args, **kwargs):
+        breakdown = real_loss(*args, **kwargs)
+        if tries:
+            tries[-1].append(breakdown.total)
+        return breakdown
+
+    monkeypatch.setattr(losses, "loss_gradients", gradients)
+    monkeypatch.setattr(losses, "total_loss", loss)
+    result = fit_outputs(targets, steps=5, learning_rate=1e10, init=init)
+    monkeypatch.undo()
+    no_descent = [i for i, step_losses in enumerate(tries) if min(step_losses) > result.losses[i]]
+    assert no_descent and all(len(tries[i]) == 30 for i in no_descent)
+    assert result.losses[-1] < result.losses[0]
+    assert _fit_digest(result) == _fit_digest(fit_outputs_dense(targets, steps=5, learning_rate=1e10, init=init))

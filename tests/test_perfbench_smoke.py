@@ -2,8 +2,9 @@
 
 The benchmark (perfbench/run.py) checks bundles, points, voxels, the
 RV->BEV projection, cell outputs, NMS and evaluation counts outside its
-timed spans, and, traced, that every wrapped layer function is reached.
-These runs catch a change that breaks one of those checks.
+timed spans (on desk-fit also the fit's monotone loss and its AP), and,
+traced, that every wrapped layer function is reached. These runs catch a
+change that breaks one of those checks.
 """
 import json
 import subprocess
@@ -15,13 +16,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_desk_stream_run_passes_its_checks(trace):
+def _run_passes_its_checks(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "desk-stream", "--seconds", "1", "--trace", trace],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1",
+         "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_desk_stream_run_passes_its_checks(trace):
+    _run_passes_its_checks("desk-stream", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_desk_fit_run_passes_its_checks(trace):
+    _run_passes_its_checks("desk-fit", trace)

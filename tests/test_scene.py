@@ -376,6 +376,13 @@ def _regular_polygon(n, radius=10.0):
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
 
 
+def _zigzag(n):
+    """n vertices alternating between x = 0 and x = 1, closed through x = 2:
+    every zigzag edge spans the same unit x-interval."""
+    k = np.arange(n)
+    return np.vstack([np.stack([k % 2, k], axis=1), [(2, n - 1), (2, 0)]]).astype(float)
+
+
 @pytest.mark.parametrize("pts,simple", [
     ([(0, 0), (2, 0), (2, 2), (0, 2)], True),
     ([(0, 0), (2, 2), (2, 0), (0, 2)], False),  # bow tie
@@ -384,6 +391,8 @@ def _regular_polygon(n, radius=10.0):
     ([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 2), (0, 2)], True),  # collinear overlapping edges
     (_regular_polygon(1000), True),
     (_regular_polygon(1000)[[*range(500), 501, 500, *range(502, 1000)]], False),
+    (_zigzag(10_000), True),
+    (_zigzag(10_000)[[*range(5000), 5002, 5001, 5000, *range(5003, 10_002)]], False),  # edges cross at (0.5, 5000.5)
 ])
 def test_polygon_is_simple_known_shapes(pts, simple):
     assert scene._polygon_is_simple(np.asarray(pts, dtype=float)) == simple
