@@ -214,7 +214,10 @@ def _parse_labels(lines: list[str], timestamp: float, horizon: int) -> LabelSet:
         per_h = _parse_floats(parts[4:], f"actor {actor_id} waypoints").reshape(horizon + 1, 3)
         centers = per_h[:, :2].copy()
         headings = per_h[:, 2].copy()
-        box = RotatedBox2D(centers[0, 0], centers[0, 1], length, width, headings[0])
+        try:
+            box = RotatedBox2D(centers[0, 0], centers[0, 1], length, width, headings[0])
+        except ValueError as exc:
+            raise BundleFormatError(f"actor {actor_id} box: {exc}") from exc
         labels.append(ActorLabel(actor_id, cls, box, centers, headings))
     return LabelSet(timestamp, horizon, tuple(labels))
 

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,21 @@ def test_bundle_version_mismatch(tmp_path, desk_bundle):
     raw = path.read_bytes().replace(b"mvfusion-bundle v1", b"mvfusion-bundle v9", 1)
     path.write_bytes(raw)
     with pytest.raises(BundleFormatError):
+        read_frame_bundle(path)
+
+
+def test_bundle_label_with_non_positive_side(tmp_path, desk_bundle):
+    preset, bundle = desk_bundle
+    path = tmp_path / "l.bin"
+    write_frame_bundle(path, bundle)
+    lab = bundle.labels.labels[0]
+    raw = path.read_bytes()
+    body = raw[:-len("crc32 00000000\n")]
+    line = f"\n{lab.actor_id} {lab.cls} {lab.box.length!r} ".encode("ascii")
+    assert body.count(line) == 1
+    body = body.replace(line, f"\n{lab.actor_id} {lab.cls} -1.0 ".encode("ascii"))
+    path.write_bytes(body + b"crc32 %08x\n" % (zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(BundleFormatError, match=f"actor {lab.actor_id} box"):
         read_frame_bundle(path)
 
 

@@ -224,9 +224,15 @@ def test_benchmark_camera_ablation_reduces_total(desk_frame):
     preset, bundle = desk_frame
     w_lc = make_weights(preset, seed=0, use_camera=True)
     w_l = make_weights(preset, seed=0, use_camera=False)
-    full = benchmark_frame(bundle, preset, w_lc, use_camera=True, repeats=3)
-    reduced = benchmark_frame(bundle, preset, w_l, use_camera=False, repeats=3)
+    # The camera stages add a few ms to a ~30 ms frame, about the spread of a
+    # single timing run; interleaved rounds compared by their medians keep
+    # drift and outliers from deciding the comparison.
+    fulls, reduceds = [], []
+    for _ in range(5):
+        fulls.append(benchmark_frame(bundle, preset, w_lc, use_camera=True, repeats=3))
+        reduceds.append(benchmark_frame(bundle, preset, w_l, use_camera=False, repeats=3))
+    full, reduced = fulls[0], reduceds[0]
     names = [n for n, _ in full.stages]
     assert "camera_net" in names and "camera_net" not in [n for n, _ in reduced.stages]
-    assert reduced.total_ms < full.total_ms
+    assert np.median([r.total_ms for r in reduceds]) < np.median([r.total_ms for r in fulls])
     assert full.total_ms == pytest.approx(sum(ms for _, ms in full.stages), rel=0.05)
