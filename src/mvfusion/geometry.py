@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,12 +91,6 @@ def se2_apply(pose: Pose2, x: float, y: float) -> tuple[float, float]:
     """Map a point through a planar rigid transform."""
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     return (c * x - s * y + pose.tx, s * x + c * y + pose.ty)
-
-
-def transform_points(points: Sequence[Point3], pose: Pose2) -> list[Point3]:
-    """Apply a planar rigid transform to (x, y); z passes through unchanged."""
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return [Point3(c * p.x - s * p.y + pose.tx, s * p.x + c * p.y + pose.ty, p.z) for p in points]
 
 
 def transform_xy(xy: np.ndarray, pose: Pose2) -> np.ndarray:

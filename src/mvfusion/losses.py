@@ -10,10 +10,16 @@ classes is a plain sum in row-major order.
 The gradient of every term with respect to the network outputs is in
 closed form. The probability gradient covers the full grid; the size,
 center and heading gradients are zero off the fg cells, so loss_gradients
-returns them at the fg cells only, as (n_fg, ...) rows in the row-major
-order of arr[targets.fg[cls]]. fit_outputs runs monotone gradient descent
-directly on output grids to show ground truth minimizes the objective; it
-moves only those fg rows of the regression arrays.
+returns them at the fg cells only, as (n_fg, ...) rows. fit_outputs runs
+monotone gradient descent directly on output grids to show ground truth
+minimizes the objective; it moves only those fg rows of the regression
+arrays.
+
+Fg cells are addressed by their flat row-major indices,
+np.flatnonzero(targets.fg[cls]): a (rows, cols, ...) array is read as
+(cells, ...) rows, gathered with take and written with integer setitem.
+This gives the rows of arr[targets.fg[cls]] in the same order, so every
+value and sum is the one the boolean mask gives.
 """
 from __future__ import annotations
 
@@ -158,21 +164,34 @@ class LossBreakdown:
         return "\n".join(lines) + "\n"
 
 
+def _cells(arr: np.ndarray) -> np.ndarray:
+    """A (rows, cols, ...) grid as (cells, ...) rows in row-major order.
+
+    A view when arr is contiguous, a copy otherwise."""
+    return arr.reshape(arr.shape[0] * arr.shape[1], *arr.shape[2:])
+
+
+def _rows(arr: np.ndarray, fg: np.ndarray) -> np.ndarray:
+    """The rows of a (rows, cols, ...) grid at the flat cell indices fg."""
+    return _cells(arr).take(fg, axis=0)
+
+
 def total_loss(outputs: CellOutputs, targets: CellTargets, lam: float = DECAY) -> LossBreakdown:
     """Sum of bg focal terms and decay-weighted fg terms over cells and classes."""
     h1 = targets.horizon + 1
     decay = lam ** np.arange(h1)
     per_class: dict[str, ClassLossTerms] = {}
     for cls in targets.classes:
-        fg = targets.fg[cls]
+        mask = targets.fg[cls]
+        fg = np.flatnonzero(mask)
         p = outputs.prob[cls]
-        focal_bg = float(focal_loss(1.0 - p[~fg]).sum())
-        focal_fg = float(focal_loss(p[fg]).sum())
-        ds = outputs.size[cls][fg] - targets.size[cls][fg]
+        focal_bg = float(focal_loss(1.0 - p[~mask]).sum())
+        focal_fg = float(focal_loss(_rows(p, fg)).sum())
+        ds = _rows(outputs.size[cls], fg) - _rows(targets.size[cls], fg)
         size = float(smooth_l1(ds).sum())
-        dc = outputs.centers[cls][fg] - targets.centers[cls][fg]  # (n, H+1, 2)
+        dc = _rows(outputs.centers[cls], fg) - _rows(targets.centers[cls], fg)  # (n, H+1, 2)
         center = decay * smooth_l1(dc).sum(axis=(0, 2))
-        dh = outputs.headings[cls][fg] - targets.headings[cls][fg]
+        dh = _rows(outputs.headings[cls], fg) - _rows(targets.headings[cls], fg)
         heading = decay * smooth_l1(dh).sum(axis=(0, 2))
         per_class[cls] = ClassLossTerms(focal_fg, focal_bg, size, center, heading)
     total = float(sum(t.total() for t in per_class.values()))
@@ -186,7 +205,8 @@ class CellGradients:
     prob[cls] is full-grid, (rows, cols). The regression gradients are zero
     off the fg cells and are kept at the fg cells only: size[cls] is
     (n_fg, 2), centers[cls] and headings[cls] are (n_fg, H+1, 2), with rows
-    in the row-major order that arr[targets.fg[cls]] gives.
+    in the order of np.flatnonzero(targets.fg[cls]), the row-major order
+    that arr[targets.fg[cls]] gives.
     """
 
     prob: dict[str, np.ndarray]
@@ -200,12 +220,14 @@ def loss_gradients(outputs: CellOutputs, targets: CellTargets, lam: float = DECA
     decay = (lam ** np.arange(h1))[None, :, None]
     prob, size, centers, headings = {}, {}, {}, {}
     for cls in targets.classes:
-        fg = targets.fg[cls]
+        fg = np.flatnonzero(targets.fg[cls])
         p = outputs.prob[cls]
-        prob[cls] = np.where(fg, focal_fg_grad(p), focal_bg_grad(p))
-        size[cls] = smooth_l1_grad(outputs.size[cls][fg] - targets.size[cls][fg])
-        centers[cls] = decay * smooth_l1_grad(outputs.centers[cls][fg] - targets.centers[cls][fg])
-        headings[cls] = decay * smooth_l1_grad(outputs.headings[cls][fg] - targets.headings[cls][fg])
+        grad = _cells(focal_bg_grad(p))  # a row-major copy when p is not C-ordered
+        grad[fg] = focal_fg_grad(_rows(p, fg))
+        prob[cls] = grad.reshape(p.shape)
+        size[cls] = smooth_l1_grad(_rows(outputs.size[cls], fg) - _rows(targets.size[cls], fg))
+        centers[cls] = decay * smooth_l1_grad(_rows(outputs.centers[cls], fg) - _rows(targets.centers[cls], fg))
+        headings[cls] = decay * smooth_l1_grad(_rows(outputs.headings[cls], fg) - _rows(targets.headings[cls], fg))
     return CellGradients(prob, size, centers, headings)
 
 
@@ -247,10 +269,11 @@ def fit_outputs(targets: CellTargets, steps: int = 500, learning_rate: float = 0
 
     The regression gradients vanish off the fg cells, so only the fg rows of
     the size, center and heading arrays ever move. The fit owns those arrays
-    (a fresh random init, or copies of init's) and every try writes its
-    candidate fg rows into them in place; a step that finds no descent writes
-    the saved rows back. oracles.fit_outputs_dense is the full-array loop,
-    bit-identical to this one.
+    (a fresh random init, or copies of init's), finds the flat fg indices
+    once, and every try writes its candidate fg rows into them in place; a
+    step that finds no descent writes the saved rows back.
+    oracles.fit_outputs_dense is the full-array loop, bit-identical to this
+    one.
     """
     rng = np.random.default_rng(seed)
     shape = (targets.grid.rows, targets.grid.cols)
@@ -265,7 +288,9 @@ def fit_outputs(targets: CellTargets, steps: int = 500, learning_rate: float = 0
         size = {c: init.size[c].copy() for c in targets.classes}
         centers = {c: init.centers[c].copy() for c in targets.classes}
         headings = {c: init.headings[c].copy() for c in targets.classes}
-    moving = [(targets.fg[c], arr) for c in targets.classes for arr in (size[c], centers[c], headings[c])]
+    fg = {c: np.flatnonzero(targets.fg[c]) for c in targets.classes}
+    # views, since the fit's own arrays are C-ordered
+    moving = [(fg[c], _cells(arr)) for c in targets.classes for arr in (size[c], centers[c], headings[c])]
 
     def build(z) -> CellOutputs:
         return CellOutputs(
@@ -279,13 +304,13 @@ def fit_outputs(targets: CellTargets, steps: int = 500, learning_rate: float = 0
     for _ in range(steps):
         grads = loss_gradients(outputs, targets, lam)
         fg_grads = [g for c in targets.classes for g in (grads.size[c], grads.centers[c], grads.headings[c])]
-        saved = [arr[fg] for fg, arr in moving]
+        saved = [rows.take(idx, axis=0) for idx, rows in moving]
         step = min(learning_rate, step * 2.0)  # warm-start from the last accepted step
         for _try in range(30):
             z_new = {c: z[c] - step * grads.prob[c] * outputs.prob[c] * (1.0 - outputs.prob[c])
                      for c in targets.classes}
-            for (fg, arr), old, grad in zip(moving, saved, fg_grads):
-                arr[fg] = old - step * grad
+            for (idx, rows), old, grad in zip(moving, saved, fg_grads):
+                rows[idx] = old - step * grad
             candidate = build(z_new)
             new_loss = total_loss(candidate, targets, lam).total
             if new_loss <= losses[-1]:
@@ -294,7 +319,7 @@ def fit_outputs(targets: CellTargets, steps: int = 500, learning_rate: float = 0
                 break
             step *= 0.5
         else:
-            for (fg, arr), old in zip(moving, saved):
-                arr[fg] = old
+            for (idx, rows), old in zip(moving, saved):
+                rows[idx] = old
             losses.append(losses[-1])  # no descent direction at float precision
     return FitResult(outputs, np.asarray(losses))

@@ -144,10 +144,6 @@ class MatchResult:
     n_gt: int
     det_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    @property
-    def unmatched_gt_count(self) -> int:
-        return self.n_gt - int(self.tp.sum())
-
 
 def match_detections(dets: Sequence[DetBox], gt_boxes: Sequence[RotatedBox2D],
                      iou_thresh: float) -> MatchResult:
@@ -181,17 +177,19 @@ def _pooled(results: Sequence[MatchResult]):
 
 
 def average_precision(results: Sequence[MatchResult]) -> float:
-    """All-point AP: area under the monotone precision envelope."""
+    """All-point AP: area under the monotone precision envelope.
+
+    Recall rises by exactly 1 / n_gt at each true positive, so the area is
+    the envelope summed at the true positives over n_gt. A perfect detector
+    scores exactly 1.0 for every label count.
+    """
     scores, tp, n_gt = _pooled(results)
     if n_gt == 0 or len(scores) == 0:
         return 0.0
     cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(~tp)
-    recall = cum_tp / n_gt
-    precision = cum_tp / (cum_tp + cum_fp)
+    precision = cum_tp / np.arange(1, len(tp) + 1)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev) * envelope))
+    return float(np.sum(envelope[tp]) / n_gt)
 
 
 def operating_threshold_for_recall(results: Sequence[MatchResult],

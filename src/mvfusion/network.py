@@ -62,9 +62,10 @@ LINEAR = "linear"
 # 8 MiB was the fastest of 4, 8 and 16.
 _CHUNK_BYTES = 8 << 20
 # Stride-1 inputs with at most this share of occupied pixels take the
-# occupied-pixel kernel. Measured crossover (CHANGES.md): on the BEV shapes
-# it beats im2col up to about 25% occupancy at 32 -> 64 channels, beyond
-# 60% at 160 -> 32, and only below about 10% at 7 -> 32.
+# occupied-pixel kernel. Measured crossover under the 8 MiB bound
+# (CHANGES.md): on the BEV shapes it beats im2col up to about 20% occupancy
+# at 32 -> 64 channels, beyond 60% at 160 -> 32, and only below about 5% at
+# 7 -> 32.
 _OCCUPIED_SHARE = 0.25
 _SCAN_BYTES = 1 << 20  # occupancy-scan block: a dense input stops after about a share of its blocks
 

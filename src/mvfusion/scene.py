@@ -398,19 +398,37 @@ def _generate_map(rng: np.random.Generator, extent: float) -> MapGeometry:
     return MapGeometry(layers)
 
 
+def _footprints_meet(a: Actor, a_poses: np.ndarray, b: Actor, b_poses: np.ndarray) -> bool:
+    """Whether two actors' footprints overlap at any pair of same-time poses.
+
+    a_poses and b_poses are (T, 3) rows of (x, y, yaw) at the same T times.
+    """
+    reach = 0.5 * (math.hypot(a.box.length, a.box.width) + math.hypot(b.box.length, b.box.width))
+    gaps = np.hypot(a_poses[:, 0] - b_poses[:, 0], a_poses[:, 1] - b_poses[:, 1])
+    for i in np.flatnonzero(gaps <= reach):  # farther apart than that cannot meet
+        box_a = RotatedBox2D(a_poses[i, 0], a_poses[i, 1], a.box.length, a.box.width, a_poses[i, 2])
+        box_b = RotatedBox2D(b_poses[i, 0], b_poses[i, 1], b.box.length, b.box.width, b_poses[i, 2])
+        if rotated_iou(box_a, box_b) > 0.0:
+            return True
+    return False
+
+
 def build_scene(config: SceneConfig, seed: int | None = None) -> Scene:
     """Sample a scene: non-overlapping actors, a map, and an ego profile.
 
-    Deterministic for a fixed (config, seed). Raises SceneTooDenseError when
-    rejection sampling cannot place an actor after bounded retries.
+    Actors keep a 0.5 m margin at t = 0, and no two footprints overlap at any
+    label time k / LABEL_RATE_HZ in [0, duration]. Deterministic for a fixed
+    (config, seed). Raises SceneTooDenseError when rejection sampling cannot
+    place an actor after bounded retries.
     """
     if seed is None:
         seed = config.seed
     rng = np.random.default_rng(seed)
     map_geometry = _generate_map(rng, config.extent)
+    label_times = [k / LABEL_RATE_HZ for k in range(math.floor(config.duration * LABEL_RATE_HZ + 1e-9) + 1)]
 
     actors: list[Actor] = []
-    placed: list[RotatedBox2D] = []
+    paths: list[np.ndarray] = []  # each placed actor's poses at the label times
     actor_id = 0
     for cls in CLASSES:
         (llo, lhi), (wlo, whi) = SIZE_RANGES[cls]
@@ -429,13 +447,16 @@ def build_scene(config: SceneConfig, seed: int | None = None) -> Scene:
                 # keep the sensor outside every box and actors apart with margin
                 if math.hypot(cx, cy) < reach + 3.0:
                     continue
-                if any(rotated_iou(_expanded(box, 0.5), _expanded(p, 0.5)) > 0.0 for p in placed):
+                if any(rotated_iou(_expanded(box, 0.5), _expanded(a.box, 0.5)) > 0.0 for a in actors):
                     continue
-                placed.append(box)
-                actors.append(
-                    Actor(actor_id, cls, box, float(rng.uniform(*HEIGHT_RANGES[cls])),
-                          _sample_motion(rng, cls, config.duration))
-                )
+                actor = Actor(actor_id, cls, box, float(rng.uniform(*HEIGHT_RANGES[cls])),
+                              _sample_motion(rng, cls, config.duration))
+                path = np.array([(p.tx, p.ty, p.yaw) for p in (actor_pose_at(actor, t) for t in label_times)])
+                if any(_footprints_meet(actor, path, other, other_path)
+                       for other, other_path in zip(actors, paths)):
+                    continue
+                paths.append(path)
+                actors.append(actor)
                 actor_id += 1
                 break
             else:

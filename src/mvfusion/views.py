@@ -83,11 +83,6 @@ class GridSpec:
     def y_min(self) -> float:
         return -0.5 * self.width
 
-    @property
-    def origin_cell(self) -> CellIndex:
-        return CellIndex(int(math.floor(-self.x_min / self.cell_length)),
-                         int(math.floor(-self.y_min / self.cell_width)))
-
 
 @dataclass(frozen=True)
 class RvSpec:
@@ -220,10 +215,6 @@ class FeatureMap:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
-
-    def validate_finite(self) -> None:
-        if not np.isfinite(self.data).all():
-            raise ValueError("feature map contains non-finite values")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mvfusion.geometry import (
     IDENTITY,
-    Point3,
     Pose2,
     RotatedBox2D,
     box_corners,
@@ -15,7 +14,6 @@ from mvfusion.geometry import (
     se2_apply,
     se2_compose,
     se2_inverse,
-    transform_points,
     transform_xy,
     wrap_angle,
 )
@@ -62,20 +60,6 @@ def test_compose_associative(a, b, c):
     assert abs(lhs.tx - rhs.tx) < 1e-10
     assert abs(lhs.ty - rhs.ty) < 1e-10
     assert abs(wrap_angle(lhs.yaw - rhs.yaw)) < 1e-10
-
-
-def test_transform_points_identity_and_translation():
-    pts = [Point3(0.0, 0.0, 1.0), Point3(2.0, 3.0, -1.0)]
-    assert transform_points(pts, IDENTITY) == pts
-    moved = transform_points(pts, Pose2(2.0, -3.0))
-    assert moved[0] == Point3(2.0, -3.0, 1.0)
-
-
-def test_transform_points_half_turn():
-    (p,) = transform_points([Point3(1.0, 0.0, 0.0)], Pose2(yaw=math.pi))
-    assert p.x == pytest.approx(-1.0, abs=1e-12)
-    assert p.y == pytest.approx(0.0, abs=1e-12)
-    assert p.z == 0.0
 
 
 @settings(max_examples=100)

@@ -16,6 +16,7 @@ from mvfusion.losses import (
     smooth_l1_grad,
     total_loss,
 )
+from mvfusion.network import CellOutputs
 from mvfusion.oracles import (
     dense_gradients,
     fg_loss_at_h,
@@ -213,6 +214,32 @@ def test_regression_gradients_are_fg_rows_of_the_dense_gradient():
             full = getattr(dense, name)[cls]
             assert np.array_equal(full[fg], getattr(grads, name)[cls])
             assert not full[~fg].any()
+
+
+def _as_views(outputs, view):
+    def fields(arrays):
+        return {cls: view(arr) for cls, arr in arrays.items()}
+    return CellOutputs(outputs.grid, outputs.horizon, outputs.classes, fields(outputs.prob),
+                       fields(outputs.size), fields(outputs.centers), fields(outputs.headings))
+
+
+@pytest.mark.parametrize("view", [
+    lambda a: np.repeat(a, 2, axis=1)[:, ::2],  # strided along the columns
+    lambda a: np.asfortranarray(a),
+    lambda a: np.ascontiguousarray(a[::-1])[::-1],  # negative row stride
+], ids=["strided", "fortran", "reversed"])
+def test_losses_on_non_contiguous_outputs_equal_contiguous_copies(view):
+    # the flat fg rows of a non-contiguous array come from a reshape that copies
+    rng = np.random.default_rng(37)
+    outputs, targets = random_loss_frame(rng, 7, 6, horizon=3, fg_fraction=0.3)
+    viewed = _as_views(outputs, view)
+    assert not viewed.centers["vehicle"].flags.c_contiguous
+    copied = _as_views(viewed, np.ascontiguousarray)
+    assert total_loss(viewed, targets).to_text() == total_loss(copied, targets).to_text()
+    got, want = loss_gradients(viewed, targets), loss_gradients(copied, targets)
+    for name in ("prob", "size", "centers", "headings"):
+        for cls in targets.classes:
+            assert np.array_equal(getattr(got, name)[cls], getattr(want, name)[cls])
 
 
 def test_gradients_match_finite_differences_quick():

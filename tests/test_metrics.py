@@ -325,7 +325,7 @@ def test_match_perfect_one_to_one():
     dets = [_det(score=0.9, box=gts[0]), _det(score=0.8, box=gts[1])]
     m = match_detections(dets, gts, iou_thresh=0.7)
     assert m.tp.all()
-    assert m.unmatched_gt_count == 0
+    assert int(m.tp.sum()) == m.n_gt
 
 
 def test_match_duplicate_detection():
@@ -387,6 +387,37 @@ def test_ap_pools_across_frames():
     b = _match_from([0.8, 0.7], [False, True], 1)
     pooled = average_precision([a, b])
     assert pooled == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 / 3.0), abs=1e-9)
+
+
+def test_ap_perfect_detector_is_exactly_one_for_every_label_count():
+    # summing recall steps of 1/n rounded to 0.9999999999999999 at n = 24, 86, 90, ...
+    for n in range(1, 401):
+        assert average_precision([_match_from(np.linspace(0.9, 0.1, n), [True] * n, n)]) == 1.0
+
+
+def _ap_by_recall_steps(results):
+    """All-point AP as the sum of recall steps times the precision envelope."""
+    scores = np.concatenate([r.scores for r in results])
+    tp = np.concatenate([r.tp for r in results])[np.argsort(-scores, kind="stable")]
+    n_gt = sum(r.n_gt for r in results)
+    cum_tp = np.cumsum(tp)
+    recall = cum_tp / n_gt
+    envelope = np.maximum.accumulate((cum_tp / (cum_tp + np.cumsum(~tp)))[::-1])[::-1]
+    return float(np.sum((recall - np.concatenate([[0.0], recall[:-1]])) * envelope))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=40),
+                min_size=1, max_size=4),
+       st.integers(0, 20))
+def test_ap_matches_the_recall_step_sum(frames, extra_gt):
+    results = []
+    for dets in frames:
+        scores, tps = zip(*sorted(dets, key=lambda d: -d[0]))
+        results.append(_match_from(scores, list(tps), sum(tps) + extra_gt))
+    if sum(r.n_gt for r in results) == 0:
+        return
+    assert average_precision(results) == pytest.approx(_ap_by_recall_steps(results), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from mvfusion import network, pipeline
 from mvfusion.blockfile import BlockFileError
 from mvfusion.bundle_io import write_frame_bundle
-from mvfusion.metrics import decode_detections
+from mvfusion.metrics import DetBox, decode_detections
 from mvfusion.network import bev_branch_forward, camera_net_forward, fuse_and_head_forward, rv_branch_forward
 from mvfusion.pipeline import (
     benchmark_frame,
@@ -20,9 +20,11 @@ from mvfusion.pipeline import (
     make_weights,
     rasterize_frame,
     save_cell_outputs,
+    scene_config_for,
 )
 from mvfusion.presets import bev_stack_channels, get_preset, preset_names
 from mvfusion.projection import project_features
+from mvfusion.scene import build_scene, scene_labels
 from mvfusion.views import FeatureMap
 
 
@@ -218,6 +220,23 @@ def test_fit_eval_roundtrip_single_frame(desk_frame):
         section = report.sections[f"{cls}.full"]
         if section["gt_count"] > 0:
             assert section["ap"] == 1.0
+
+
+def test_evaluate_labels_as_detections_scores_exact_ap_over_60_desk_frames():
+    # 60 frames pool 180 vehicles, a label count whose recall steps of 1/180
+    # summed to just under 1.0
+    preset = get_preset("desk")
+    frames = []
+    for k in range(30):
+        scene = build_scene(scene_config_for(preset, 1000 + k, 2))
+        for t in frame_times(preset, 2):
+            labels = scene_labels(scene, t, preset.horizon).labels
+            dets = [DetBox(lab.cls, 0.9, lab.box, lab.centers[1:], lab.headings[1:]) for lab in labels]
+            frames.append((dets, list(labels)))
+    report = evaluate_bundles(frames, preset)
+    assert report.sections["vehicle.full"]["gt_count"] == 180
+    for cls in ("vehicle", "pedestrian", "bicyclist"):
+        assert report.sections[f"{cls}.full"]["ap"] == 1.0
 
 
 def test_benchmark_camera_ablation_reduces_total(desk_frame):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mvfusion import scene
 from mvfusion.geometry import Pose2, RotatedBox2D, points_in_box, rotated_iou
 from mvfusion.scene import (
+    LABEL_RATE_HZ,
     Actor,
     LidarSensorSpec,
     MapGeometry,
@@ -15,6 +16,7 @@ from mvfusion.scene import (
     Scene,
     SceneConfig,
     SceneTooDenseError,
+    actor_box_at,
     actor_pose_at,
     build_scene,
     ego_pose_at,
@@ -67,13 +69,17 @@ def test_build_scene_deterministic():
 
 
 def test_build_scene_seed_sweep_non_overlap():
+    # footprints stay apart at every 10 Hz label time over the whole scene,
+    # not only at t = 0
     cfg = SceneConfig(vehicles=4, pedestrians=3, bicyclists=2, extent=28.0)
+    label_times = [k / LABEL_RATE_HZ for k in range(round(cfg.duration * LABEL_RATE_HZ) + 1)]
     for seed in range(100):
         scene = build_scene(cfg, seed=seed)
-        boxes = [a.box for a in scene.actors]
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                assert rotated_iou(boxes[i], boxes[j]) == 0.0
+        for t in label_times:
+            boxes = [actor_box_at(a, t) for a in scene.actors]
+            for i in range(len(boxes)):
+                for j in range(i + 1, len(boxes)):
+                    assert rotated_iou(boxes[i], boxes[j]) == 0.0, (seed, t, i, j)
 
 
 def test_build_scene_too_dense():
