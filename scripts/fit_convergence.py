@@ -29,7 +29,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for seed in args.seeds:
-        scene = build_scene(SceneConfig(1, 1, 1, extent=7.0, duration=4.0), seed=seed)
+        scene = build_scene(SceneConfig(1, 1, 1, extent=7.5, duration=4.0), seed=seed)
         labels = scene_labels(scene, 0.0, 30)
         targets = encode_targets(labels, grid, output_stride=1)
         result = fit_outputs(targets, steps=args.steps, learning_rate=args.lr, seed=seed)

@@ -94,35 +94,6 @@ def format_scene_config(config: SceneConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SCENE_COUNTS = ("vehicles", "pedestrians", "bicyclists", "seed")
-
-
-def parse_scene_config(text: str) -> SceneConfig:
-    """Parse a format_scene_config document; counts and the seed are
-    non-negative integers, extent and duration positive, all values finite."""
-    values: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise BundleFormatError(f"scene config line {lineno}: expected key = value")
-        key = key.strip()
-        if key not in _SCENE_FIELDS:
-            raise BundleFormatError(f"scene config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_float(value.strip(), f"scene config line {lineno}")
-    for key in _SCENE_COUNTS:
-        if key in values and (values[key] < 0 or not values[key].is_integer()):
-            raise BundleFormatError(f"scene config: {key} must be a non-negative integer, got {values[key]!r}")
-    for key in ("extent", "duration"):
-        if key in values and values[key] <= 0:
-            raise BundleFormatError(f"scene config: {key} must be positive, got {values[key]!r}")
-    ints = {k: int(values[k]) for k in _SCENE_COUNTS if k in values}
-    floats = {k: values[k] for k in ("extent", "duration", "ego_speed") if k in values}
-    return SceneConfig(**ints, **floats)
-
-
 # ---------------------------------------------------------------------------
 # PPM images
 # ---------------------------------------------------------------------------

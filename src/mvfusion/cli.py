@@ -3,9 +3,11 @@
 Subcommands: gen (scenes to frame bundles), raster (bundles to feature
 maps plus PGM dumps), project (cross-view projection demos), forward
 (seeded-weight inference), fit (direct output fitting), eval (decode and
-metrics report), bench (latency table), selfcheck (oracle/invariant
-suite). Every artifact path is printed to stdout, one per line; the exit
-code is 0 only on full success.
+metrics report), bench (median CPU ms per stage and per whole frame),
+selfcheck (oracle/invariant suite). --no-camera picks seeded weights
+without the camera branch and the plan a --weights file must match; the
+forward pass reads the branch off the weights. Every artifact path is
+printed to stdout, one per line; the exit code is 0 only on full success.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = common(sub.add_parser("fit", help="fit outputs directly to the labels"))
     fit.add_argument("--steps", type=int, default=400)
     common(sub.add_parser("eval", help="decode outputs and write the metrics report"))
-    bench = common(sub.add_parser("bench", help="per-stage CPU-time latency table"))
+    bench = common(sub.add_parser("bench", help="per-stage and whole-frame CPU-time latency table"))
     bench.add_argument("--repeats", type=int, default=20)
     common(sub.add_parser("selfcheck", help="run the oracle/invariant suite"))
     return parser
@@ -160,7 +162,7 @@ def cmd_forward(args) -> int:
         save_weights(wpath, weights)
         _emit(wpath)
     for i, bundle in enumerate(_load_bundles(args, preset)):
-        outputs = forward_frame(bundle, preset, weights, use_camera=not args.no_camera)
+        outputs = forward_frame(bundle, preset, weights)
         path = out / f"outputs_{i:03d}.bin"
         save_cell_outputs(path, outputs)
         _emit(path)
@@ -205,11 +207,10 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     bundles = _load_bundles(args, preset)
     weights = _weights_for(args, preset)
-    report = benchmark_frame(
-        bundles[0], preset, weights, use_camera=not args.no_camera, repeats=args.repeats
-    )
+    medians = benchmark_frame(bundles[0], preset, weights, repeats=args.repeats)
     path = out / "latency.txt"
-    path.write_text(report.to_text())
+    lines = [f"repeats = {args.repeats}"] + [f"{name}_latency_ms = {ms:.3f}" for name, ms in medians.items()]
+    path.write_text("\n".join(lines) + "\n")
     _emit(path)
     return 0
 

@@ -12,15 +12,13 @@ matches we compute all-point average precision, pick the operating
 threshold hitting a target recall, and measure displacement error at a
 fixed future horizon over the true positives at that operating point.
 Slices restrict both detections and ground truth to the camera FOV and
-range bands. Latency timing reports per-stage medians on a monotonic
-clock.
+range bands.
 """
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -326,54 +324,3 @@ def evaluate_frames(
                 section["recall_unattainable"] = 1.0
             sections[f"{cls}.{slice_name}"] = section
     return MetricsReport(sections)
-
-
-# ---------------------------------------------------------------------------
-# latency
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LatencyReport:
-    stages: list[tuple[str, float]]  # (name, median milliseconds)
-    repeats: int
-
-    @property
-    def total_ms(self) -> float:
-        return float(sum(ms for _, ms in self.stages))
-
-    def to_text(self) -> str:
-        lines = [f"repeats = {self.repeats}"]
-        for name, ms in self.stages:
-            lines.append(f"{name}_latency_ms = {ms:.3f}")
-        lines.append(f"total_latency_ms = {self.total_ms:.3f}")
-        return "\n".join(lines) + "\n"
-
-
-def time_pipeline(stages: Sequence[tuple[str, Callable[[dict], dict]]], frame: dict,
-                  repeats: int = 20) -> LatencyReport:
-    """Median CPU time (time.process_time) per stage over repeated runs.
-
-    CPU time of this process leaves out time other processes take from it,
-    so stage medians do not grow when the machine is loaded.
-
-    Stage functions read the context dict and return new entries; each
-    repeat gets a shallow copy of the context, since a stage may pop the
-    entries it reads last. The context passed downstream comes from a single
-    representative run.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    ctx = dict(frame)
-    timed: list[tuple[str, float]] = []
-    for name, fn in stages:
-        samples = []
-        result = None
-        for _ in range(repeats):
-            local = dict(ctx)
-            start = time.process_time()
-            result = fn(local)
-            samples.append((time.process_time() - start) * 1000.0)
-        timed.append((name, float(np.median(samples))))
-        if result:
-            ctx.update(result)
-    return LatencyReport(timed, repeats)

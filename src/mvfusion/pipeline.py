@@ -4,10 +4,12 @@ Generation simulates the sweep history, camera frame, and labels for each
 reference time; rasterization and the forward pass turn a bundle into
 per-cell outputs; evaluation decodes and scores them against the bundled
 labels. The forward pass is one list of named stages (pipeline_stages),
-run by forward_frame and timed stage by stage by benchmark_frame.
+run by forward_frame and, followed by decode, by benchmark_frame, which
+times whole frames with a clock read at each stage boundary.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 from .blockfile import BlockFileError, read_blocks, write_blocks
 from .bundle_io import FrameBundle
 from .losses import encode_targets, fit_outputs
-from .metrics import MetricsReport, decode_detections, evaluate_frames, time_pipeline
+from .metrics import MetricsReport, decode_detections, evaluate_frames
 from .network import (
     CellOutputs,
     NetworkWeights,
@@ -88,18 +90,18 @@ def _float32(fm: FeatureMap) -> FeatureMap:
     return FeatureMap(fm.view, fm.data.astype(np.float32), fm.geometry)
 
 
-def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = True):
+def pipeline_stages(preset: Preset, weights: NetworkWeights):
     """The forward pass as named stages over a shared context, bundle to outputs.
 
-    Stage order: rasterize, bev_branch, camera_net (with the camera),
-    rv_branch, rv_to_bev, fuse_head. Each stage reads the context dict,
-    pops the entries it is the last reader of, so every large tensor is
-    freed once it has been read for the last time, and returns the entries
-    it adds; the last one adds "outputs". The network sees float32 copies
-    of the float64 camera and RV images; the BEV stack and map raster are
-    float32 already.
+    Stage order: rasterize, bev_branch, camera_net (when the weights hold
+    the camera branch, cam.conv1.kernel), rv_branch, rv_to_bev, fuse_head.
+    Each stage reads the context dict, pops the entries it is the last
+    reader of, so every large tensor is freed once it has been read for the
+    last time, and returns the entries it adds; the last one adds
+    "outputs". The network sees float32 copies of the float64 camera and RV
+    images; the BEV stack and map raster are float32 already.
     """
-    config = replace(preset.fusion, use_camera=use_camera)
+    config = replace(preset.fusion, use_camera="cam.conv1.kernel" in weights.blocks)
 
     def rasterize(ctx):
         return rasterize_frame(ctx["bundle"], preset)
@@ -126,7 +128,7 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = 
         )}
 
     stages = [("rasterize", rasterize), ("bev_branch", bev_branch)]
-    if use_camera:
+    if config.use_camera:
         stages.append(("camera_net", camera_net))
     stages.extend([
         ("rv_branch", rv_branch),
@@ -136,22 +138,43 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights, use_camera: bool = 
     return stages
 
 
-def forward_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights,
-                  use_camera: bool = True) -> CellOutputs:
+def forward_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights) -> CellOutputs:
     ctx = {"bundle": bundle}
-    for _, stage in pipeline_stages(preset, weights, use_camera):
+    for _, stage in pipeline_stages(preset, weights):
         ctx.update(stage(ctx))
     return ctx["outputs"]
 
 
 def benchmark_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights,
-                    use_camera: bool = True, repeats: int = 20):
-    """Per-stage median latency of the forward pass followed by decode."""
+                    repeats: int = 20) -> dict[str, float]:
+    """Median CPU ms of each stage and of the whole frame over repeated frames.
+
+    Each repeat runs the whole frame on a fresh context: the pipeline_stages,
+    then decode. CPU time of this process (time.process_time) is read once
+    at each stage boundary, so other processes loading the machine do not
+    inflate it. The dict holds each stage's median in stage order, then
+    "total", the median time of a whole frame.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be positive")
+
     def decode(ctx):
         return {"detections": decode_detections(ctx["outputs"])}
 
-    stages = pipeline_stages(preset, weights, use_camera) + [("decode", decode)]
-    return time_pipeline(stages, {"bundle": bundle}, repeats=repeats)
+    stages = pipeline_stages(preset, weights) + [("decode", decode)]
+    samples: dict[str, list[float]] = {name: [] for name, _ in stages}
+    totals = []
+    for _ in range(repeats):
+        ctx = {"bundle": bundle}
+        start = last = time.process_time()
+        for name, stage in stages:
+            ctx.update(stage(ctx))
+            now = time.process_time()
+            samples[name].append((now - last) * 1000.0)
+            last = now
+        totals.append((last - start) * 1000.0)
+    medians = {name: float(np.median(ms)) for name, ms in samples.items()}
+    return {**medians, "total": float(np.median(totals))}
 
 
 def fit_frame(bundle: FrameBundle, preset: Preset, steps: int = 500,

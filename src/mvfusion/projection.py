@@ -37,16 +37,6 @@ from .views import (
 )
 
 
-def _as_point_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xyz, laser, azimuth) arrays from a PointArray or a point sequence."""
-    if isinstance(points, PointArray):
-        return points.xyz, points.laser, points.azimuth
-    xyz = np.array([[p.x, p.y, p.z] for p in points], dtype=float).reshape(-1, 3)
-    laser = np.array([getattr(p, "laser", 0) for p in points], dtype=np.int64)
-    azimuth = np.array([getattr(p, "azimuth", 0.0) for p in points], dtype=float)
-    return xyz, laser, azimuth
-
-
 def view_of(geometry) -> str:
     if isinstance(geometry, GridSpec):
         return BEV
@@ -86,9 +76,8 @@ def cells_for(geometry, xyz: np.ndarray, laser: np.ndarray, azimuth: np.ndarray)
 
 def project_features(
     source: FeatureMap,
-    points,
+    points: PointArray,
     target_geometry,
-    out_channels: int | None = None,
 ) -> tuple[FeatureMap, FeatureMap]:
     """Average-pooled projection of source features into the target view.
 
@@ -98,9 +87,7 @@ def project_features(
     float64 otherwise; sums and the division are float64 either way.
     """
     channels = source.channels
-    if out_channels is not None and out_channels != channels:
-        raise ValueError(f"declared {out_channels} output channels, source has {channels}")
-    xyz, laser, azimuth = _as_point_arrays(points)
+    xyz, laser, azimuth = points.xyz, points.laser, points.azimuth
 
     target_view = view_of(target_geometry)
     rows_t, cols_t = grid_shape_of(target_geometry)

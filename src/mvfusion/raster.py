@@ -36,13 +36,6 @@ def _occupancy_into(points: PointArray, grid: GridSpec, out: np.ndarray) -> None
     out[rows[keep], cols[keep], zs[keep]] = 1.0
 
 
-def voxelize_sweep_bev(sweep: Sweep, grid: GridSpec, dtype=np.float32) -> FeatureMap:
-    """Binary occupancy of one sweep: 1 iff a voxel holds at least one point."""
-    data = np.zeros((grid.rows, grid.cols, grid.z_cells), dtype=dtype)
-    _occupancy_into(sweep.points, grid, data)
-    return FeatureMap(BEV, data, grid)
-
-
 def compensate_sweep(sweep: Sweep, reference: Sweep) -> Sweep:
     """Re-express a sweep's points in the reference sweep's ego frame."""
     rel = se2_compose(se2_inverse(reference.ego_pose), sweep.ego_pose)

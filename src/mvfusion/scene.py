@@ -413,11 +413,20 @@ def _footprints_meet(a: Actor, a_poses: np.ndarray, b: Actor, b_poses: np.ndarra
     return False
 
 
+def _covers_any(poses: np.ndarray, length: float, width: float, xy: np.ndarray) -> bool:
+    """Whether a length x width box at any of the (T, 3) poses (x, y, yaw)
+    contains the same-time point of the (T, 2) xy, boundary inclusive."""
+    dx, dy = xy[:, 0] - poses[:, 0], xy[:, 1] - poses[:, 1]
+    c, s = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    return bool(np.any((np.abs(c * dx + s * dy) <= 0.5 * length) & (np.abs(c * dy - s * dx) <= 0.5 * width)))
+
+
 def build_scene(config: SceneConfig, seed: int | None = None) -> Scene:
     """Sample a scene: non-overlapping actors, a map, and an ego profile.
 
-    Actors keep a 0.5 m margin at t = 0, and no two footprints overlap at any
-    label time k / LABEL_RATE_HZ in [0, duration]. Deterministic for a fixed
+    Actors keep a 0.5 m margin at t = 0, and no two footprints overlap, nor
+    does any footprint cover the ego position, at any label time
+    k / LABEL_RATE_HZ in [0, duration]. Deterministic for a fixed
     (config, seed). Raises SceneTooDenseError when rejection sampling cannot
     place an actor after bounded retries.
     """
@@ -426,6 +435,8 @@ def build_scene(config: SceneConfig, seed: int | None = None) -> Scene:
     rng = np.random.default_rng(seed)
     map_geometry = _generate_map(rng, config.extent)
     label_times = [k / LABEL_RATE_HZ for k in range(math.floor(config.duration * LABEL_RATE_HZ + 1e-9) + 1)]
+    ego_motion = (MotionSegment(config.duration, config.ego_speed, 0.0),)
+    ego_xy = np.array([(p.tx, p.ty) for p in (motion_pose_at(Pose2(), ego_motion, t) for t in label_times)])
 
     actors: list[Actor] = []
     paths: list[np.ndarray] = []  # each placed actor's poses at the label times
@@ -452,8 +463,8 @@ def build_scene(config: SceneConfig, seed: int | None = None) -> Scene:
                 actor = Actor(actor_id, cls, box, float(rng.uniform(*HEIGHT_RANGES[cls])),
                               _sample_motion(rng, cls, config.duration))
                 path = np.array([(p.tx, p.ty, p.yaw) for p in (actor_pose_at(actor, t) for t in label_times)])
-                if any(_footprints_meet(actor, path, other, other_path)
-                       for other, other_path in zip(actors, paths)):
+                if _covers_any(path, length, width, ego_xy) or any(
+                        _footprints_meet(actor, path, other, other_path) for other, other_path in zip(actors, paths)):
                     continue
                 paths.append(path)
                 actors.append(actor)
@@ -463,7 +474,6 @@ def build_scene(config: SceneConfig, seed: int | None = None) -> Scene:
                 raise SceneTooDenseError(
                     f"could not place {cls} after 200 attempts (extent {config.extent})"
                 )
-    ego_motion = (MotionSegment(config.duration, config.ego_speed, 0.0),)
     return Scene(tuple(actors), map_geometry, ego_motion, seed, config.extent, config.duration)
 
 

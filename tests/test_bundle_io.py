@@ -9,7 +9,6 @@ from mvfusion.bundle_io import (
     decode_ppm,
     encode_ppm,
     format_scene_config,
-    parse_scene_config,
     read_frame_bundle,
     write_frame_bundle,
 )
@@ -25,16 +24,13 @@ def desk_bundle():
     return preset, bundles[0]
 
 
-def test_scene_config_roundtrip():
+def test_format_scene_config_lines():
     cfg = SceneConfig(vehicles=5, pedestrians=1, bicyclists=2, extent=22.5, duration=6.25,
                       seed=9, ego_speed=1.75)
-    text = format_scene_config(cfg)
-    assert parse_scene_config(text) == cfg
-
-
-def test_scene_config_rejects_unknown_key():
-    with pytest.raises(BundleFormatError):
-        parse_scene_config("vehicles = 3\nwheels = 7\n")
+    assert format_scene_config(cfg) == (
+        "vehicles = 5\npedestrians = 1\nbicyclists = 2\nextent = 22.5\nduration = 6.25\n"
+        "seed = 9\nego_speed = 1.75\n"
+    )
 
 
 def test_ppm_roundtrip():

@@ -231,9 +231,12 @@ def test_bench_writes_latency_table(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
     assert run_cli("bench", "--preset", "desk", "--out", str(out), "--repeats", "2") == 0
-    text = (out / "latency.txt").read_text()
-    assert "total_latency_ms" in text
-    assert "rasterize_latency_ms" in text
+    keys = [line.split(" = ")[0] for line in (out / "latency.txt").read_text().splitlines()]
+    assert keys == ["repeats"] + [f"{stage}_latency_ms" for stage in (
+        "rasterize", "bev_branch", "camera_net", "rv_branch", "rv_to_bev", "fuse_head", "decode", "total")]
+    capsys.readouterr()
+    assert run_cli("bench", "--preset", "desk", "--out", str(out), "--repeats", "0") == 1
+    assert capsys.readouterr().err == "error: repeats must be positive\n"
 
 
 def test_selfcheck_passes(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Fuzz targets for the file parsers.
 
 Every input either parses into finite values or raises its module's format
-error (BlockFileError for block files, BundleFormatError for bundles, PPMs
-and scene configs); no other exception may escape. Inputs start from valid
+error (BlockFileError for block files, BundleFormatError for bundles and
+PPMs); no other exception may escape. Inputs start from valid
 files and are truncated, byte-flipped, given out-of-range or non-numeric
 counts, or given NaN/inf payloads. Bundle mutations re-seal the CRC32
 trailer so they reach the parser behind the checksum.
@@ -20,8 +20,6 @@ from mvfusion.bundle_io import (
     BundleFormatError,
     decode_ppm,
     encode_ppm,
-    format_scene_config,
-    parse_scene_config,
     read_frame_bundle,
     write_frame_bundle,
 )
@@ -35,7 +33,6 @@ from mvfusion.pipeline import (
     save_cell_outputs,
 )
 from mvfusion.presets import get_preset
-from mvfusion.scene import SceneConfig
 
 SPECIAL_TOKENS = [b"-1", b"0", b"7", b"999999999999999999", b"1e999", b"nan", b"inf", b"-inf", b"2.5", b"x", b""]
 NON_FINITE_F32 = [np.float32(v).tobytes() for v in (np.nan, np.inf, -np.inf)]
@@ -152,7 +149,7 @@ def test_bundle_parses_or_raises_bundle_format_error(bundle_file, reseal, data):
 
 
 # ---------------------------------------------------------------------------
-# PPM images and scene configs
+# PPM images
 # ---------------------------------------------------------------------------
 
 PPM_FIELDS = st.one_of(st.sampled_from(SPECIAL_TOKENS), st.binary(max_size=12))
@@ -175,30 +172,3 @@ def test_ppm_decodes_or_raises_bundle_format_error(data):
         return
     assert image.ndim == 3 and image.shape[2] == 3
     assert np.isfinite(image).all() and image.min(initial=0.0) >= 0.0 and image.max(initial=1.0) <= 1.0
-
-
-SCENE_KEYS = st.sampled_from(["vehicles", "pedestrians", "bicyclists", "extent", "duration", "seed", "ego_speed"])
-SCENE_VALUES = st.one_of(
-    st.sampled_from([t.decode() for t in SPECIAL_TOKENS] + ["1e308", "-0.0", "3", "1_0", "0x10"]),
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.integers(-10**6, 10**6).map(str),
-    st.text(max_size=8),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    st.lists(st.tuples(SCENE_KEYS, SCENE_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"), max_size=8).map("\n".join),
-    st.text(max_size=60),
-))
-def test_scene_config_parses_or_raises_bundle_format_error(text):
-    try:
-        config = parse_scene_config(text)
-    except BundleFormatError:
-        return
-    assert isinstance(config, SceneConfig)
-    for name in ("vehicles", "pedestrians", "bicyclists", "seed"):
-        assert isinstance(getattr(config, name), int) and getattr(config, name) >= 0
-    assert all(np.isfinite([config.extent, config.duration, config.ego_speed]))
-    assert config.extent > 0 and config.duration > 0
-    assert parse_scene_config(format_scene_config(config)) == config

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from mvfusion.metrics import (
     in_camera_fov,
     match_detections,
     operating_threshold_for_recall,
-    time_pipeline,
 )
 from mvfusion.network import CellOutputs
 from mvfusion.oracles import decode_detections_literal, monte_carlo_iou
@@ -524,43 +522,3 @@ def test_evaluate_de_ignores_below_threshold_detections():
                 waypoints=np.tile([0.0, 0.0], (30, 1)))
     with_junk = evaluate_frames([([tp, junk], [gt])], camera=None)
     assert base.sections["vehicle.full"]["de_cm"] == with_junk.sections["vehicle.full"]["de_cm"]
-
-
-def _busy_stage(n):
-    def stage(ctx):
-        a = np.linalg.norm(np.arange(n, dtype=float))
-        return {"out": float(a)}
-    return stage
-
-
-def test_time_pipeline_total_is_stage_sum():
-    stages = [("a", _busy_stage(50_000)), ("b", _busy_stage(100_000)), ("c", _busy_stage(20_000))]
-    report = time_pipeline(stages, {}, repeats=21)
-    assert report.total_ms == pytest.approx(sum(ms for _, ms in report.stages), rel=0.05)
-    text = report.to_text()
-    assert "a_latency_ms" in text and "total_latency_ms" in text
-
-
-def test_time_pipeline_median_stability(monkeypatch):
-    # Each stage reports the median of its repeats, so two outliers among
-    # seven samples do not move it, however large they grow. The clock is
-    # scripted: the k-th timed call lasts durations[k] seconds.
-    def report(outlier_s):
-        durations = {"a": [0.25, outlier_s, 0.5, 0.125, outlier_s, 0.375, 0.25],
-                     "b": [outlier_s, 0.0625, 0.125, 0.0625, 0.25, outlier_s, 0.125]}
-        ticks = iter([t for name in "ab" for d in durations[name] for t in (0.0, d)])
-        monkeypatch.setattr(metrics, "time", SimpleNamespace(process_time=lambda: next(ticks)))
-        stages = [(name, lambda ctx: {}) for name in "ab"]
-        got = time_pipeline(stages, {}, repeats=7)
-        assert got.stages == [(name, 1e3 * float(np.median(durations[name]))) for name in "ab"]
-        return got.stages
-
-    assert report(1.0) == report(1e3) == report(1e6) == [("a", 375.0), ("b", 125.0)]
-
-
-def test_time_pipeline_fewer_stages_less_total():
-    full = [("a", _busy_stage(200_000)), ("cam", _busy_stage(300_000))]
-    reduced = [("a", _busy_stage(200_000))]
-    t_full = time_pipeline(full, {}, repeats=11).total_ms
-    t_reduced = time_pipeline(reduced, {}, repeats=11).total_ms
-    assert t_reduced < t_full

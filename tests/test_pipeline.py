@@ -1,5 +1,6 @@
 import io
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,10 +90,8 @@ def test_forward_frame_output_lattice(desk_frame):
 
 def test_forward_camera_ablation_same_lattice(desk_frame):
     preset, bundle = desk_frame
-    w_l = make_weights(preset, seed=0, use_camera=False)
-    out_l = forward_frame(bundle, preset, w_l, use_camera=False)
-    w_lc = make_weights(preset, seed=0, use_camera=True)
-    out_lc = forward_frame(bundle, preset, w_lc, use_camera=True)
+    out_l = forward_frame(bundle, preset, make_weights(preset, seed=0, use_camera=False))
+    out_lc = forward_frame(bundle, preset, make_weights(preset, seed=0, use_camera=True))
     for cls in out_l.classes:
         assert out_l.prob[cls].shape == out_lc.prob[cls].shape
 
@@ -248,10 +247,30 @@ def test_benchmark_camera_ablation_reduces_total(desk_frame):
     # drift and outliers from deciding the comparison.
     fulls, reduceds = [], []
     for _ in range(5):
-        fulls.append(benchmark_frame(bundle, preset, w_lc, use_camera=True, repeats=3))
-        reduceds.append(benchmark_frame(bundle, preset, w_l, use_camera=False, repeats=3))
-    full, reduced = fulls[0], reduceds[0]
-    names = [n for n, _ in full.stages]
-    assert "camera_net" in names and "camera_net" not in [n for n, _ in reduced.stages]
-    assert np.median([r.total_ms for r in reduceds]) < np.median([r.total_ms for r in fulls])
-    assert full.total_ms == pytest.approx(sum(ms for _, ms in full.stages), rel=0.05)
+        fulls.append(benchmark_frame(bundle, preset, w_lc, repeats=3))
+        reduceds.append(benchmark_frame(bundle, preset, w_l, repeats=3))
+    assert list(fulls[0]) == ["rasterize", "bev_branch", "camera_net", "rv_branch", "rv_to_bev", "fuse_head",
+                              "decode", "total"]
+    assert "camera_net" not in reduceds[0]
+    assert np.median([r["total"] for r in reduceds]) < np.median([r["total"] for r in fulls])
+
+
+def test_benchmark_frame_medians_of_whole_frames(monkeypatch):
+    # A scripted clock: stage s of repeat k lasts durations[s][k] seconds.
+    # Each stage reports its median, and "total" the median of the per-repeat
+    # sums, not the sum of the stage medians (0.5 s here); two outliers
+    # among seven repeats move neither, however large they grow.
+    def medians(outlier_s):
+        durations = {"a": [0.25, outlier_s, 0.5, 0.125, 0.125, 0.375, 0.25],
+                     "b": [0.0625, 0.125, 0.0625, 0.25, outlier_s, 0.125, 0.5],
+                     "decode": [0.125, 0.25, 0.125, 0.125, 0.25, 0.125, 0.125]}
+        ticks = iter(np.cumsum([d for k in range(7) for d in (0.0, *(durations[s][k] for s in durations))]))
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(process_time=lambda: next(ticks)))
+        monkeypatch.setattr(pipeline, "pipeline_stages",
+                            lambda preset, weights: [("a", lambda ctx: {}), ("b", lambda ctx: {"outputs": None})])
+        monkeypatch.setattr(pipeline, "decode_detections", lambda outputs: [])
+        return benchmark_frame(None, None, None, repeats=7)
+
+    assert medians(2.0) == medians(1e3) == medians(1e6) == {"a": 250.0, "b": 125.0, "decode": 125.0, "total": 687.5}
+    with pytest.raises(ValueError, match="repeats must be positive"):
+        benchmark_frame(None, None, None, repeats=0)

@@ -173,13 +173,6 @@ def test_points_behind_camera_are_excluded():
     assert np.all(validity.data == -1.0)
 
 
-def test_channel_mismatch_errors():
-    rv, grid = rv8(), small_grid()
-    source = FeatureMap("rv", np.zeros((rv.rows, rv.cols, 3)), rv)
-    with pytest.raises(ValueError):
-        project_features(source, _points([[1, 1, 0, 0.5, 0]]), grid, out_channels=4)
-
-
 def test_source_geometry_shape_mismatch_errors():
     rv, grid = rv8(), small_grid()
     source = FeatureMap("rv", np.zeros((rv.rows + 1, rv.cols, 3)), rv)

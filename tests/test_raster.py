@@ -27,7 +27,6 @@ from mvfusion.raster import (
     dump_featuremap_pgm,
     rasterize_map,
     stack_history_bev,
-    voxelize_sweep_bev,
     write_pgm,
 )
 from mvfusion.views import GridSpec, RvSpec
@@ -55,7 +54,7 @@ def small_grid():
 # ---------------------------------------------------------------------------
 
 def test_voxelize_empty():
-    fm = voxelize_sweep_bev(_sweep_from_arrays(np.zeros((0, 3))), small_grid())
+    fm = stack_history_bev([_sweep_from_arrays(np.zeros((0, 3)))], small_grid())
     assert fm.data.shape == (50, 40, 8)
     assert not fm.data.any()
 
@@ -63,7 +62,7 @@ def test_voxelize_empty():
 def test_voxelize_single_point_index_arithmetic():
     g = small_grid()
     p = (3.17, -1.62, 2.4)
-    fm = voxelize_sweep_bev(_sweep_from_arrays([p]), g)
+    fm = stack_history_bev([_sweep_from_arrays([p])], g)
     row = math.floor((p[0] - g.x_min) / g.cell_length)
     col = math.floor((p[1] - g.y_min) / g.cell_width)
     zc = math.floor((p[2] - g.z_min) / g.cell_height)
@@ -73,7 +72,7 @@ def test_voxelize_single_point_index_arithmetic():
 
 def test_voxelize_two_points_same_voxel_binary():
     g = small_grid()
-    fm = voxelize_sweep_bev(_sweep_from_arrays([(1.01, 1.01, 0.2), (1.05, 1.08, 0.21)]), g)
+    fm = stack_history_bev([_sweep_from_arrays([(1.01, 1.01, 0.2), (1.05, 1.08, 0.21)])], g)
     assert fm.data.max() == 1.0
     assert fm.data.sum() == 1.0
 
@@ -81,7 +80,7 @@ def test_voxelize_two_points_same_voxel_binary():
 def test_voxelize_ignores_out_of_extent():
     g = small_grid()
     pts = [(100.0, 0.0, 1.0), (0.0, 50.0, 1.0), (0.0, 0.0, -0.1), (0.0, 0.0, 4.5)]
-    fm = voxelize_sweep_bev(_sweep_from_arrays(pts), g)
+    fm = stack_history_bev([_sweep_from_arrays(pts)], g)
     assert not fm.data.any()
 
 
@@ -91,7 +90,7 @@ def test_voxelize_binary_and_bounded(seed):
     g = small_grid()
     rng = np.random.default_rng(seed)
     xyz = rng.uniform([-8, -7, -1], [14, 7, 5], size=(300, 3))
-    fm = voxelize_sweep_bev(_sweep_from_arrays(xyz), g)
+    fm = stack_history_bev([_sweep_from_arrays(xyz)], g)
     vals = np.unique(fm.data)
     assert set(vals.tolist()) <= {0.0, 1.0}
     assert fm.data.sum() <= 300
@@ -119,7 +118,7 @@ def test_stack_wrong_count_errors():
 
 
 def test_stack_matches_slow_concatenation_bit_exact():
-    # oracle: compensate each sweep, voxelize separately, concatenate
+    # oracle: compensate each sweep, stack each on its own, concatenate
     g = small_grid()
     rng = np.random.default_rng(7)
     sweeps = []
@@ -128,7 +127,7 @@ def test_stack_matches_slow_concatenation_bit_exact():
         ego = Pose2(0.5 * i, -0.2 * i, 0.05 * i)
         sweeps.append(_sweep_from_arrays(xyz, ego=ego, t=0.1 * i))
     fast = stack_history_bev(sweeps, g)
-    blocks = [voxelize_sweep_bev(compensate_sweep(s, sweeps[-1]), g).data for s in sweeps]
+    blocks = [stack_history_bev([compensate_sweep(s, sweeps[-1])], g).data for s in sweeps]
     slow = np.concatenate(blocks, axis=2)
     assert np.array_equal(fast.data, slow)
 
@@ -307,7 +306,7 @@ def test_pgm_roundtrip_encoding(tmp_path):
 
 
 def test_dump_featuremap_pgm(tmp_path):
-    fm = voxelize_sweep_bev(_sweep_from_arrays([(1.0, 1.0, 0.5)]), small_grid())
+    fm = stack_history_bev([_sweep_from_arrays([(1.0, 1.0, 0.5)])], small_grid())
     paths = dump_featuremap_pgm(fm, tmp_path)
     assert len(paths) == 8
     assert paths[0].name == "bev_000.pgm"

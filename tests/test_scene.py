@@ -69,14 +69,16 @@ def test_build_scene_deterministic():
 
 
 def test_build_scene_seed_sweep_non_overlap():
-    # footprints stay apart at every 10 Hz label time over the whole scene,
-    # not only at t = 0
+    # footprints stay apart, and off the moving ego, at every 10 Hz label
+    # time over the whole scene, not only at t = 0
     cfg = SceneConfig(vehicles=4, pedestrians=3, bicyclists=2, extent=28.0)
     label_times = [k / LABEL_RATE_HZ for k in range(round(cfg.duration * LABEL_RATE_HZ) + 1)]
     for seed in range(100):
         scene = build_scene(cfg, seed=seed)
         for t in label_times:
             boxes = [actor_box_at(a, t) for a in scene.actors]
+            ego = ego_pose_at(scene, t)
+            assert not any(points_in_box(np.array([[ego.tx, ego.ty]]), box)[0] for box in boxes), (seed, t)
             for i in range(len(boxes)):
                 for j in range(i + 1, len(boxes)):
                     assert rotated_iou(boxes[i], boxes[j]) == 0.0, (seed, t, i, j)
