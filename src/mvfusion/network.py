@@ -22,8 +22,11 @@ padding, computed by one of two kernels chosen from the input alone:
   copy of the whole input exists, and the matmul writes straight into the
   output. Bias and activation are applied in place on both kernels.
 
-Dtype policy: every layer keeps the dtype of its input, and the frame path
-feeds float32 rasters, so activations are float32 end to end. float64 is
+Dtype policy: every layer keeps the dtype of a float input and computes a
+non-float input in float32. The frame path feeds uint8 0/1 BEV rasters
+(the LiDAR stack and the map raster) and float32 camera and RV images, so
+activations are float32 end to end; 0/1 is exact in float32, so the binary
+rasters give the same products as float32 copies of them would. float64 is
 used only inside the projection sums (project_features accumulates and
 divides in float64 and returns the source's dtype, so float32 features
 project to float32) and after the head (CellOutputs.unpack). Seeded
@@ -33,6 +36,11 @@ casting them to float32 is exact.
 Memory: the branch functions drop each large input and intermediate after
 its last reader and do residual sums, their ReLU and the BEV LiDAR + map
 sum in place, so a frame's tensors do not all live to the end of the pass.
+The two inputs that join a view's own features with projected ones,
+unet.enc1's and fuse.conv1's, are allocated once at their full width: the
+view's own features are copied into their leading channels and
+project_features writes the projection and its validity into the rest
+through out=, so no concatenated copy of them exists (fuse_input_of).
 One working-set bound, _CHUNK_BYTES, covers both kernels: an im2col chunk's
 patch matrix and, in the occupied-pixel kernel, a row block's per-tap
 product and gathered output rows. It sits below glibc's 32 MiB ceiling on
@@ -95,19 +103,26 @@ def _activate_inplace(x: np.ndarray, activation: str) -> np.ndarray:
     return x
 
 
+def _compute_dtype(data: np.ndarray):
+    """The dtype a layer computes in: a float input's own, float32 for any other."""
+    return data.dtype if data.dtype in (np.float32, np.float64) else np.dtype(np.float32)
+
+
 def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                stride: tuple[int, int] = (1, 1), activation: str = RELU) -> np.ndarray:
     """Cross-correlation with zero SAME padding; output = ceil(input / stride).
 
     Stride-(1, 1) inputs whose occupied pixels (channel row not all zero) are
     at most _OCCUPIED_SHARE of the grid take the occupied-pixel kernel;
-    everything else takes chunked im2col.
+    everything else takes chunked im2col. A non-float input (the uint8 0/1
+    BEV rasters) is computed in float32: both kernels cast only the input
+    rows they read.
     """
     h, w, cin = data.shape
     kh, kw, kcin, cout = kernel.shape
     if kcin != cin:
         raise ValueError(f"kernel expects {kcin} input channels, data has {cin}")
-    dtype = data.dtype if data.dtype in (np.float32, np.float64) else np.float64
+    dtype = _compute_dtype(data)
     kernel = kernel.astype(dtype, copy=False)
     bias = bias.astype(dtype, copy=False)
     if tuple(stride) == (1, 1):
@@ -146,7 +161,8 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
 
     Ordinary sparse convolution: every output cell, including the ones next
     to an occupied pixel, equals the dense conv's. The occupied rows are
-    gathered once, interior pixels first; each tap multiplies them by its
+    gathered once, interior pixels first, and cast to the kernel's dtype
+    (exact for the uint8 0/1 rasters); each tap multiplies them by its
     (cin, cout) slice and scatter-adds into the shifted output cells, in
     blocks of rows whose (rows, max(cin, cout)) temporaries fit
     _CHUNK_BYTES. Indices within one tap are unique and the taps run in a
@@ -162,7 +178,7 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     order = np.concatenate([occupied[interior], occupied[~interior]])
     n_interior = int(np.count_nonzero(interior))
     border_y, border_x = iy[~interior], ix[~interior]
-    rows = pixels[order]
+    rows = pixels[order].astype(kernel.dtype, copy=False)
     out = np.zeros((h * w, cout), dtype=kernel.dtype)
     # numpy runs a one-row product as a matrix-vector call, which rounds
     # differently from the same row in a larger product, so no block is left
@@ -237,7 +253,7 @@ def deconv2d_h_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     _, kw, kcin, cout = kernel.shape
     if kcin != cin:
         raise ValueError(f"kernel expects {kcin} input channels, data has {cin}")
-    dtype = data.dtype if data.dtype in (np.float32, np.float64) else np.float64
+    dtype = _compute_dtype(data)
     pad = (kw - 2) // 2
     buf = np.zeros((h, 2 * w + kw - 2, cout), dtype=dtype)
     for t in range(kw):
@@ -456,10 +472,9 @@ def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None,
     if config.use_camera:
         if camera_features is None:
             raise ValueError("config.use_camera is set but no camera features were given")
-        cam_rv, cam_valid = project_features(camera_features, points, rv)
+        x = _widened(x, config.concat_width)
+        project_features(camera_features, points, rv, out=x.data[:, :, config.rv_width:])
         del camera_features
-        x = FeatureMap(RV, np.concatenate([x.data, cam_rv.data, cam_valid.data], axis=2, dtype=x.data.dtype), rv)
-        del cam_rv, cam_valid
 
     # Each intermediate is dropped after its last reader; the residual sums
     # and their ReLU are written into the block input's buffer.
@@ -482,6 +497,29 @@ def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None,
     merged = FeatureMap(RV, np.concatenate([up_data, level1.data], axis=2), rv)
     del up, up_data, level1
     return conv2d_forward(merged, plan["unet.fuse"], weights)
+
+
+def _widened(fm: FeatureMap, channels: int) -> FeatureMap:
+    """fm's data copied into the leading channels of a new (h, w, channels)
+    map of its dtype; the channels after them are left for the caller to
+    write."""
+    data = np.empty((fm.height, fm.width, channels), dtype=fm.data.dtype)
+    data[:, :, :fm.channels] = fm.data
+    return FeatureMap(fm.view, data, fm.geometry)
+
+
+def fuse_input_of(bev_features: FeatureMap, config: FusionConfig) -> FeatureMap:
+    """fuse.conv1's input with the BEV branch's features in its leading
+    bev_width channels.
+
+    The unet_width + 1 channels after them are left unwritten for the RV->BEV
+    projection: project_features(rv_features, points, grid,
+    out=fuse_input.data[:, :, config.bev_width:]) fills them with the
+    projected RV features and their validity.
+    """
+    if bev_features.channels != config.bev_width or not isinstance(bev_features.geometry, GridSpec):
+        raise ValueError(f"bev features must have {config.bev_width} channels and carry a GridSpec")
+    return _widened(bev_features, config.bev_width + config.unet_width + 1)
 
 
 def _residual_relu(x: FeatureMap, residual: FeatureMap) -> FeatureMap:
@@ -581,23 +619,20 @@ class CellOutputs:
         return cls(grid, horizon, tuple(classes), prob, size, centers, headings)
 
 
-def fuse_and_head_forward(bev_features: FeatureMap, rv_features_bev: FeatureMap,
-                          rv_validity_bev: FeatureMap, weights: NetworkWeights,
+def fuse_and_head_forward(fuse_input: FeatureMap, weights: NetworkWeights,
                           config: FusionConfig) -> CellOutputs:
-    """Concatenate the two view stacks plus validity, reduce stride, emit cells."""
-    if (bev_features.height, bev_features.width) != (rv_features_bev.height, rv_features_bev.width):
-        raise ValueError("bev and projected rv features must share one grid")
-    grid = bev_features.geometry
+    """Reduce stride over the fused BEV input, emit cells.
+
+    fuse_input is fuse.conv1's input: the BEV features, the projected RV
+    features and their validity along the channels, as built by
+    fuse_input_of and project_features.
+    """
+    grid = fuse_input.geometry
     if not isinstance(grid, GridSpec):
-        raise ValueError("bev features must carry a GridSpec")
+        raise ValueError("the fuse input must carry a GridSpec")
     plan = _plan_by_name(config, bev_in_channels=1)
-    x = FeatureMap(
-        BEV,
-        np.concatenate([bev_features.data, rv_features_bev.data, rv_validity_bev.data], axis=2,
-                       dtype=bev_features.data.dtype),
-        grid,
-    )
-    del bev_features, rv_features_bev, rv_validity_bev
+    x = fuse_input
+    del fuse_input  # freed once fuse.conv1 has read it
     for i in range(len(config.head_widths)):
         x = conv2d_forward(x, plan[f"fuse.conv{i + 1}"], weights)
     raw = conv2d_forward(x, plan["fuse.head"], weights)

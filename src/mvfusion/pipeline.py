@@ -25,6 +25,7 @@ from .network import (
     bev_branch_forward,
     camera_net_forward,
     fuse_and_head_forward,
+    fuse_input_of,
     init_network_weights,
     rv_branch_forward,
 )
@@ -99,7 +100,12 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
     reader of, so every large tensor is freed once it has been read for the
     last time, and returns the entries it adds; the last one adds
     "outputs". The network sees float32 copies of the float64 camera and RV
-    images; the BEV stack and map raster are float32 already.
+    images and the uint8 0/1 BEV stack and map raster as they are.
+
+    bev_branch ends by copying the BEV features into fuse.conv1's input
+    (fuse_input_of), allocated there and not earlier so that the branch's
+    LiDAR and map embeddings are dead by then; rv_to_bev projects the RV
+    features straight into the rest of that input, which fuse_head reads.
     """
     config = replace(preset.fusion, use_camera="cam.conv1.kernel" in weights.blocks)
 
@@ -107,7 +113,8 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
         return rasterize_frame(ctx["bundle"], preset)
 
     def bev_branch(ctx):
-        return {"bev_feats": bev_branch_forward(ctx.pop("lidar_stack"), ctx.pop("map_raster"), weights, config)}
+        bev_feats = bev_branch_forward(ctx.pop("lidar_stack"), ctx.pop("map_raster"), weights, config)
+        return {"fuse_input": fuse_input_of(bev_feats, config)}
 
     def camera_net(ctx):
         return {"cam_feats": camera_net_forward(_float32(ctx["bundle"].camera_image), weights, config)}
@@ -119,13 +126,12 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
         )}
 
     def rv_to_bev(ctx):
-        feats, validity = project_features(ctx.pop("rv_feats"), ctx["bundle"].sweeps[-1].points, preset.grid)
-        return {"rv_bev": feats, "rv_validity": validity}
+        project_features(ctx.pop("rv_feats"), ctx["bundle"].sweeps[-1].points, preset.grid,
+                         out=ctx["fuse_input"].data[:, :, config.bev_width:])
+        return {}
 
     def fuse_head(ctx):
-        return {"outputs": fuse_and_head_forward(
-            ctx.pop("bev_feats"), ctx.pop("rv_bev"), ctx.pop("rv_validity"), weights, config
-        )}
+        return {"outputs": fuse_and_head_forward(ctx.pop("fuse_input"), weights, config)}
 
     stages = [("rasterize", rasterize), ("bev_branch", bev_branch)]
     if config.use_camera:

@@ -16,7 +16,9 @@ both cells carry identical feature vectors, making their mutual order
 irrelevant). The sums live in a compact (hit cells, channels) array; only
 the averages are scattered into the target grid, which has the source's
 dtype (float32 stays float32, anything else is float64), so a float32
-result is exactly the float64 result cast to float32.
+result is exactly the float64 result cast to float32. The target grid may
+be a caller's buffer (project_features' out), so the projection can be
+written straight into the input of the convolution that reads it.
 """
 from __future__ import annotations
 
@@ -78,6 +80,7 @@ def project_features(
     source: FeatureMap,
     points: PointArray,
     target_geometry,
+    out: np.ndarray | None = None,
 ) -> tuple[FeatureMap, FeatureMap]:
     """Average-pooled projection of source features into the target view.
 
@@ -85,6 +88,13 @@ def project_features(
     the target grid; validity is a single channel of +1 where at least one
     point landed and -1 elsewhere. Both are float32 for a float32 source and
     float64 otherwise; sums and the division are float64 either way.
+
+    Both are views of one (rows, cols, C + 1) array, features its first C
+    channels and validity its last: out when given, which must have that
+    shape and dtype and may be a channel slice of a wider buffer (such as
+    the input of the convolution that reads the projection), else a new
+    array. Every element of out is written, through (row, col) indices, so a
+    strided out is filled in place.
     """
     channels = source.channels
     xyz, laser, azimuth = points.xyz, points.laser, points.azimuth
@@ -96,14 +106,21 @@ def project_features(
         raise ValueError(
             f"source geometry grid {src_rows} does not match data {(source.height, source.width)}"
         )
+    dtype = source.data.dtype if source.data.dtype == np.float32 else np.float64
+    if out is None:
+        out = np.empty((rows_t, cols_t, channels + 1), dtype=dtype)
+    elif out.shape != (rows_t, cols_t, channels + 1) or out.dtype != dtype:
+        raise ValueError(
+            f"out must be {(rows_t, cols_t, channels + 1)} {np.dtype(dtype)}, got {out.shape} {out.dtype}"
+        )
 
     tr, tc, t_ok = cells_for(target_geometry, xyz, laser, azimuth)
     sr, sc, s_ok = cells_for(source.geometry, xyz, laser, azimuth)
     keep = t_ok & s_ok
 
-    dtype = source.data.dtype if source.data.dtype == np.float32 else np.float64
-    features = np.zeros((rows_t * cols_t, channels), dtype=dtype)
-    validity = np.full(rows_t * cols_t, -1.0, dtype=dtype)
+    features, validity = out[:, :, :channels], out[:, :, channels:]
+    features[...] = 0.0
+    validity[...] = -1.0
     if keep.any():
         tr, tc = tr[keep], tc[keep]
         sr, sc = sr[keep], sc[keep]
@@ -112,9 +129,10 @@ def project_features(
         cells, slot, count = np.unique((tr * cols_t + tc)[order], return_inverse=True, return_counts=True)
         acc = np.zeros((cells.size, channels))
         np.add.at(acc, slot, source.data[sr[order], sc[order]].astype(np.float64))
-        features[cells] = acc / count[:, None]
-        validity[cells] = 1.0
+        hit_rows, hit_cols = np.divmod(cells, cols_t)
+        features[hit_rows, hit_cols] = acc / count[:, None]
+        validity[hit_rows, hit_cols] = 1.0
     return (
-        FeatureMap(target_view, features.reshape(rows_t, cols_t, channels), target_geometry),
-        FeatureMap(target_view, validity.reshape(rows_t, cols_t, 1), target_geometry),
+        FeatureMap(target_view, features, target_geometry),
+        FeatureMap(target_view, validity, target_geometry),
     )

@@ -6,6 +6,12 @@ axis. The RV path embeds only the current sweep: rows are laser IDs,
 columns discretized azimuth, channels (range, height, intensity,
 validity) with invalid pixels encoded as (-1, -1, -1, 0). Map layers
 rasterize each into their own binary channel.
+
+The two binary rasters, the BEV occupancy stack and the map raster, hold
+uint8 0/1: a quarter of float32's bytes (the atg4d stack is 89.5 MiB, not
+358 MiB). The network computes a non-float input in float32, casting only
+the rows a convolution reads, which is exact for 0/1. The RV image holds
+real values and stays float64.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ def _occupancy_into(points: PointArray, grid: GridSpec, out: np.ndarray) -> None
         & (cols >= 0) & (cols < grid.cols)
         & (zs >= 0) & (zs < grid.z_cells)
     )
-    out[rows[keep], cols[keep], zs[keep]] = 1.0
+    out[rows[keep], cols[keep], zs[keep]] = 1
 
 
 def compensate_sweep(sweep: Sweep, reference: Sweep) -> Sweep:
@@ -47,10 +53,8 @@ def compensate_sweep(sweep: Sweep, reference: Sweep) -> Sweep:
     return Sweep(sweep.timestamp, pts, reference.ego_pose)
 
 
-def stack_history_bev(
-    sweeps: Sequence[Sweep], grid: GridSpec, expected_count: int | None = None, dtype=np.float32
-) -> FeatureMap:
-    """Stacked occupancy of T sweeps (oldest first) in the newest ego frame.
+def stack_history_bev(sweeps: Sequence[Sweep], grid: GridSpec, expected_count: int | None = None) -> FeatureMap:
+    """Stacked uint8 0/1 occupancy of T sweeps (oldest first) in the newest ego frame.
 
     Past sweeps are ego-motion compensated into the frame of the last sweep
     before voxelization; channel block t covers [t*z_cells, (t+1)*z_cells).
@@ -61,7 +65,7 @@ def stack_history_bev(
         raise ValueError(f"expected {expected_count} sweeps, got {len(sweeps)}")
     current = sweeps[-1]
     k = grid.z_cells
-    data = np.zeros((grid.rows, grid.cols, len(sweeps) * k), dtype=dtype)
+    data = np.zeros((grid.rows, grid.cols, len(sweeps) * k), dtype=np.uint8)
     for t, sweep in enumerate(sweeps):
         moved = compensate_sweep(sweep, current)
         _occupancy_into(moved.points, grid, data[:, :, t * k:(t + 1) * k])
@@ -122,9 +126,8 @@ def _fill_polyline(channel: np.ndarray, line: np.ndarray, half_width: float,
         channel[np.ix_(ri, ci)] |= d2 <= half_width * half_width
 
 
-def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WIDTH,
-                  dtype=np.float32) -> FeatureMap:
-    """Seven binary channels, one per map layer in fixed order.
+def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WIDTH) -> FeatureMap:
+    """Seven uint8 0/1 channels, one per map layer in fixed order.
 
     A cell is set when its center lies inside any polygon of the layer, or
     within the buffer of any polyline; layers do not exclude each other.
@@ -132,7 +135,7 @@ def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WID
     from .scene import LAYER_NAMES, POLYGON
 
     xs, ys = _cell_centers(grid)
-    data = np.zeros((grid.rows, grid.cols, len(LAYER_NAMES)), dtype=dtype)
+    data = np.zeros((grid.rows, grid.cols, len(LAYER_NAMES)), dtype=np.uint8)
     for c, name in enumerate(LAYER_NAMES):
         mask = np.zeros((grid.rows, grid.cols), dtype=bool)
         for kind, pts in map_geometry.layers[name]:

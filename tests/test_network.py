@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -295,6 +296,32 @@ def test_occupied_kernel_temporaries_stay_within_the_chunk_bound(monkeypatch):
     assert peak < out.nbytes + rows_nbytes + 4 * network._CHUNK_BYTES
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 13), w=st.integers(1, 13),
+       cin=st.integers(1, 6), cout=st.integers(1, 5),
+       path=st.sampled_from([("occupied", (1, 1)), ("im2col", (1, 1)), ("im2col", (2, 2)), ("im2col", (1, 2))]))
+def test_binary_uint8_conv_equals_float32_bit_for_bit(seed, h, w, cin, cout, path):
+    kernel_name, stride = path
+    rng = np.random.default_rng(seed)
+    share_limit = int(network._OCCUPIED_SHARE * h * w)  # at most this many occupied pixels: occupied kernel
+    if kernel_name == "occupied":
+        n_occupied = int(rng.integers(0, share_limit + 1))
+    else:
+        n_occupied = int(rng.integers(share_limit + 1 if stride == (1, 1) else 0, h * w + 1))
+    mask = np.zeros((h * w, cin), dtype=bool)
+    pixels = rng.choice(h * w, size=n_occupied, replace=False)
+    mask[pixels] = rng.uniform(size=(n_occupied, cin)) < 0.5
+    mask[pixels, rng.integers(0, cin, size=n_occupied)] = True  # each chosen pixel is occupied
+    mask = mask.reshape(h, w, cin)
+    kernel, bias = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+    with mock.patch.object(network, "_conv2d_occupied", wraps=network._conv2d_occupied) as occupied:
+        got = conv2d_raw(mask.astype(np.uint8), kernel, bias, stride=stride)
+        assert occupied.called == (kernel_name == "occupied")
+        want = conv2d_raw(mask.astype(np.float32), kernel, bias, stride=stride)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got, want)
+
+
 def test_conv_output_shape_ceiling():
     assert conv_output_shape(9, 7, (2, 2)) == (5, 4)
     assert conv_output_shape(64, 2048, (1, 2)) == (64, 1024)
@@ -475,10 +502,8 @@ def test_fuse_head_zero_features_probability_half():
     g = small_grid()
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=2)
-    zeros_bev = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width)), g)
-    zeros_rv = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.unet_width)), g)
-    validity = FeatureMap("bev", np.zeros((g.rows, g.cols, 1)), g)
-    out = fuse_and_head_forward(zeros_bev, zeros_rv, validity, weights, cfg)
+    zeros = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width + cfg.unet_width + 1)), g)
+    out = fuse_and_head_forward(zeros, weights, cfg)
     out.validate()
     for cls in cfg.classes:
         assert np.all(out.prob[cls] == 0.5)
@@ -491,11 +516,11 @@ def test_fuse_head_deterministic():
     g = small_grid()
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=2)
-    bev = FeatureMap("bev", rng.normal(size=(g.rows, g.cols, cfg.bev_width)), g)
-    rvp = FeatureMap("bev", rng.normal(size=(g.rows, g.cols, cfg.unet_width)), g)
-    val = FeatureMap("bev", rng.choice([-1.0, 1.0], size=(g.rows, g.cols, 1)), g)
-    a = fuse_and_head_forward(bev, rvp, val, weights, cfg)
-    b = fuse_and_head_forward(bev, rvp, val, weights, cfg)
+    features = rng.normal(size=(g.rows, g.cols, cfg.bev_width + cfg.unet_width))
+    validity = rng.choice([-1.0, 1.0], size=(g.rows, g.cols, 1))
+    fused = FeatureMap("bev", np.concatenate([features, validity], axis=2), g)
+    a = fuse_and_head_forward(fused, weights, cfg)
+    b = fuse_and_head_forward(fused, weights, cfg)
     for cls in cfg.classes:
         assert np.array_equal(a.prob[cls], b.prob[cls])
         assert np.array_equal(a.centers[cls], b.centers[cls])

@@ -9,7 +9,13 @@ from mvfusion import network, pipeline
 from mvfusion.blockfile import BlockFileError
 from mvfusion.bundle_io import write_frame_bundle
 from mvfusion.metrics import DetBox, decode_detections
-from mvfusion.network import bev_branch_forward, camera_net_forward, fuse_and_head_forward, rv_branch_forward
+from mvfusion.network import (
+    bev_branch_forward,
+    camera_net_forward,
+    fuse_and_head_forward,
+    fuse_input_of,
+    rv_branch_forward,
+)
 from mvfusion.pipeline import (
     benchmark_frame,
     evaluate_bundles,
@@ -105,9 +111,9 @@ def float64_forward(bundle, preset, weights):
     points = bundle.sweeps[-1].points
     cam = camera_net_forward(bundle.camera_image, weights, config)
     rv = rv_branch_forward(rasters["rv_image"], cam, points, weights, config)
-    rv_bev, validity = project_features(rv, points, preset.grid)
-    bev = bev_branch_forward(lidar, map_raster, weights, config)
-    return fuse_and_head_forward(bev, rv_bev, validity, weights, config)
+    fuse_input = fuse_input_of(bev_branch_forward(lidar, map_raster, weights, config), config)
+    project_features(rv, points, preset.grid, out=fuse_input.data[:, :, config.bev_width:])
+    return fuse_and_head_forward(fuse_input, weights, config)
 
 
 # Largest deviation from the float64 path measured on 40 desk frames (seeds
@@ -151,7 +157,7 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
 def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monkeypatch):
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0)
-    refs, alive = {}, {}
+    refs, alive, fuse_in = {}, {}, []
     stack_fn, bev_fn = pipeline.stack_history_bev, pipeline.bev_branch_forward
     project_fn, conv_fn = pipeline.project_features, network.conv2d_forward
 
@@ -165,16 +171,19 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
         refs["bev_feats"] = weakref.ref(out.data)
         return out
 
-    def project(source, points, grid):
-        feats, validity = project_fn(source, points, grid)
+    def project(source, points, grid, out):
+        feats, validity = project_fn(source, points, grid, out=out)
         assert feats.data.dtype == validity.data.dtype == source.data.dtype == np.float32
-        refs.update(rv_feats=weakref.ref(source.data), rv_bev=weakref.ref(feats.data),
-                    rv_validity=weakref.ref(validity.data))
+        assert np.shares_memory(feats.data, out) and np.shares_memory(validity.data, out)
+        refs.update(rv_feats=weakref.ref(source.data), fuse_input=weakref.ref(out.base))
         return feats, validity
 
     def conv(fm, layer, weights):
         if layer.name == "fuse.conv1":
-            alive.update((name, ref() is not None) for name, ref in refs.items())
+            alive.update((name, ref() is not None) for name, ref in refs.items() if name != "fuse_input")
+            fuse_in.append(fm.data is refs["fuse_input"]())
+        elif layer.name == "fuse.conv2":
+            alive["fuse_input"] = refs["fuse_input"]() is not None
         return conv_fn(fm, layer, weights)
 
     monkeypatch.setattr(pipeline, "stack_history_bev", stack)
@@ -182,7 +191,10 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
     monkeypatch.setattr(pipeline, "project_features", project)
     monkeypatch.setattr(network, "conv2d_forward", conv)
     forward_frame(bundle, preset, weights)
-    assert alive == dict.fromkeys(["lidar_stack", "bev_feats", "rv_feats", "rv_bev", "rv_validity"], False)
+    # fuse.conv1 reads the buffer the RV->BEV projection was written into,
+    # which is dead once fuse.conv1 has run
+    assert fuse_in == [True]
+    assert alive == dict.fromkeys(["lidar_stack", "bev_feats", "rv_feats", "fuse_input"], False)
 
 
 def test_cell_outputs_artifact_roundtrip(tmp_path, desk_frame):

@@ -180,6 +180,44 @@ def test_source_geometry_shape_mismatch_errors():
         project_features(source, _points([[1, 1, 0, 0.5, 0]]), grid)
 
 
+@pytest.mark.parametrize("transposed", [False, True])  # True: no reshape of out is a view
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_points", [0, 3, 600])
+def test_out_channel_slice_equals_the_allocating_call(dtype, n_points, transposed):
+    rng = np.random.default_rng(23)
+    rv, grid = rv8(), small_grid()
+    source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, 3)).astype(dtype), rv)
+    pts = random_points(rng, n_points, rv.rows, spread=3.0)
+    feats, validity = project_features(source, pts, grid)
+    channels = 2 + 3 + 1 + 5  # 2 before out, 5 after
+    if transposed:
+        buffer = np.full((grid.cols, grid.rows, channels), np.nan, dtype=dtype).transpose(1, 0, 2)
+    else:
+        buffer = np.full((grid.rows, grid.cols, channels), np.nan, dtype=dtype)
+    out = buffer[:, :, 2:6]
+    feats_out, validity_out = project_features(source, pts, grid, out=out)
+    assert np.shares_memory(feats_out.data, buffer) and np.shares_memory(validity_out.data, buffer)
+    assert feats_out.data.dtype == validity_out.data.dtype == dtype
+    assert np.array_equal(feats_out.data, feats.data)
+    assert np.array_equal(validity_out.data, validity.data)
+    assert np.array_equal(out, np.concatenate([feats.data, validity.data], axis=2))
+    assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 6:]).all()
+
+
+@pytest.mark.parametrize("shape,dtype", [
+    ((16, 12, 3), np.float32),  # no validity channel
+    ((16, 12, 5), np.float32),
+    ((15, 12, 4), np.float32),
+    ((16, 12, 4), np.float64),  # float32 source projects to float32
+])
+def test_out_of_the_wrong_shape_or_dtype_raises(shape, dtype):
+    rv, grid = rv8(), small_grid()
+    assert grid_shape_of(grid) == (16, 12)
+    source = FeatureMap("rv", np.zeros((rv.rows, rv.cols, 3), dtype=np.float32), rv)
+    with pytest.raises(ValueError, match="out must be"):
+        project_features(source, _points([[1, 1, 0, 0.5, 0]]), grid, out=np.zeros(shape, dtype=dtype))
+
+
 @pytest.mark.parametrize("n_points", [0, 3, 600])
 def test_float32_source_gives_the_float64_result_cast_to_float32(n_points):
     rng = np.random.default_rng(19)

@@ -56,6 +56,7 @@ def small_grid():
 def test_voxelize_empty():
     fm = stack_history_bev([_sweep_from_arrays(np.zeros((0, 3)))], small_grid())
     assert fm.data.shape == (50, 40, 8)
+    assert fm.data.dtype == np.uint8
     assert not fm.data.any()
 
 
@@ -164,6 +165,7 @@ def _map_with(layer, entry):
 def test_rasterize_empty_map():
     fm = rasterize_map(MapGeometry.empty(), small_grid())
     assert fm.data.shape == (50, 40, 7)
+    assert fm.data.dtype == np.uint8
     assert not fm.data.any()
 
 
