@@ -8,8 +8,18 @@ selfcheck (oracle/invariant suite). --no-camera picks seeded weights
 without the camera branch and the plan a --weights file must match; the
 forward pass reads the branch off the weights. Every artifact path is
 printed to stdout, one per line; the exit code is 0 only on full success.
+
+Output bits depend on the BLAS kernel and its thread count (README.md,
+"Determinism"), so the CLI runs BLAS and OpenMP on one thread unless the
+environment already names a count: the variables are set before numpy is
+first imported, and a run then reproduces the benchmark's digests.
 """
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import sys

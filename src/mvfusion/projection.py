@@ -13,7 +13,10 @@ single division at the end: contributions are sorted by (target cell,
 source cell) before summing, so results are bit-reproducible and
 bit-identical under any permutation of the input points (points sharing
 both cells carry identical feature vectors, making their mutual order
-irrelevant). The sums live in a compact (hit cells, channels) array; only
+irrelevant). The sums are taken over consecutive blocks of whole hit
+cells in that order, about _BLOCK_BYTES of float64 contributions at a
+time, so the per-point feature rows never exist all at once; each cell's
+sum is the same sequence of additions as over all points at once. Only
 the averages are scattered into the target grid, which has the source's
 dtype (float32 stays float32, anything else is float64), so a float32
 result is exactly the float64 result cast to float32. The target grid may
@@ -37,6 +40,9 @@ from .views import (
     camera_pixels_of,
     rv_cells_of,
 )
+
+
+_BLOCK_BYTES = 2 << 20  # float64 contribution rows summed at once; as network._CHUNK_BYTES, below 4 MiB
 
 
 def view_of(geometry) -> str:
@@ -126,11 +132,20 @@ def project_features(
         sr, sc = sr[keep], sc[keep]
         # canonical accumulation order: by target cell, then source cell
         order = np.lexsort((sr * source.width + sc, tr * cols_t + tc))
-        cells, slot, count = np.unique((tr * cols_t + tc)[order], return_inverse=True, return_counts=True)
-        acc = np.zeros((cells.size, channels))
-        np.add.at(acc, slot, source.data[sr[order], sc[order]].astype(np.float64))
+        cells, count = np.unique((tr * cols_t + tc)[order], return_counts=True)
+        sr, sc = sr[order], sc[order]
         hit_rows, hit_cols = np.divmod(cells, cols_t)
-        features[hit_rows, hit_cols] = acc / count[:, None]
+        starts = np.concatenate([[0], np.cumsum(count)])  # cell k's contributions: starts[k]..starts[k + 1] - 1
+        per_block = max(1, _BLOCK_BYTES // (channels * 8))
+        c0 = 0
+        while c0 < cells.size:  # blocks of whole cells, about per_block contributions each
+            c1 = max(c0 + 1, min(int(np.searchsorted(starts, starts[c0] + per_block)), cells.size))
+            p0, p1 = starts[c0], starts[c1]
+            acc = np.zeros((c1 - c0, channels))
+            np.add.at(acc, np.repeat(np.arange(c1 - c0), count[c0:c1]),
+                      source.data[sr[p0:p1], sc[p0:p1]].astype(np.float64))
+            features[hit_rows[c0:c1], hit_cols[c0:c1]] = acc / count[c0:c1, None]
+            c0 = c1
         validity[hit_rows, hit_cols] = 1.0
     return (
         FeatureMap(target_view, features, target_geometry),

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .arena import output_array
 from .geometry import se2_compose, se2_inverse, transform_xy
 from .scene import PointArray, Sweep
 from .views import BEV, RV, FeatureMap, GridSpec, RvSpec, rv_cells_of
@@ -53,11 +54,13 @@ def compensate_sweep(sweep: Sweep, reference: Sweep) -> Sweep:
     return Sweep(sweep.timestamp, pts, reference.ego_pose)
 
 
-def stack_history_bev(sweeps: Sequence[Sweep], grid: GridSpec, expected_count: int | None = None) -> FeatureMap:
+def stack_history_bev(sweeps: Sequence[Sweep], grid: GridSpec, expected_count: int | None = None,
+                      out: np.ndarray | None = None) -> FeatureMap:
     """Stacked uint8 0/1 occupancy of T sweeps (oldest first) in the newest ego frame.
 
     Past sweeps are ego-motion compensated into the frame of the last sweep
     before voxelization; channel block t covers [t*z_cells, (t+1)*z_cells).
+    out, when given, is the (rows, cols, T * z_cells) uint8 array written.
     """
     if not sweeps:
         raise ValueError("need at least one sweep")
@@ -65,7 +68,8 @@ def stack_history_bev(sweeps: Sequence[Sweep], grid: GridSpec, expected_count: i
         raise ValueError(f"expected {expected_count} sweeps, got {len(sweeps)}")
     current = sweeps[-1]
     k = grid.z_cells
-    data = np.zeros((grid.rows, grid.cols, len(sweeps) * k), dtype=np.uint8)
+    data = output_array(out, (grid.rows, grid.cols, len(sweeps) * k), np.uint8)
+    data[...] = 0
     for t, sweep in enumerate(sweeps):
         moved = compensate_sweep(sweep, current)
         _occupancy_into(moved.points, grid, data[:, :, t * k:(t + 1) * k])
@@ -126,16 +130,18 @@ def _fill_polyline(channel: np.ndarray, line: np.ndarray, half_width: float,
         channel[np.ix_(ri, ci)] |= d2 <= half_width * half_width
 
 
-def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WIDTH) -> FeatureMap:
+def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WIDTH,
+                  out: np.ndarray | None = None) -> FeatureMap:
     """Seven uint8 0/1 channels, one per map layer in fixed order.
 
     A cell is set when its center lies inside any polygon of the layer, or
     within the buffer of any polyline; layers do not exclude each other.
+    out, when given, is the (rows, cols, 7) uint8 array written.
     """
     from .scene import LAYER_NAMES, POLYGON
 
     xs, ys = _cell_centers(grid)
-    data = np.zeros((grid.rows, grid.cols, len(LAYER_NAMES)), dtype=np.uint8)
+    data = output_array(out, (grid.rows, grid.cols, len(LAYER_NAMES)), np.uint8)
     for c, name in enumerate(LAYER_NAMES):
         mask = np.zeros((grid.rows, grid.cols), dtype=bool)
         for kind, pts in map_geometry.layers[name]:
@@ -152,13 +158,15 @@ def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WID
 # range view
 # ---------------------------------------------------------------------------
 
-def build_rv_image(sweep: Sweep, rv: RvSpec) -> FeatureMap:
-    """4-channel RV raster of the current sweep: (range, height, intensity, validity).
+def build_rv_image(sweep: Sweep, rv: RvSpec, out: np.ndarray | None = None) -> FeatureMap:
+    """4-channel float64 RV raster of the current sweep: (range, height, intensity, validity).
 
     Pixels without a return are (-1, -1, -1, 0). When several points land in
-    one cell the nearest range wins, ties broken by point index.
+    one cell the nearest range wins, ties broken by point index. out, when
+    given, is the (rows, cols, 4) float64 array written.
     """
-    data = np.full((rv.rows, rv.cols, 4), -1.0)
+    data = output_array(out, (rv.rows, rv.cols, 4), np.float64)
+    data[...] = -1.0
     data[:, :, 3] = 0.0
     pts = sweep.points
     n = len(pts)

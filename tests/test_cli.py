@@ -1,7 +1,9 @@
+import os
 import re
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +262,28 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "selfcheck" in proc.stdout
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_set", [{}, {"OPENBLAS_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "4"}])
+def test_cli_runs_blas_on_one_thread_unless_the_user_set_a_count(user_set):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(user_set)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    # the variables as they are when numpy is first imported, which is when BLAS reads them
+    code = f"""
+import builtins, os
+seen, real_import = [], builtins.__import__
+def recording_import(name, *args, **kwargs):
+    if name == "numpy" and not seen:
+        seen.extend(os.environ.get(v, "unset") for v in {BLAS_THREAD_VARS!r})
+    return real_import(name, *args, **kwargs)
+builtins.__import__ = recording_import
+import mvfusion.cli
+print(*seen)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [user_set.get(v, "1") for v in BLAS_THREAD_VARS]

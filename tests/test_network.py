@@ -12,6 +12,7 @@ from mvfusion.blockfile import BlockFileError
 from mvfusion.network import (
     CellOutputs,
     FusionConfig,
+    LayerPlan,
     bev_branch_forward,
     camera_net_forward,
     conv2d_forward,
@@ -346,6 +347,52 @@ def test_deconv_doubles_width():
     assert np.allclose(out[0, o], expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("path", ["occupied", "im2col-1", "im2col-2", "deconv"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_out_channel_slice_equals_the_allocating_call(path, dtype):
+    rng = np.random.default_rng(31)
+    data = rng.normal(size=(13, 11, 6)).astype(dtype)
+    if path == "occupied":
+        data *= rng.uniform(size=(13, 11, 1)) < 0.15
+    bias = rng.normal(size=5)
+    if path == "deconv":
+        kernel = rng.normal(size=(1, 4, 6, 5))
+        run = lambda **kw: deconv2d_h_raw(data, kernel, bias, **kw)  # noqa: E731
+    else:
+        kernel, stride = rng.normal(size=(3, 3, 6, 5)), (2, 2) if path == "im2col-2" else (1, 1)
+        run = lambda **kw: conv2d_raw(data, kernel, bias, stride=stride, **kw)  # noqa: E731
+    with mock.patch.object(network, "_conv2d_occupied", wraps=network._conv2d_occupied) as occupied:
+        want = run()
+        buffer = np.full((*want.shape[:2], 2 + 5 + 3), np.nan, dtype=dtype)
+        out = buffer[:, :, 2:7]
+        assert run(out=out) is out
+    assert occupied.call_count == (2 if path == "occupied" else 0)
+    assert np.array_equal(out, want)
+    assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 7:]).all()
+
+
+def test_out_of_another_shape_or_spacing_raises():
+    data, kernel, bias = np.ones((6, 5, 2), np.float32), np.ones((3, 3, 2, 4)), np.zeros(4)
+    with pytest.raises(ValueError, match="out must be"):
+        conv2d_raw(data, kernel, bias, out=np.empty((6, 5, 4)))  # float64 for a float32 layer
+    uneven = np.empty((6, 6, 4), np.float32)[:, :5]  # rows of pixels 6 apart, pixels in a row 1 apart
+    with pytest.raises(ValueError, match="evenly spaced"):
+        conv2d_raw(data, kernel, bias, out=uneven)
+
+
+@pytest.mark.parametrize("work_rows", [0, 5, 10_000])  # too small for the occupied rows, or room for all
+def test_occupied_rows_gathered_into_work_give_the_same_output(work_rows):
+    rng = np.random.default_rng(37)
+    data = (rng.uniform(size=(23, 19, 4)) < 0.04).astype(np.uint8)  # binary: computed in float32
+    kernel, bias = rng.normal(size=(3, 3, 4, 6)), rng.normal(size=6)
+    work = np.full(work_rows * 4 * 4, 0xFF, dtype=np.uint8)
+    with mock.patch.object(network, "_conv2d_occupied", wraps=network._conv2d_occupied) as occupied:
+        assert np.array_equal(conv2d_raw(data, kernel, bias, work=work), conv2d_raw(data, kernel, bias))
+    assert occupied.call_count == 2
+    # the rows went into work exactly when they fit
+    assert (work != 0xFF).any() == (work_rows >= np.count_nonzero(data.any(axis=2)) > 0)
+
+
 # ---------------------------------------------------------------------------
 # branches
 # ---------------------------------------------------------------------------
@@ -355,12 +402,12 @@ def test_camera_net_shapes_both_presets():
     weights = init_network_weights(config, bev_in_channels=4, seed=0)
     nusc = CameraModel.from_fov(1600, 900, 70.0)
     img = FeatureMap("camera", np.zeros((900, 1600, 3), dtype=np.float32), CameraGeometry(nusc, 1))
-    out = camera_net_forward(img, weights, config)
+    out = camera_net_forward(img, weights, LayerPlan(config, 4))
     assert out.data.shape == (113, 200, config.cam_out)
     assert out.geometry.pixel_stride == 8
     atg = CameraModel.from_fov(1920, 1200, 90.0, crop_top=438)
     img = FeatureMap("camera", np.zeros((762, 1920, 3), dtype=np.float32), CameraGeometry(atg, 1))
-    out = camera_net_forward(img, weights, config)
+    out = camera_net_forward(img, weights, LayerPlan(config, 4))
     assert out.data.shape == (96, 240, config.cam_out)
 
 
@@ -369,7 +416,7 @@ def test_camera_net_zero_image_zero_bias_gives_zero():
     weights = init_network_weights(config, bev_in_channels=4, seed=1)
     cam = CameraModel.from_fov(64, 48, 90.0)
     img = FeatureMap("camera", np.zeros((48, 64, 3)), CameraGeometry(cam, 1))
-    out = camera_net_forward(img, weights, config)
+    out = camera_net_forward(img, weights, LayerPlan(config, 4))
     assert not out.data.any()
 
 
@@ -386,11 +433,11 @@ def test_rv_branch_output_shape_and_camera_width_independence():
         "camera", rng.normal(size=(*grid_shape_of(CameraGeometry(cam, 8)), cfg_lc.cam_out)),
         CameraGeometry(cam, 8),
     )
-    out_lc = rv_branch_forward(rv_img, cam_feats, pts, w_lc, cfg_lc)
+    out_lc = rv_branch_forward(rv_img, cam_feats, pts, w_lc, LayerPlan(cfg_lc, 4))
 
     cfg_l = tiny_config(use_camera=False)
     w_l = init_network_weights(cfg_l, bev_in_channels=4, seed=3)
-    out_l = rv_branch_forward(rv_img, None, pts, w_l, cfg_l)
+    out_l = rv_branch_forward(rv_img, None, pts, w_l, LayerPlan(cfg_l, 4))
 
     assert out_lc.data.shape == (8, 64, cfg_lc.unet_width)
     assert out_l.data.shape == out_lc.data.shape
@@ -414,10 +461,10 @@ def test_rv_branch_invisible_camera_equals_zeroed_camera_path():
         np.mod(np.arctan2(y, x), 2 * math.pi), rng.integers(0, 8, size=n).astype(np.int64),
     )
     cam_feats = FeatureMap("camera", rng.normal(size=(*grid_shape_of(geom), cfg.cam_out)), geom)
-    out = rv_branch_forward(rv_img, cam_feats, pts, weights, cfg)
+    plan = LayerPlan(cfg, 4)
+    out = rv_branch_forward(rv_img, cam_feats, pts, weights, plan)
 
-    from mvfusion.network import _plan_by_name  # manual zeroed-camera path
-    plan = _plan_by_name(cfg, 1)
+    # manual zeroed-camera path
     x_ = conv2d_forward(rv_img, plan["rv.conv1"], weights)
     x_ = conv2d_forward(x_, plan["rv.conv2"], weights)
     zeros = np.zeros((8, 64, cfg.cam_out))
@@ -444,9 +491,8 @@ def test_bev_branch_zero_map_equals_lidar_embedding():
     weights = init_network_weights(cfg, bev_in_channels=6, seed=9)
     lidar = FeatureMap("bev", rng.uniform(size=(g.rows, g.cols, 6)), g)
     zero_map = FeatureMap("bev", np.zeros((g.rows, g.cols, 7)), g)
-    out = bev_branch_forward(lidar, zero_map, weights, cfg)
-    from mvfusion.network import _plan_by_name
-    plan = _plan_by_name(cfg, 6)
+    plan = LayerPlan(cfg, 6)
+    out = bev_branch_forward(lidar, zero_map, weights, plan)
     lid = conv2d_forward(conv2d_forward(lidar, plan["bev.lidar1"], weights), plan["bev.lidar2"], weights)
     assert np.array_equal(out.data, lid.data)
     assert out.data.shape == (g.rows, g.cols, cfg.bev_width)
@@ -462,8 +508,8 @@ def test_bev_branch_sum_node_additivity():
     deltas = []
     for seed in (1, 2):
         lidar = FeatureMap("bev", rng.uniform(size=(g.rows, g.cols, 6)), g)
-        with_map = bev_branch_forward(lidar, map_fm, weights, cfg)
-        without = bev_branch_forward(lidar, zero_map, weights, cfg)
+        with_map = bev_branch_forward(lidar, map_fm, weights, LayerPlan(cfg, 6))
+        without = bev_branch_forward(lidar, zero_map, weights, LayerPlan(cfg, 6))
         deltas.append(with_map.data - without.data)
     assert np.allclose(deltas[0], deltas[1], atol=1e-12)
 
@@ -475,7 +521,7 @@ def test_bev_branch_grid_mismatch_errors():
     lidar = FeatureMap("bev", np.zeros((g.rows, g.cols, 6)), g)
     bad_map = FeatureMap("bev", np.zeros((g.rows + 1, g.cols, 7)), g)
     with pytest.raises(ValueError):
-        bev_branch_forward(lidar, bad_map, weights, cfg)
+        bev_branch_forward(lidar, bad_map, weights, LayerPlan(cfg, 6))
 
 
 def test_fuse_head_channel_bookkeeping():
@@ -503,7 +549,7 @@ def test_fuse_head_zero_features_probability_half():
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=2)
     zeros = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width + cfg.unet_width + 1)), g)
-    out = fuse_and_head_forward(zeros, weights, cfg)
+    out = fuse_and_head_forward(zeros, weights, LayerPlan(cfg, 6))
     out.validate()
     for cls in cfg.classes:
         assert np.all(out.prob[cls] == 0.5)
@@ -519,8 +565,8 @@ def test_fuse_head_deterministic():
     features = rng.normal(size=(g.rows, g.cols, cfg.bev_width + cfg.unet_width))
     validity = rng.choice([-1.0, 1.0], size=(g.rows, g.cols, 1))
     fused = FeatureMap("bev", np.concatenate([features, validity], axis=2), g)
-    a = fuse_and_head_forward(fused, weights, cfg)
-    b = fuse_and_head_forward(fused, weights, cfg)
+    a = fuse_and_head_forward(fused, weights, LayerPlan(cfg, 6))
+    b = fuse_and_head_forward(fused, weights, LayerPlan(cfg, 6))
     for cls in cfg.classes:
         assert np.array_equal(a.prob[cls], b.prob[cls])
         assert np.array_equal(a.centers[cls], b.centers[cls])

@@ -1,5 +1,4 @@
 import io
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +22,7 @@ from mvfusion.pipeline import (
     forward_frame,
     frame_times,
     generate_bundles,
+    layer_plan,
     load_cell_outputs,
     make_weights,
     rasterize_frame,
@@ -104,16 +104,17 @@ def test_forward_camera_ablation_same_lattice(desk_frame):
 
 def float64_forward(bundle, preset, weights):
     """The frame DAG's branch calls with every raster in float64."""
-    config = preset.fusion
+    plan = layer_plan(preset, weights)
+    config = plan.config
     rasters = rasterize_frame(bundle, preset)
     lidar, map_raster = (FeatureMap(fm.view, fm.data.astype(np.float64), fm.geometry)
                          for fm in (rasters["lidar_stack"], rasters["map_raster"]))
     points = bundle.sweeps[-1].points
-    cam = camera_net_forward(bundle.camera_image, weights, config)
-    rv = rv_branch_forward(rasters["rv_image"], cam, points, weights, config)
-    fuse_input = fuse_input_of(bev_branch_forward(lidar, map_raster, weights, config), config)
+    cam = camera_net_forward(bundle.camera_image, weights, plan)
+    rv = rv_branch_forward(rasters["rv_image"], cam, points, weights, plan)
+    fuse_input = fuse_input_of(bev_branch_forward(lidar, map_raster, weights, plan), config)
     project_features(rv, points, preset.grid, out=fuse_input.data[:, :, config.bev_width:])
-    return fuse_and_head_forward(fuse_input, weights, config)
+    return fuse_and_head_forward(fuse_input, weights, plan)
 
 
 # Largest deviation from the float64 path measured on 40 desk frames (seeds
@@ -129,8 +130,8 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
     dtypes = {}
     conv2d_forward = network.conv2d_forward
 
-    def recording(fm, layer, weights):
-        out = conv2d_forward(fm, layer, weights)
+    def recording(fm, layer, weights, **kwargs):
+        out = conv2d_forward(fm, layer, weights, **kwargs)
         dtypes[layer.name] = out.data.dtype
         return out
 
@@ -157,44 +158,37 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
 def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monkeypatch):
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0)
-    refs, alive, fuse_in = {}, {}, []
-    stack_fn, bev_fn = pipeline.stack_history_bev, pipeline.bev_branch_forward
+    plan = pipeline.frame_plan(preset, layer_plan(preset, weights))
+    fuse1, fuse2 = plan.steps.index("fuse.conv1"), plan.steps.index("fuse.conv2")
+    # the BEV stack, the BEV features (the sum is held in bev.lidar2's
+    # output) and rv_feats (unet.fuse's output) end before fuse.conv1, and
+    # the fuse input, which the RV->BEV projection writes, with fuse.conv1
+    for name in ("lidar_stack", "bev.lidar2", "unet.fuse"):
+        assert plan.tensor(name).last < fuse1
+    fuse_input = plan.tensor("fuse.conv1.in")
+    assert plan.steps[fuse_input.first] == "fuse.conv1.in"
+    assert fuse_input.first < plan.steps.index("rv_to_bev") < fuse_input.last == fuse1 < fuse2
+
+    # the forward pass writes the projection into that view and fuse.conv1 reads it
+    arena = pipeline.frame_arena(plan)
     project_fn, conv_fn = pipeline.project_features, network.conv2d_forward
-
-    def stack(*args, **kwargs):
-        out = stack_fn(*args, **kwargs)
-        refs["lidar_stack"] = weakref.ref(out.data)
-        return out
-
-    def bev_branch(*args, **kwargs):
-        out = bev_fn(*args, **kwargs)
-        refs["bev_feats"] = weakref.ref(out.data)
-        return out
+    projected, fuse_in = [], []
 
     def project(source, points, grid, out):
         feats, validity = project_fn(source, points, grid, out=out)
         assert feats.data.dtype == validity.data.dtype == source.data.dtype == np.float32
-        assert np.shares_memory(feats.data, out) and np.shares_memory(validity.data, out)
-        refs.update(rv_feats=weakref.ref(source.data), fuse_input=weakref.ref(out.base))
+        projected.append(np.shares_memory(out, arena.view("fuse.conv1.in")))
         return feats, validity
 
-    def conv(fm, layer, weights):
+    def conv(fm, layer, weights, **kwargs):
         if layer.name == "fuse.conv1":
-            alive.update((name, ref() is not None) for name, ref in refs.items() if name != "fuse_input")
-            fuse_in.append(fm.data is refs["fuse_input"]())
-        elif layer.name == "fuse.conv2":
-            alive["fuse_input"] = refs["fuse_input"]() is not None
-        return conv_fn(fm, layer, weights)
+            fuse_in.append(fm.data is arena.view("fuse.conv1.in"))
+        return conv_fn(fm, layer, weights, **kwargs)
 
-    monkeypatch.setattr(pipeline, "stack_history_bev", stack)
-    monkeypatch.setattr(pipeline, "bev_branch_forward", bev_branch)
     monkeypatch.setattr(pipeline, "project_features", project)
     monkeypatch.setattr(network, "conv2d_forward", conv)
     forward_frame(bundle, preset, weights)
-    # fuse.conv1 reads the buffer the RV->BEV projection was written into,
-    # which is dead once fuse.conv1 has run
-    assert fuse_in == [True]
-    assert alive == dict.fromkeys(["lidar_stack", "bev_feats", "rv_feats", "fuse_input"], False)
+    assert projected == fuse_in == [True]
 
 
 def test_cell_outputs_artifact_roundtrip(tmp_path, desk_frame):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mvfusion import projection
 from mvfusion.oracles import project_reference, random_points
 from mvfusion.projection import grid_shape_of, project_features
 from mvfusion.scene import PointArray
@@ -231,3 +233,36 @@ def test_float32_source_gives_the_float64_result_cast_to_float32(n_points):
     assert feats64.data.dtype == validity64.data.dtype == np.float64
     assert np.array_equal(feats.data, feats64.data.astype(np.float32))
     assert np.array_equal(validity.data, validity64.data.astype(np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("points_per_block", [1, 2, 3, 7])
+def test_blocked_sums_equal_the_unblocked_call(monkeypatch, dtype, points_per_block):
+    rng = np.random.default_rng(29)
+    rv, grid = rv8(), small_grid()
+    source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, 5)).astype(dtype), rv)
+    pts = random_points(rng, 900, rv.rows, spread=2.0)  # about 10 points per hit cell
+    monkeypatch.setattr(projection, "_BLOCK_BYTES", 1 << 40)
+    want_feats, want_validity = project_features(source, pts, grid)
+    monkeypatch.setattr(projection, "_BLOCK_BYTES", points_per_block * 5 * 8)
+    feats, validity = project_features(source, pts, grid)
+    assert np.array_equal(feats.data, want_feats.data) and np.array_equal(validity.data, want_validity.data)
+
+
+def test_projection_temporaries_stay_within_the_block_bound():
+    # 100k points carrying 64 float32 channels: their gathered rows and the
+    # float64 copy alone are 77 MB; the per-point indices are about 140 bytes
+    # a point
+    rng = np.random.default_rng(5)
+    rv = RvSpec(64, 2048)
+    grid = GridSpec(100.0, 100.0, 4.0, 0.25, 0.25, 1.0, forward_fraction=0.5)
+    source = FeatureMap("rv", rng.random((rv.rows, rv.cols, 64), dtype=np.float32), rv)
+    pts = random_points(rng, 100_000, rv.rows, spread=40.0)
+    out = np.empty((grid.rows, grid.cols, 65), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        project_features(source, pts, grid, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * projection._BLOCK_BYTES + 160 * len(pts)

@@ -21,6 +21,11 @@ def test_perturbed_fast_paths_fail_their_oracle_checks(monkeypatch):
 
 def test_perturbed_occupied_pixel_kernel_fails_the_conv_oracle_check(monkeypatch):
     occupied = network._conv2d_occupied
-    monkeypatch.setattr(network, "_conv2d_occupied", lambda *args: occupied(*args) + 1e-9)
+
+    def nudged(pixels, cells, grid, kernel, bias, out, work):
+        occupied(pixels, cells, grid, kernel, bias, out, work)
+        out += 1e-9  # the (h * w, cout) output rows the kernel wrote
+
+    monkeypatch.setattr(network, "_conv2d_occupied", nudged)
     with pytest.raises(selfcheck.CheckFailure, match="conv_oracle: max abs err"):
         selfcheck.check_conv_oracle()
