@@ -38,6 +38,16 @@ import numpy as np
 
 ALIGN = 64  # bytes: a cache line, and a multiple of every dtype's alignment
 
+# Working-set bound of the heap temporaries that stay out of the plan: the
+# conv kernels' chunks and row blocks (network) and the projection's blocks
+# of float64 contributions (projection). It sits below glibc's 32 MiB ceiling
+# on its adaptive mmap threshold and below numpy's 4 MiB threshold for
+# huge-page advice, which numpy also gives to arrays glibc serves from its
+# heap, leaving huge pages there that made peak RSS depend on where
+# allocations happened to land (CHANGES.md). With the arena, 2 and 8 MiB run
+# the atg4d forward pass equally fast.
+CHUNK_BYTES = 2 << 20
+
 
 class Step(NamedTuple):
     """One step of a frame: the tensors it writes, as (name, shape, dtype),

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Pose2, RotatedBox2D
+from .presets import get_preset
 from .scene import (
     CLASSES,
     LAYER_NAMES,
@@ -123,7 +124,7 @@ def decode_ppm(raw: bytes) -> np.ndarray:
     if len(body) != h * w * 3:
         raise BundleFormatError(f"PPM payload is {len(body)} bytes, a {w}x{h} image needs {h * w * 3}")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
-    return pixels.astype(np.float64) / 255.0
+    return pixels / 255.0
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +221,15 @@ def _parse_sweep_header(header: str) -> tuple[float, float, float, float, int]:
 def _parse_sweep(header: tuple, payload: bytes) -> Sweep:
     t, tx, ty, yaw, n = header
     rec = np.frombuffer(payload, dtype="<f4", count=n * _POINT_FIELDS).reshape(n, _POINT_FIELDS)
-    rec = rec.astype(np.float64)
     if not np.isfinite(rec).all():
         raise BundleFormatError(f"sweep at t={t!r}: non-finite point values")
     laser = rec[:, 6]
     if not ((laser >= 0) & (laser < 2**31) & (laser == np.floor(laser))).all():
         raise BundleFormatError(f"sweep at t={t!r}: laser ids must be non-negative integers")
-    pts = PointArray(
-        rec[:, 0].copy(), rec[:, 1].copy(), rec[:, 2].copy(), rec[:, 3].copy(),
-        rec[:, 4].copy(), rec[:, 5].copy(), laser.astype(np.int64),
-    )
-    return Sweep(t, pts, Pose2(tx, ty, yaw))
+    # one float64 array per column, each below numpy's 4 MiB threshold for
+    # huge-page advice on an atg4d sweep, which a single (6, n) block is not
+    x, y, z, r, e, theta = (rec[:, i].astype(np.float64) for i in range(6))
+    return Sweep(t, PointArray(x, y, z, r, e, theta, laser.astype(np.int64)), Pose2(tx, ty, yaw))
 
 
 def write_frame_bundle(path: str | Path, bundle: FrameBundle) -> None:
@@ -262,7 +261,9 @@ def write_frame_bundle(path: str | Path, bundle: FrameBundle) -> None:
 
 def read_frame_bundle(path: str | Path, expected_preset: str | None = None,
                       camera: CameraModel | None = None) -> FrameBundle:
-    """Parse and verify a bundle; pass the preset camera to re-attach geometry."""
+    """Parse and verify a bundle. Its camera image carries the geometry of
+    camera, by default the camera of the preset the bundle names, and must
+    have that camera's size."""
     raw = Path(path).read_bytes()
     trailer_len = len("crc32 00000000\n")
     if len(raw) < trailer_len:
@@ -329,12 +330,14 @@ def _parse_bundle(body: bytes, camera: CameraModel | None, expected_preset: str 
     if offset + image_bytes != len(payload):
         raise BundleFormatError(f"image payload is {len(payload) - offset} bytes, the manifest says {image_bytes}")
     image = decode_ppm(payload[offset:])
-    geometry = None
-    if camera is not None:
-        if image.shape[:2] != (camera.cropped_height, camera.width):
-            raise BundleFormatError(f"camera image is {image.shape[:2]}, the preset camera gives "
-                                    f"{(camera.cropped_height, camera.width)}")
-        geometry = CameraGeometry(camera, 1)
+    if camera is None:
+        try:
+            camera = get_preset(preset).camera
+        except ValueError as exc:
+            raise BundleFormatError(str(exc)) from None
+    if image.shape[:2] != (camera.cropped_height, camera.width):
+        raise BundleFormatError(f"camera image is {image.shape[:2]}, the preset camera gives "
+                                f"{(camera.cropped_height, camera.width)}")
 
     return FrameBundle(
         preset=preset,
@@ -342,6 +345,6 @@ def _parse_bundle(body: bytes, camera: CameraModel | None, expected_preset: str 
         horizon=horizon,
         sweeps=tuple(sweeps),
         map_geometry=_parse_map(map_lines),
-        camera_image=FeatureMap(CAMERA, image, geometry),
+        camera_image=FeatureMap(CAMERA, image, CameraGeometry(camera, 1)),
         labels=_parse_labels(label_lines, timestamp, horizon),
     )

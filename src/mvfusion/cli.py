@@ -99,7 +99,7 @@ def _bundle_paths(out: Path) -> list[Path]:
 
 def _load_bundles(args, preset):
     return [
-        read_frame_bundle(p, expected_preset=preset.name, camera=preset.camera)
+        read_frame_bundle(p, expected_preset=preset.name)
         for p in _bundle_paths(Path(args.out))
     ]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +21,6 @@ def wrap_angle(a: float) -> float:
     if a <= -math.pi:
         a += TWO_PI
     return a
-
-
-class Point3(NamedTuple):
-    """A 3D point in a right-handed frame: x forward, y left, z up (meters)."""
-
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,6 @@ class MetricsReport:
 
 def evaluate_frames(
     frames: Sequence[tuple[Sequence[DetBox], Sequence[ActorLabel]]],
-    iou_thresholds: dict[str, float] = IOU_THRESHOLDS,
     recall_target: float = DEFAULT_RECALL_TARGET,
     horizon: int = 30,
     camera: CameraModel | None = None,
@@ -295,7 +294,7 @@ def evaluate_frames(
                 slices.setdefault(key, []).append((det_parts[key], lab_parts[key]))
 
     sections: dict[str, dict[str, float]] = {}
-    for cls, thresh in iou_thresholds.items():
+    for cls, thresh in IOU_THRESHOLDS.items():
         for slice_name, frame_list in slices.items():
             per_frame = []
             for dets, labels in frame_list:

@@ -47,15 +47,14 @@ unet.enc1's and fuse.conv1's, are built at full width: rv.conv2 writes the
 leading channels of unet.enc1's, fuse_input_of copies the BEV features into
 fuse.conv1's, and project_features writes the projection and its validity
 into the rest, so no concatenated copy of either exists. The kernels'
-temporaries stay on the heap under one working-set bound, _CHUNK_BYTES: an
-im2col chunk's patch matrix, a row block's per-tap product and gathered
-output rows in the occupied-pixel kernel, and a row block's per-tap product
-in the transposed conv. It sits below glibc's 32 MiB ceiling on its
-adaptive mmap threshold, so the allocator can serve them again and again
-from its heap, and below numpy's 4 MiB threshold for huge-page advice. A kernel's largest temporary, which can be far larger (the
-occupied-pixel kernel's gathered input rows, or an im2col patch matrix
-when one output row's patches exceed the bound), goes into the work bytes
-the plan gives the layer (conv_work_bytes).
+temporaries stay on the heap under one working-set bound, arena.CHUNK_BYTES
+(its reason is given there): an im2col chunk's patch matrix, a row block's
+per-tap product and gathered output rows in the occupied-pixel kernel, and
+a row block's per-tap product in the transposed conv. A kernel's largest
+temporary, which can be far larger (the occupied-pixel kernel's gathered
+input rows, or an im2col patch matrix when one output row's patches exceed
+the bound), goes into the work bytes the plan gives the layer
+(conv_work_bytes).
 """
 from __future__ import annotations
 
@@ -66,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arena import Arena, output_array
+from .arena import CHUNK_BYTES, Arena, output_array
 from .blockfile import BlockFileError, read_blocks, write_blocks
 from .projection import project_features
 from .scene import CLASSES
@@ -75,12 +74,6 @@ from .views import BEV, CAMERA, RV, CameraGeometry, FeatureMap, GridSpec, Output
 RELU = "relu"
 LINEAR = "linear"
 
-# Working-set bound of the kernels' heap temporaries (see Memory above). It
-# stays below numpy's 4 MiB threshold for huge-page advice, which numpy also
-# gives to arrays glibc serves from its heap, leaving huge pages there that
-# made peak RSS depend on where allocations happened to land (CHANGES.md).
-# With the arena, 2 and 8 MiB run the atg4d forward pass equally fast.
-_CHUNK_BYTES = 2 << 20
 # Stride-1 inputs with at most this share of occupied pixels take the
 # occupied-pixel kernel. Measured crossover under the 8 MiB bound
 # (CHANGES.md): on the BEV shapes it beats im2col up to about 20% occupancy
@@ -129,14 +122,14 @@ def _pixel_rows(out: np.ndarray) -> np.ndarray:
         raise ValueError("out must be an array whose pixels are evenly spaced, such as a channel slice") from None
 
 
-def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int, dtype=np.float32) -> int:
+def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
     """Bytes of scratch conv2d_raw can use on an (h, w) input of the layer
-    (its work): one im2col chunk's patch matrix or, at stride 1, the
-    occupied-pixel kernel's gathered rows at the most occupied pixels it
-    takes, whichever is larger. A transposed layer uses none."""
+    computed in float32 (its work): one im2col chunk's patch matrix or, at
+    stride 1, the occupied-pixel kernel's gathered rows at the most occupied
+    pixels it takes, whichever is larger. A transposed layer uses none."""
     if layer.transposed:
         return 0
-    itemsize = np.dtype(dtype).itemsize
+    itemsize = np.dtype(np.float32).itemsize
     oh, ow = conv_output_shape(h, w, layer.stride)
     row = ow * math.prod(layer.kernel) * layer.in_channels * itemsize  # one output row's patches
     occupied = int(_OCCUPIED_SHARE * h * w) * layer.in_channels * itemsize if layer.stride == (1, 1) else 0
@@ -144,8 +137,8 @@ def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int, dtype=np.float32) -> i
 
 
 def _chunk_rows(oh: int, bytes_per_row: int) -> int:
-    """Output rows per im2col chunk: as many as fit _CHUNK_BYTES, at least one."""
-    return min(oh, max(1, _CHUNK_BYTES // max(bytes_per_row, 1)))
+    """Output rows per im2col chunk: as many as fit CHUNK_BYTES, at least one."""
+    return min(oh, max(1, CHUNK_BYTES // max(bytes_per_row, 1)))
 
 
 def _work_view(work: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray | None:
@@ -214,12 +207,12 @@ def _occupied_pixels(pixels: np.ndarray, limit: float) -> np.ndarray | None:
 
 def _gathered_rows(pixels: np.ndarray, order: np.ndarray, dtype, work: np.ndarray | None) -> np.ndarray:
     """pixels[order] cast to dtype, in work when it is large enough, gathered
-    in blocks of at most _CHUNK_BYTES."""
+    in blocks of at most CHUNK_BYTES."""
     n, cin = len(order), pixels.shape[1]
     rows = _work_view(work, (n, cin), dtype)
     if rows is None:
         rows = np.empty((n, cin), dtype=dtype)
-    step = max(1, _CHUNK_BYTES // max(cin * np.dtype(dtype).itemsize, 1))
+    step = max(1, CHUNK_BYTES // max(cin * np.dtype(dtype).itemsize, 1))
     for b0 in range(0, n, step):
         rows[b0:b0 + step] = pixels[order[b0:b0 + step]]
     return rows
@@ -237,7 +230,7 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     (exact for the uint8 0/1 rasters); each tap multiplies them by its
     (cin, cout) slice and scatter-adds into the shifted output cells, in
     blocks of rows whose (rows, max(cin, cout)) temporaries fit
-    _CHUNK_BYTES. Indices within one tap are unique and the taps run in a
+    CHUNK_BYTES. Indices within one tap are unique and the taps run in a
     fixed order, so the gather-add-scatter is exact and the blocking does
     not change a bit. Only the pixels on the grid's border can shift off
     it, so only their taps are masked; the output is never padded.
@@ -255,7 +248,7 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     # numpy runs a one-row product as a matrix-vector call, which rounds
     # differently from the same row in a larger product, so no block is left
     # with a single row: the last block takes up to one row more.
-    step = max(2, _CHUNK_BYTES // (max(cin, cout) * kernel.itemsize))
+    step = max(2, CHUNK_BYTES // (max(cin, cout) * kernel.itemsize))
     bounds = [*range(0, max(len(order) - 1, 1), step), len(order)]
     for dy in range(kh):
         for dx in range(kw):
@@ -329,7 +322,7 @@ def deconv2d_h_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
 
     Input column j reaches output column 2j + t - (kw - 2) // 2 through tap
     t; every output element starts at zero and adds its taps in tap order.
-    Rows are done in blocks whose per-tap product fits _CHUNK_BYTES. out is
+    Rows are done in blocks whose per-tap product fits CHUNK_BYTES. out is
     as in conv2d_raw.
     """
     h, w, cin = data.shape
@@ -340,7 +333,7 @@ def deconv2d_h_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     out = output_array(out, (h, 2 * w, cout), dtype)
     bias = bias.astype(dtype, copy=False)
     pad = (kw - 2) // 2
-    step = max(1, _CHUNK_BYTES // max(w * cout * np.dtype(dtype).itemsize, 1))
+    step = max(1, CHUNK_BYTES // max(w * cout * np.dtype(dtype).itemsize, 1))
     for r0 in range(0, h, step):
         block = out[r0:r0 + step]
         block[...] = 0

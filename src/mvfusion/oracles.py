@@ -1,7 +1,8 @@
 """Literal reference implementations shared by selfcheck and the tests.
 
 These deliberately avoid the library's vectorized paths: cell indices come
-from the scalar per-point projectors, pooling is a literal double loop over
+from the scalar per-point projectors defined here, which read a PointArray
+one point at a time by column index (point_at), pooling is a literal double loop over
 target cells and points, convolution is a sextuple loop, gradients are
 central finite differences, the output fit updates every entry of every
 array at every try, IoU is a Monte-Carlo area estimate and polygon
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Point3, RotatedBox2D, box_corners, points_in_box, rotated_iou
+from .geometry import RotatedBox2D, box_corners, points_in_box, rotated_iou
 from .losses import (
     DECAY,
     CellGradients,
@@ -29,16 +31,77 @@ from .losses import (
 from .metrics import MIN_DECODED_SIDE, DetBox
 from .network import CellOutputs
 from .scene import CLASSES, PointArray
-from .views import (
-    CameraGeometry,
-    FeatureMap,
-    GridSpec,
-    OutputGrid,
-    RvSpec,
-    bev_cell_of,
-    camera_pixel_of,
-    rv_cell_of,
-)
+from .views import CameraGeometry, CameraModel, FeatureMap, GridSpec, OutputGrid, RvSpec, camera_pixels_of
+
+
+class Point3(NamedTuple):
+    """A 3D point in a right-handed frame: x forward, y left, z up (meters)."""
+
+    x: float
+    y: float
+    z: float
+
+
+class LidarPoint(NamedTuple):
+    """One LiDAR return: ego-frame position plus raw sensor fields."""
+
+    x: float
+    y: float
+    z: float
+    range: float
+    intensity: float
+    azimuth: float
+    laser: int
+
+
+class CellIndex(NamedTuple):
+    row: int
+    col: int
+
+
+def point_at(points: PointArray, i: int) -> LidarPoint:
+    """Point i of a PointArray, read from its columns."""
+    return LidarPoint(
+        float(points.x[i]), float(points.y[i]), float(points.z[i]), float(points.range[i]),
+        float(points.intensity[i]), float(points.azimuth[i]), int(points.laser[i]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# scalar per-point projectors: the references for views' array projectors
+# ---------------------------------------------------------------------------
+
+def bev_cell_of(point, grid: GridSpec) -> Optional[CellIndex]:
+    """Planar BEV cell of a point, or None outside the x/y extent."""
+    row = math.floor((point.x - grid.x_min) / grid.cell_length)
+    col = math.floor((point.y - grid.y_min) / grid.cell_width)
+    if 0 <= row < grid.rows and 0 <= col < grid.cols:
+        return CellIndex(int(row), int(col))
+    return None
+
+
+def rv_cell_of(point, rv: RvSpec) -> CellIndex:
+    """RV cell of a LiDAR return: laser ID is the row, azimuth bins the column.
+
+    Total for valid laser IDs; azimuth must be in [0, 2*pi).
+    """
+    m = int(point.laser)
+    if not 0 <= m < rv.rows:
+        raise ValueError(f"laser ID {m} outside {rv.rows} rows")
+    col = int(point.azimuth / (2.0 * math.pi) * rv.cols)
+    return CellIndex(m, min(col, rv.cols - 1))
+
+
+def camera_pixel_of(point, cam: CameraModel) -> Optional[CellIndex]:
+    """Cropped-image pixel of an ego-frame point, or None when not visible.
+
+    Not visible means: behind the camera, outside the image bounds, or in
+    the cropped top band.
+    """
+    rows, cols, valid = camera_pixels_of(np.array([[point.x, point.y, point.z]]), cam)
+    if not valid[0]:
+        return None
+    return CellIndex(int(rows[0]), int(cols[0]))
 
 
 def eq1_literal(target_shape, channels, tgt_cells, src_feats):
@@ -72,7 +135,7 @@ def scalar_cells(geometry, points: PointArray):
     """Per-point cell indices via the scalar projectors (None when outside)."""
     cells = []
     for i in range(len(points)):
-        p = points[i]
+        p = point_at(points, i)
         if isinstance(geometry, GridSpec):
             cells.append(bev_cell_of(Point3(p.x, p.y, p.z), geometry))
         elif isinstance(geometry, RvSpec):

@@ -41,19 +41,19 @@ from .network import (
 from .presets import Preset, bev_stack_channels
 from .projection import project_features
 from .raster import build_rv_image, rasterize_map, stack_history_bev
-from .scene import Scene, SceneConfig, build_scene, render_camera, scene_labels, simulate_sweep
+from .scene import LABEL_RATE_HZ, Scene, SceneConfig, build_scene, render_camera, scene_labels, simulate_sweep
 from .views import CameraModel, FeatureMap, GridSpec, OutputGrid, RvSpec
 
-LABEL_RATE = 10.0
+FRAME_SPACING = 0.5  # seconds between generated frame bundles
 
 
 def frame_times(preset: Preset, frames: int) -> list[float]:
     t0 = (preset.sweep_count - 1) * preset.sweep_period
-    return [t0 + i * preset.frame_spacing for i in range(frames)]
+    return [t0 + i * FRAME_SPACING for i in range(frames)]
 
 
 def scene_config_for(preset: Preset, seed: int, frames: int) -> SceneConfig:
-    duration = frame_times(preset, frames)[-1] + preset.horizon / LABEL_RATE + 0.1
+    duration = frame_times(preset, frames)[-1] + preset.horizon / LABEL_RATE_HZ + 0.1
     return replace(preset.scene, seed=seed, duration=duration)
 
 
@@ -316,19 +316,18 @@ def benchmark_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights
     return {**medians, "total": float(np.median(totals))}
 
 
-def fit_frame(bundle: FrameBundle, preset: Preset, steps: int = 500,
-              learning_rate: float = 0.2, output_stride: int = 1, seed: int = 0):
+def fit_frame(bundle: FrameBundle, preset: Preset, steps: int = 500, output_stride: int = 1, seed: int = 0):
     targets = encode_targets(bundle.labels, preset.grid, output_stride, preset.horizon)
-    return fit_outputs(targets, steps=steps, learning_rate=learning_rate, seed=seed), targets
+    return fit_outputs(targets, steps=steps, learning_rate=0.2, seed=seed), targets
 
 
-def evaluate_bundles(det_label_frames, preset: Preset, recall_target: float = 0.8,
-                     use_fov_slices: bool = True) -> MetricsReport:
+def evaluate_bundles(det_label_frames, preset: Preset, recall_target: float = 0.8) -> MetricsReport:
+    """The metrics of decoded frames, on the whole grid and in the camera's FOV slices."""
     return evaluate_frames(
         det_label_frames,
         recall_target=recall_target,
         horizon=preset.horizon,
-        camera=preset.camera if use_fov_slices else None,
+        camera=preset.camera,
         range_bands=preset.range_bands,
     )
 

@@ -32,15 +32,17 @@ class Preset:
     camera: CameraModel
     sweep_count: int
     sweep_period: float
-    horizon: int
     fusion: FusionConfig
     scene: SceneConfig
     range_bands: tuple = ((0.0, 25.0), (25.0, 50.0))
-    frame_spacing: float = 0.5  # seconds between generated frame bundles
 
     @property
     def rv(self) -> RvSpec:
         return rv_spec_for(self.sensor)
+
+    @property
+    def horizon(self) -> int:
+        return self.fusion.horizon
 
 
 def _desk_sensor() -> LidarSensorSpec:
@@ -60,8 +62,7 @@ def _atg4d() -> Preset:
         camera=CameraModel.from_fov(1920, 1200, 90.0, crop_top=438),
         sweep_count=10,
         sweep_period=0.1,
-        horizon=30,
-        fusion=FusionConfig(horizon=30),
+        fusion=FusionConfig(),
         scene=SceneConfig(vehicles=4, pedestrians=2, bicyclists=1, extent=35.0, ego_speed=2.0),
         range_bands=((0.0, 75.0), (0.0, 25.0), (25.0, 50.0), (50.0, 75.0)),
     )
@@ -75,8 +76,7 @@ def _nuscenes() -> Preset:
         camera=CameraModel.from_fov(1600, 900, 70.0),
         sweep_count=10,
         sweep_period=0.05,
-        horizon=30,
-        fusion=FusionConfig(horizon=30),
+        fusion=FusionConfig(),
         scene=SceneConfig(vehicles=4, pedestrians=2, bicyclists=1, extent=35.0, ego_speed=2.0),
         range_bands=((0.0, 50.0), (0.0, 25.0), (25.0, 50.0)),
     )
@@ -90,9 +90,7 @@ def _desk() -> Preset:
         camera=CameraModel.from_fov(96, 64, 90.0),
         sweep_count=3,
         sweep_period=0.1,
-        horizon=30,
         fusion=FusionConfig(
-            horizon=30,
             rv_width=16,
             cam_widths=(8, 8, 16, 16, 32, 32),
             unet_width=32,

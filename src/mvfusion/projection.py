@@ -14,7 +14,7 @@ source cell) before summing, so results are bit-reproducible and
 bit-identical under any permutation of the input points (points sharing
 both cells carry identical feature vectors, making their mutual order
 irrelevant). The sums are taken over consecutive blocks of whole hit
-cells in that order, about _BLOCK_BYTES of float64 contributions at a
+cells in that order, about arena.CHUNK_BYTES of float64 contributions at a
 time, so the per-point feature rows never exist all at once; each cell's
 sum is the same sequence of additions as over all points at once. Only
 the averages are scattered into the target grid, which has the source's
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arena import CHUNK_BYTES
 from .scene import PointArray
 from .views import (
     BEV,
@@ -40,9 +41,6 @@ from .views import (
     camera_pixels_of,
     rv_cells_of,
 )
-
-
-_BLOCK_BYTES = 2 << 20  # float64 contribution rows summed at once; as network._CHUNK_BYTES, below 4 MiB
 
 
 def view_of(geometry) -> str:
@@ -72,7 +70,7 @@ def grid_shape_of(geometry) -> tuple[int, int]:
 def cells_for(geometry, xyz: np.ndarray, laser: np.ndarray, azimuth: np.ndarray):
     """Vectorized per-point cell indices for a view: (rows, cols, valid)."""
     if isinstance(geometry, GridSpec):
-        return bev_cells_of(xyz[:, :2], geometry)
+        return bev_cells_of(xyz[:, 0], xyz[:, 1], geometry)
     if isinstance(geometry, RvSpec):
         rows, cols = rv_cells_of(laser, azimuth, geometry)
         return rows, cols, np.ones(len(rows), dtype=bool)
@@ -136,7 +134,7 @@ def project_features(
         sr, sc = sr[order], sc[order]
         hit_rows, hit_cols = np.divmod(cells, cols_t)
         starts = np.concatenate([[0], np.cumsum(count)])  # cell k's contributions: starts[k]..starts[k + 1] - 1
-        per_block = max(1, _BLOCK_BYTES // (channels * 8))
+        per_block = max(1, CHUNK_BYTES // (channels * 8))
         c0 = 0
         while c0 < cells.size:  # blocks of whole cells, about per_block contributions each
             c1 = max(c0 + 1, min(int(np.searchsorted(starts, starts[c0] + per_block)), cells.size))

@@ -23,7 +23,7 @@ import numpy as np
 from .arena import output_array
 from .geometry import se2_compose, se2_inverse, transform_xy
 from .scene import PointArray, Sweep
-from .views import BEV, RV, FeatureMap, GridSpec, RvSpec, rv_cells_of
+from .views import BEV, RV, FeatureMap, GridSpec, OutputGrid, RvSpec, bev_cells_of, rv_cells_of
 
 MAP_LINE_WIDTH = 0.2  # default buffer for polyline layers, meters
 
@@ -32,14 +32,9 @@ def _occupancy_into(points: PointArray, grid: GridSpec, out: np.ndarray) -> None
     # half-open cells [min, min + step); out is a (rows, cols, z_cells) slice
     if len(points) == 0:
         return
-    rows = np.floor((points.x - grid.x_min) / grid.cell_length).astype(np.int64)
-    cols = np.floor((points.y - grid.y_min) / grid.cell_width).astype(np.int64)
+    rows, cols, valid = bev_cells_of(points.x, points.y, grid)
     zs = np.floor((points.z - grid.z_min) / grid.cell_height).astype(np.int64)
-    keep = (
-        (rows >= 0) & (rows < grid.rows)
-        & (cols >= 0) & (cols < grid.cols)
-        & (zs >= 0) & (zs < grid.z_cells)
-    )
+    keep = valid & (zs >= 0) & (zs < grid.z_cells)
     out[rows[keep], cols[keep], zs[keep]] = 1
 
 
@@ -79,12 +74,6 @@ def stack_history_bev(sweeps: Sequence[Sweep], grid: GridSpec, expected_count: i
 # ---------------------------------------------------------------------------
 # map rasterization
 # ---------------------------------------------------------------------------
-
-def _cell_centers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    xs = grid.x_min + (np.arange(grid.rows) + 0.5) * grid.cell_length
-    ys = grid.y_min + (np.arange(grid.cols) + 0.5) * grid.cell_width
-    return xs, ys
-
 
 def _fill_polygon(channel: np.ndarray, poly: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
     x0, y0 = poly.min(axis=0)
@@ -140,7 +129,7 @@ def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WID
     """
     from .scene import LAYER_NAMES, POLYGON
 
-    xs, ys = _cell_centers(grid)
+    xs, ys = OutputGrid.from_grid(grid, 1).cell_centers()
     data = output_array(out, (grid.rows, grid.cols, len(LAYER_NAMES)), np.uint8)
     for c, name in enumerate(LAYER_NAMES):
         mask = np.zeros((grid.rows, grid.cols), dtype=bool)

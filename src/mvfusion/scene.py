@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,18 +44,6 @@ SKY_COLOR = (0.53, 0.81, 0.92)
 LABEL_RATE_HZ = 10.0  # waypoint sampling rate for prediction targets
 
 
-class LidarPoint(NamedTuple):
-    """One LiDAR return: ego-frame position plus raw sensor fields."""
-
-    x: float
-    y: float
-    z: float
-    range: float
-    intensity: float
-    azimuth: float
-    laser: int
-
-
 @dataclass
 class PointArray:
     """Column-oriented container for the returns of one sweep."""
@@ -70,12 +58,6 @@ class PointArray:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> LidarPoint:
-        return LidarPoint(
-            float(self.x[i]), float(self.y[i]), float(self.z[i]), float(self.range[i]),
-            float(self.intensity[i]), float(self.azimuth[i]), int(self.laser[i]),
-        )
 
     @property
     def xyz(self) -> np.ndarray:

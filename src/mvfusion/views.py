@@ -2,9 +2,10 @@
 
 A FeatureMap is the common currency of the pipeline: a dense (height,
 width, channels) grid tagged with its view (bev / rv / camera) and the
-geometry object that maps points into it. The per-point projectors here
-return the cell index a point falls into, or None when the point leaves
-the view; they are the building blocks of cross-view feature projection.
+geometry object that maps points into it. The projectors here map arrays
+of points to their cells in one view, with a validity mask for the points
+that leave it; they are the building blocks of cross-view feature
+projection.
 
 Cell membership everywhere uses half-open intervals [min, min + step):
 a coordinate exactly on the upper boundary of the last cell is dropped.
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
-
 import numpy as np
 
 from .geometry import Pose2, se2_inverse
@@ -30,11 +29,6 @@ _RATIO_EPS = 1e-9
 def cell_count(extent: float, step: float) -> int:
     """Ceiling cell count, robust to float noise in exact-ratio configs."""
     return int(math.ceil(extent / step - _RATIO_EPS))
-
-
-class CellIndex(NamedTuple):
-    row: int
-    col: int
 
 
 @dataclass(frozen=True)
@@ -218,55 +212,23 @@ class FeatureMap:
 
 
 # ---------------------------------------------------------------------------
-# per-point projectors (scalar and vectorized forms)
+# point projectors
 # ---------------------------------------------------------------------------
 
-def bev_cell_of(point, grid: GridSpec) -> Optional[CellIndex]:
-    """Planar BEV cell of a point, or None outside the x/y extent."""
-    row = math.floor((point.x - grid.x_min) / grid.cell_length)
-    col = math.floor((point.y - grid.y_min) / grid.cell_width)
-    if 0 <= row < grid.rows and 0 <= col < grid.cols:
-        return CellIndex(int(row), int(col))
-    return None
-
-
-def bev_cells_of(xy: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized BEV mapping: (rows, cols, valid) for an (N, 2) array."""
-    rows = np.floor((xy[:, 0] - grid.x_min) / grid.cell_length).astype(np.int64)
-    cols = np.floor((xy[:, 1] - grid.y_min) / grid.cell_width).astype(np.int64)
+def bev_cells_of(x: np.ndarray, y: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Planar BEV cells of points with coordinates x, y: (rows, cols, valid)."""
+    rows = np.floor((x - grid.x_min) / grid.cell_length).astype(np.int64)
+    cols = np.floor((y - grid.y_min) / grid.cell_width).astype(np.int64)
     valid = (rows >= 0) & (rows < grid.rows) & (cols >= 0) & (cols < grid.cols)
     return rows, cols, valid
 
 
-def rv_cell_of(point, rv: RvSpec) -> CellIndex:
-    """RV cell of a LiDAR return: laser ID is the row, azimuth bins the column.
-
-    Total for valid laser IDs; azimuth must be in [0, 2*pi).
-    """
-    m = int(point.laser)
-    if not 0 <= m < rv.rows:
-        raise ValueError(f"laser ID {m} outside {rv.rows} rows")
-    col = int(point.azimuth / (2.0 * math.pi) * rv.cols)
-    return CellIndex(m, min(col, rv.cols - 1))
-
-
 def rv_cells_of(laser: np.ndarray, azimuth: np.ndarray, rv: RvSpec) -> tuple[np.ndarray, np.ndarray]:
+    """RV cells of LiDAR returns: laser ID is the row, azimuth in [0, 2*pi) bins the column."""
     if laser.size and (laser.min() < 0 or laser.max() >= rv.rows):
         raise ValueError("laser ID outside RV rows")
     cols = np.minimum((azimuth / (2.0 * math.pi) * rv.cols).astype(np.int64), rv.cols - 1)
     return laser.astype(np.int64), cols
-
-
-def camera_pixel_of(point, cam: CameraModel) -> Optional[CellIndex]:
-    """Cropped-image pixel of an ego-frame point, or None when not visible.
-
-    Not visible means: behind the camera, outside the image bounds, or in
-    the cropped top band.
-    """
-    rows, cols, valid = camera_pixels_of(np.array([[point.x, point.y, point.z]]), cam)
-    if not valid[0]:
-        return None
-    return CellIndex(int(rows[0]), int(cols[0]))
 
 
 def camera_pixels_of(xyz: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

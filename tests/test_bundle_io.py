@@ -1,3 +1,4 @@
+import hashlib
 import zlib
 
 import numpy as np
@@ -12,7 +13,7 @@ from mvfusion.bundle_io import (
     read_frame_bundle,
     write_frame_bundle,
 )
-from mvfusion.pipeline import generate_bundles
+from mvfusion.pipeline import forward_frame, generate_bundles, make_weights
 from mvfusion.presets import get_preset
 from mvfusion.scene import SceneConfig
 
@@ -113,3 +114,25 @@ def test_bundle_preset_mismatch(tmp_path, desk_bundle):
     with pytest.raises(PresetMismatchError):
         read_frame_bundle(path, expected_preset="atg4d")
     read_frame_bundle(path, expected_preset="desk")
+
+
+def test_bundle_read_without_camera_forwards_with_the_preset_camera(tmp_path, desk_bundle):
+    preset, bundle = desk_bundle
+    path = tmp_path / "f.bin"
+    write_frame_bundle(path, bundle)
+    weights = make_weights(preset, seed=0)
+
+    def digest(read):
+        return hashlib.sha256(forward_frame(read, preset, weights).pack().tobytes()).hexdigest()
+
+    assert digest(read_frame_bundle(path)) == digest(read_frame_bundle(path, camera=preset.camera))
+
+
+def test_bundle_naming_an_unknown_preset(tmp_path, desk_bundle):
+    preset, bundle = desk_bundle
+    path = tmp_path / "u.bin"
+    write_frame_bundle(path, bundle)
+    body = path.read_bytes()[:-len("crc32 00000000\n")].replace(b"\npreset desk\n", b"\npreset kitti\n", 1)
+    path.write_bytes(body + b"crc32 %08x\n" % (zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(BundleFormatError, match="unknown preset 'kitti'"):
+        read_frame_bundle(path)

@@ -22,10 +22,9 @@ from mvfusion.metrics import (
     operating_threshold_for_recall,
 )
 from mvfusion.network import CellOutputs
-from mvfusion.oracles import decode_detections_literal, monte_carlo_iou
+from mvfusion.oracles import Point3, camera_pixel_of, decode_detections_literal, monte_carlo_iou
 from mvfusion.scene import ActorLabel
-from mvfusion.views import CameraModel, OutputGrid, camera_pixel_of
-from mvfusion.geometry import Point3
+from mvfusion.views import CameraModel, OutputGrid
 
 
 def _det(cls="vehicle", score=0.9, box=None, waypoints=None, horizon=30):

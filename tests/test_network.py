@@ -195,7 +195,7 @@ def _whole_input_padding_im2col(data, kernel, bias, stride):
     padded[pad_h // 2:pad_h // 2 + h, pad_w // 2:pad_w // 2 + w] = data
     wmat = kernel.reshape(-1, cout).astype(data.dtype)
     out = np.empty((oh, ow, cout), dtype=data.dtype)
-    chunk = max(1, network._CHUNK_BYTES // (ow * kh * kw * cin * data.itemsize))
+    chunk = max(1, network.CHUNK_BYTES // (ow * kh * kw * cin * data.itemsize))
     for r0 in range(0, oh, chunk):
         r1 = min(r0 + chunk, oh)
         win = np.lib.stride_tricks.sliding_window_view(padded[r0 * sh:(r1 - 1) * sh + kh], (kh, kw), axis=(0, 1))
@@ -212,7 +212,7 @@ def test_conv_chunk_padding_is_bit_identical(monkeypatch, dtype, stride, rows_pe
     data = rng.normal(size=(23, 17, 5)).astype(dtype)  # dense: the im2col path
     kernel, bias = rng.normal(size=(3, 3, 5, 6)), rng.normal(size=6)
     ow = conv_output_shape(23, 17, stride)[1]
-    monkeypatch.setattr(network, "_CHUNK_BYTES", rows_per_chunk * ow * 9 * 5 * np.dtype(dtype).itemsize)
+    monkeypatch.setattr(network, "CHUNK_BYTES", rows_per_chunk * ow * 9 * 5 * np.dtype(dtype).itemsize)
     got = conv2d_raw(data, kernel, bias, stride=stride)
     assert got.dtype == dtype
     assert np.array_equal(got, _whole_input_padding_im2col(data, kernel, bias, stride))
@@ -232,7 +232,7 @@ def test_conv_peak_memory_stays_below_a_padded_input_copy(occupied_share):
         tracemalloc.stop()
     # The input was allocated before tracing started; a padded copy of it
     # (17.3 MB) on top of the output and a full im2col chunk breaks the bound.
-    assert peak < data.nbytes + out.nbytes + network._CHUNK_BYTES
+    assert peak < data.nbytes + out.nbytes + network.CHUNK_BYTES
 
 
 def _unblocked_occupied_conv(data, kernel, bias):
@@ -261,7 +261,7 @@ def test_occupied_blocks_are_bit_identical(monkeypatch, dtype, cin, cout, rows_p
     calls = []
     kernel_fn = network._conv2d_occupied
     monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
-    monkeypatch.setattr(network, "_CHUNK_BYTES", rows_per_block * max(cin, cout) * np.dtype(dtype).itemsize)
+    monkeypatch.setattr(network, "CHUNK_BYTES", rows_per_block * max(cin, cout) * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(12)
     h, w = 29, 23
     mask = rng.uniform(size=(h, w)) < 0.15
@@ -278,7 +278,7 @@ def test_occupied_kernel_temporaries_stay_within_the_chunk_bound(monkeypatch):
     calls = []
     kernel_fn = network._conv2d_occupied
     monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
-    monkeypatch.setattr(network, "_CHUNK_BYTES", 1 << 20)
+    monkeypatch.setattr(network, "CHUNK_BYTES", 1 << 20)
     rng = np.random.default_rng(6)
     data = rng.random((256, 256, 128), dtype=np.float32)
     data *= rng.random((256, 256, 1), dtype=np.float32) < 0.1
@@ -294,7 +294,7 @@ def test_occupied_kernel_temporaries_stay_within_the_chunk_bound(monkeypatch):
     assert calls
     # A tap's product and its gathered output rows over all 6.5k occupied
     # pixels (3.4 MB each) break the bound; 1 MiB blocks of them do not.
-    assert peak < out.nbytes + rows_nbytes + 4 * network._CHUNK_BYTES
+    assert peak < out.nbytes + rows_nbytes + 4 * network.CHUNK_BYTES
 
 
 @settings(max_examples=80, deadline=None)

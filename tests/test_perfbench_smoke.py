@@ -7,6 +7,7 @@ traced, that every wrapped layer function is reached. These runs catch a
 change that breaks one of those checks.
 """
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,17 @@ def test_desk_stream_run_passes_its_checks(trace):
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_desk_fit_run_passes_its_checks(trace):
     _run_passes_its_checks("desk-fit", trace)
+
+
+def test_benchmark_imports_leave_the_reference_code_out():
+    # The benchmark compiles its imports at every start (PYTHONDONTWRITEBYTECODE
+    # is set), so its set-up time pays for every module they load. The
+    # package modules perfbench/workloads.py imports must not pull in the
+    # literal oracles or the selfcheck suite.
+    modules = ("bundle_io", "losses", "metrics", "network", "pipeline", "projection", "raster", "presets",
+               "scene", "views")
+    code = "import sys\n" + "".join(f"import mvfusion.{m}\n" for m in modules) + (
+        "print(sorted(m for m in ('mvfusion.oracles', 'mvfusion.selfcheck') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from mvfusion.network import (
     rv_branch_forward,
 )
 from mvfusion.pipeline import (
+    FRAME_SPACING,
     benchmark_frame,
     evaluate_bundles,
     fit_frame,
@@ -53,7 +54,7 @@ def test_frame_times_cover_history():
     preset = get_preset("desk")
     times = frame_times(preset, 3)
     assert times[0] == pytest.approx((preset.sweep_count - 1) * preset.sweep_period)
-    assert times[2] - times[1] == pytest.approx(preset.frame_spacing)
+    assert times[2] - times[1] == pytest.approx(FRAME_SPACING)
 
 
 def test_generation_deterministic_bytes(tmp_path):
@@ -189,6 +190,35 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
     monkeypatch.setattr(network, "conv2d_forward", conv)
     forward_frame(bundle, preset, weights)
     assert projected == fuse_in == [True]
+
+
+@pytest.mark.parametrize("use_camera", [True, False])
+def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch, use_camera):
+    # frame_steps and the branch functions both describe the forward pass:
+    # every conv must read the tensor its step reads and write the one it
+    # writes (for rv.conv2 with the camera, the leading channels of
+    # unet.enc1.in), in the plan's step order
+    preset, bundle = desk_frame
+    weights = make_weights(preset, seed=0, use_camera=use_camera)
+    plan = layer_plan(preset, weights)
+    conv_steps = [s for s in pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan)
+                  if s.name in plan.layers]
+    steps = {s.name: s for s in conv_steps}
+    arena = pipeline.frame_arena(pipeline.frame_plan(preset, plan))
+    conv_fn = network.conv2d_forward
+    calls = []
+
+    def conv(fm, layer, weights, out=None, **kwargs):
+        step = steps[layer.name]
+        written = arena.view(step.writes[0][0])
+        calls.append((layer.name, fm.data is arena.view(step.reads[0]),
+                      out is not None and out.ctypes.data == written.ctypes.data and np.shares_memory(out, written)))
+        return conv_fn(fm, layer, weights, out=out, **kwargs)
+
+    monkeypatch.setattr(network, "conv2d_forward", conv)
+    forward_frame(bundle, preset, weights)
+    assert any(s.name == "rv.conv2" and s.writes[0][0] == "unet.enc1.in" for s in conv_steps) == use_camera
+    assert calls == [(s.name, True, True) for s in conv_steps]
 
 
 def test_cell_outputs_artifact_roundtrip(tmp_path, desk_frame):

@@ -122,10 +122,9 @@ def test_distinct_cells_pure_gather_scatter():
     feats, validity = project_features(source, pts, grid)
     assert validity.data[:, :, 0].sum() == 4 - (validity.data.shape[0] * validity.data.shape[1] - 4)
     for i in range(4):
-        p = pts[i]
-        r = math.floor((p.x - grid.x_min) / 0.5)
-        c = math.floor((p.y - grid.y_min) / 0.5)
-        src = (p.laser, int(p.azimuth / (2 * math.pi) * rv.cols))
+        r = math.floor((pts.x[i] - grid.x_min) / 0.5)
+        c = math.floor((pts.y[i] - grid.y_min) / 0.5)
+        src = (pts.laser[i], int(pts.azimuth[i] / (2 * math.pi) * rv.cols))
         assert np.array_equal(feats.data[r, c], source.data[src])
 
 
@@ -242,9 +241,9 @@ def test_blocked_sums_equal_the_unblocked_call(monkeypatch, dtype, points_per_bl
     rv, grid = rv8(), small_grid()
     source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, 5)).astype(dtype), rv)
     pts = random_points(rng, 900, rv.rows, spread=2.0)  # about 10 points per hit cell
-    monkeypatch.setattr(projection, "_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(projection, "CHUNK_BYTES", 1 << 40)
     want_feats, want_validity = project_features(source, pts, grid)
-    monkeypatch.setattr(projection, "_BLOCK_BYTES", points_per_block * 5 * 8)
+    monkeypatch.setattr(projection, "CHUNK_BYTES", points_per_block * 5 * 8)
     feats, validity = project_features(source, pts, grid)
     assert np.array_equal(feats.data, want_feats.data) and np.array_equal(validity.data, want_validity.data)
 
@@ -265,4 +264,4 @@ def test_projection_temporaries_stay_within_the_block_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * projection._BLOCK_BYTES + 160 * len(pts)
+    assert peak < 3 * projection.CHUNK_BYTES + 160 * len(pts)

@@ -177,8 +177,8 @@ def test_sweep_analytic_face_range():
     sweep = simulate_sweep(scene, sensor, 0.0)
     assert len(sweep.points) == 1
     assert abs(sweep.points.range[0] - 10.0) < 1e-9
-    assert sweep.points[0].laser == 0
-    assert sweep.points[0].azimuth == 0.0
+    assert sweep.points.laser[0] == 0
+    assert sweep.points.azimuth[0] == 0.0
 
 
 def test_sweep_occlusion_nearest_hit():
