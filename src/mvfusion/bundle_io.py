@@ -109,21 +109,31 @@ def encode_ppm(image: np.ndarray) -> bytes:
 def decode_ppm(raw: bytes) -> np.ndarray:
     """(H, W, 3) values in [0, 1] from an encode_ppm image: header lines
     "P6", "W H" and "255", then exactly H * W * 3 bytes."""
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P6":
+    return _decode_ppm(raw, 0, len(raw))
+
+
+def _decode_ppm(data: bytes, start: int, end: int) -> np.ndarray:
+    """decode_ppm of data[start:end], read in place: only the header lines are copied."""
+    lines = []
+    for _ in range(3):
+        stop = data.find(b"\n", start, end)
+        if stop < 0:
+            break
+        lines.append(data[start:stop])
+        start = stop + 1
+    if (lines[0] if lines else data[start:end]) != b"P6":
         raise BundleFormatError("not a binary PPM")
-    if len(parts) < 4:
+    if len(lines) < 3:
         raise BundleFormatError("truncated PPM header")
-    dims = parts[1].split()
+    dims = lines[1].split()
     if len(dims) != 2 or not all(d.isdigit() for d in dims):
-        raise BundleFormatError(f"PPM size line {parts[1][:40]!r} is not two counts")
+        raise BundleFormatError(f"PPM size line {lines[1][:40]!r} is not two counts")
     w, h = int(dims[0]), int(dims[1])
-    if parts[2] != b"255":
-        raise BundleFormatError(f"PPM maxval {parts[2][:40]!r}, expected 255")
-    body = parts[3]
-    if len(body) != h * w * 3:
-        raise BundleFormatError(f"PPM payload is {len(body)} bytes, a {w}x{h} image needs {h * w * 3}")
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
+    if lines[2] != b"255":
+        raise BundleFormatError(f"PPM maxval {lines[2][:40]!r}, expected 255")
+    if end - start != h * w * 3:
+        raise BundleFormatError(f"PPM payload is {end - start} bytes, a {w}x{h} image needs {h * w * 3}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=h * w * 3, offset=start).reshape(h, w, 3)
     return pixels / 255.0
 
 
@@ -218,9 +228,10 @@ def _parse_sweep_header(header: str) -> tuple[float, float, float, float, int]:
     return t, tx, ty, yaw, _parse_int(parts[4], "sweep point count")
 
 
-def _parse_sweep(header: tuple, payload: bytes) -> Sweep:
+def _parse_sweep(header: tuple, data: bytes, offset: int) -> Sweep:
+    """The sweep whose point records start at data[offset], read in place."""
     t, tx, ty, yaw, n = header
-    rec = np.frombuffer(payload, dtype="<f4", count=n * _POINT_FIELDS).reshape(n, _POINT_FIELDS)
+    rec = np.frombuffer(data, dtype="<f4", count=n * _POINT_FIELDS, offset=offset).reshape(n, _POINT_FIELDS)
     if not np.isfinite(rec).all():
         raise BundleFormatError(f"sweep at t={t!r}: non-finite point values")
     laser = rec[:, 6]
@@ -268,26 +279,30 @@ def read_frame_bundle(path: str | Path, expected_preset: str | None = None,
     trailer_len = len("crc32 00000000\n")
     if len(raw) < trailer_len:
         raise BundleFormatError(f"{path}: truncated file")
-    body, trailer = raw[:-trailer_len], raw[-trailer_len:]
+    body_len, trailer = len(raw) - trailer_len, raw[-trailer_len:]
     if not re.fullmatch(rb"crc32 [0-9a-fA-F]{8}\n", trailer):
         raise BundleFormatError(f"{path}: missing checksum trailer")
-    if zlib.crc32(body) & 0xFFFFFFFF != int(trailer[6:14], 16):
+    if zlib.crc32(memoryview(raw)[:body_len]) & 0xFFFFFFFF != int(trailer[6:14], 16):
         raise BundleFormatError(f"{path}: checksum failure")
     try:
-        return _parse_bundle(body, camera, expected_preset)
+        return _parse_bundle(raw, body_len, camera, expected_preset)
     except BundleFormatError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _parse_bundle(body: bytes, camera: CameraModel | None, expected_preset: str | None) -> FrameBundle:
-    header_end = body.find(b"\nend\n")
+def _parse_bundle(data: bytes, body_len: int, camera: CameraModel | None,
+                  expected_preset: str | None) -> FrameBundle:
+    """The bundle whose manifest and payload are data[:body_len]. The
+    payload is read in place: the point records and the image are decoded
+    straight from data, never sliced out of it."""
+    header_end = data.find(b"\nend\n", 0, body_len)
     if header_end < 0:
         raise BundleFormatError("no manifest terminator")
     try:
-        manifest = body[:header_end].decode("ascii").splitlines()
+        manifest = data[:header_end].decode("ascii").splitlines()
     except UnicodeDecodeError:
         raise BundleFormatError("manifest is not ASCII text") from None
-    payload = body[header_end + len(b"\nend\n"):]
+    payload_start = header_end + len(b"\nend\n")
 
     if not manifest or manifest[0] != f"{BUNDLE_MAGIC} v1":
         raise BundleFormatError(f"bad magic or version {manifest[0][:40] if manifest else ''!r}")
@@ -320,16 +335,16 @@ def _parse_bundle(body: bytes, camera: CameraModel | None, expected_preset: str 
         raise BundleFormatError("manifest lines after the image line")
 
     sweeps = []
-    offset = 0
+    offset = payload_start
     for header in sweep_headers:
         size = header[4] * _POINT_FIELDS * 4
-        if offset + size > len(payload):
+        if offset + size > body_len:
             raise BundleFormatError("truncated sweep payload")
-        sweeps.append(_parse_sweep(header, payload[offset:offset + size]))
+        sweeps.append(_parse_sweep(header, data, offset))
         offset += size
-    if offset + image_bytes != len(payload):
-        raise BundleFormatError(f"image payload is {len(payload) - offset} bytes, the manifest says {image_bytes}")
-    image = decode_ppm(payload[offset:])
+    if offset + image_bytes != body_len:
+        raise BundleFormatError(f"image payload is {body_len - offset} bytes, the manifest says {image_bytes}")
+    image = _decode_ppm(data, offset, body_len)
     if camera is None:
         try:
             camera = get_preset(preset).camera

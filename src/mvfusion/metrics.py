@@ -205,7 +205,7 @@ def operating_threshold_for_recall(results: Sequence[MatchResult],
     return float(scores[reached[0]])
 
 
-def displacement_error(tp_pairs: Sequence[tuple[DetBox, ActorLabel]], horizon: int = 30) -> float:
+def displacement_error(tp_pairs: Sequence[tuple[DetBox, ActorLabel]], horizon: int) -> float:
     """Mean Euclidean error at the given horizon over TP pairs, in centimeters."""
     if not tp_pairs:
         raise ValueError("displacement error needs at least one matched pair")
@@ -278,11 +278,15 @@ class MetricsReport:
 def evaluate_frames(
     frames: Sequence[tuple[Sequence[DetBox], Sequence[ActorLabel]]],
     recall_target: float = DEFAULT_RECALL_TARGET,
-    horizon: int = 30,
+    *,
+    horizon: int,
     camera: CameraModel | None = None,
-    range_bands: Sequence[tuple[float, float]] = ((0.0, 25.0), (25.0, 50.0)),
+    range_bands: Sequence[tuple[float, float]],
 ) -> MetricsReport:
-    """AP, operating threshold, and DE per class and slice over a frame set."""
+    """AP, operating threshold, and DE per class and slice over a frame set.
+
+    horizon and range_bands are the preset's (Preset.horizon,
+    Preset.range_bands), as pipeline.evaluate_bundles passes them."""
     slices: dict[str, list[tuple[list, list]]] = {"full": []}
     for dets, labels in frames:
         slices["full"].append((list(dets), list(labels)))

@@ -9,7 +9,9 @@ trajectory outputs for every class.
 
 Weights are seeded pseudo-random or loaded from a block file; there is no
 training here. Convolutions are plain cross-correlations with zero SAME
-padding, computed by one of two kernels chosen from the input alone:
+padding, computed by one of three kernels chosen from the input's shape and
+occupancy alone, by a constant rule (conv_kernel_of), never tuned at run
+time:
 
 - occupied-pixel: a stride-(1, 1) input whose occupied pixels (channel rows
   that are not all zero) are at most _OCCUPIED_SHARE of the grid, such as
@@ -17,11 +19,23 @@ padding, computed by one of two kernels chosen from the input alone:
   each tap multiplies them and scatter-adds into the shifted output cells.
   This is ordinary sparse convolution (SECOND), not the submanifold kind:
   every output cell equals the dense conv's, up to summation order.
+- Winograd F(2x2, 3x3) (Lavin & Gray, CVPR 2016) for a dense 3x3 stride-(1,
+  1) input of at least _WINOGRAD_MIN_CHANNELS channels and
+  _WINOGRAD_MIN_PIXELS pixels (winograd_shape): on atg4d, unet.enc1, the
+  unet residual convs, unet.fuse, fuse.conv2, fuse.conv4-6 and fuse.head;
+  no desk layer. Each 2x2 output tile costs 16 products over the channels
+  instead of 36. Its input and output transforms only add and subtract;
+  the kernel transform G g G^T is summed in float64 and cast, once per
+  weights and dtype (NetworkWeights.transformed_kernel). In float32 its
+  error against float64 is no larger than im2col's (3-5e-7 relative,
+  against 5-6e-7), but its bits differ from im2col's; in float64 it agrees
+  with the literal conv to rounding (below 1e-10 in the tests).
 - im2col + matmul for every other input, chunked over output rows to bound
   memory. Each chunk zero-pads only the input rows it reads, so no padded
   copy of the whole input exists, and the matmul writes straight into the
   output, where bias and activation are applied to the chunk while it is
-  in cache. The occupied-pixel kernel applies them after its last tap.
+  in cache. The Winograd kernel applies them as its output transform
+  writes each tile block, the occupied-pixel kernel after its last tap.
 
 Dtype policy: every layer keeps the dtype of a float input and computes a
 non-float input in float32. The frame path feeds uint8 0/1 BEV rasters
@@ -49,19 +63,22 @@ fuse.conv1's, and project_features writes the projection and its validity
 into the rest, so no concatenated copy of either exists. The kernels'
 temporaries stay on the heap under one working-set bound, arena.CHUNK_BYTES
 (its reason is given there): an im2col chunk's patch matrix, a row block's
-per-tap product and gathered output rows in the occupied-pixel kernel, and
-a row block's per-tap product in the transposed conv. A kernel's largest
+per-tap product and gathered output rows in the occupied-pixel kernel, a
+row block's per-tap product in the transposed conv, and a tile block's
+planes in the Winograd kernel when it has no work. A kernel's largest
 temporary, which can be far larger (the occupied-pixel kernel's gathered
-input rows, or an im2col patch matrix when one output row's patches exceed
-the bound), goes into the work bytes the plan gives the layer
-(conv_work_bytes).
+input rows, an im2col patch matrix when one output row's patches exceed
+the bound, or the Winograd planes of a larger tile block), goes into the
+work bytes the plan gives the layer (conv_work_bytes). The plan only gives
+work the room the frame's tensors leave, so work never makes the arena
+larger.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,6 +98,20 @@ LINEAR = "linear"
 # 7 -> 32.
 _OCCUPIED_SHARE = 0.25
 _SCAN_BYTES = 1 << 20  # occupancy-scan block: a dense input stops after about a share of its blocks
+
+# Dense stride-(1, 1) 3x3 inputs with at least this many channels and pixels
+# take the Winograd kernel, every other dense input im2col (winograd_shape).
+# Measured per layer on one core (README.md, "Convolution kernels"): the 11
+# atg4d layers it picks run 14-32% faster; the narrower ones run slower
+# (cam.conv3, 16 channels: 27 -> 41 ms; bev.lidar2, 32: 118 -> 126) or tie
+# (rv.conv2, 32). The desk layers, at most 8192 pixels, stay on im2col,
+# which keeps desk outputs bit for bit.
+_WINOGRAD_MIN_CHANNELS = 64
+_WINOGRAD_MIN_PIXELS = 16384
+# A tile block's planes when the layer's work has room. 4 MiB fits in the
+# work every atg4d Winograd layer has for its other kernels; 8 MiB blocks
+# ran an atg4d frame about 4% faster, but raised its peak RSS by 18 MB.
+_WINOGRAD_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -122,18 +153,33 @@ def _pixel_rows(out: np.ndarray) -> np.ndarray:
         raise ValueError("out must be an array whose pixels are evenly spaced, such as a channel slice") from None
 
 
+def winograd_shape(h: int, w: int, cin: int, kernel: tuple[int, int], stride: tuple[int, int]) -> bool:
+    """Whether a dense (h, w, cin) input of a conv of this kernel size and
+    stride takes the Winograd kernel rather than im2col: a constant rule
+    keyed by shape, never tuned at run time, since the kernel decides the
+    output bits."""
+    return (tuple(kernel) == (3, 3) and tuple(stride) == (1, 1)
+            and cin >= _WINOGRAD_MIN_CHANNELS and h * w >= _WINOGRAD_MIN_PIXELS)
+
+
 def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
     """Bytes of scratch conv2d_raw can use on an (h, w) input of the layer
-    computed in float32 (its work): one im2col chunk's patch matrix or, at
-    stride 1, the occupied-pixel kernel's gathered rows at the most occupied
-    pixels it takes, whichever is larger. A transposed layer uses none."""
+    computed in float32 (its work), the largest of what its kernels can use:
+    one im2col chunk's patch matrix; at stride 1, the occupied-pixel
+    kernel's gathered rows at the most occupied pixels it takes; and for a
+    Winograd shape, the planes of a tile block of _WINOGRAD_BLOCK_BYTES. A
+    transposed layer uses none."""
     if layer.transposed:
         return 0
     itemsize = np.dtype(np.float32).itemsize
     oh, ow = conv_output_shape(h, w, layer.stride)
     row = ow * math.prod(layer.kernel) * layer.in_channels * itemsize  # one output row's patches
     occupied = int(_OCCUPIED_SHARE * h * w) * layer.in_channels * itemsize if layer.stride == (1, 1) else 0
-    return max(_chunk_rows(oh, row) * row, occupied)
+    winograd = 0
+    if winograd_shape(h, w, layer.in_channels, layer.kernel, layer.stride):
+        blocks = _winograd_blocks(h, w, layer.in_channels, layer.out_channels, itemsize, _WINOGRAD_BLOCK_BYTES)
+        winograd = _winograd_elements(blocks, layer.in_channels, layer.out_channels) * itemsize
+    return max(_chunk_rows(oh, row) * row, occupied, winograd)
 
 
 def _chunk_rows(oh: int, bytes_per_row: int) -> int:
@@ -149,41 +195,67 @@ def _work_view(work: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.nda
     return work[:nbytes].view(dtype).reshape(shape)
 
 
+OCCUPIED, WINOGRAD, IM2COL = "occupied", "winograd", "im2col"
+
+
 def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                stride: tuple[int, int] = (1, 1), activation: str = RELU,
-               out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None, work: np.ndarray | None = None,
+               transformed: Callable[[np.dtype], np.ndarray] | None = None) -> np.ndarray:
     """Cross-correlation with zero SAME padding; output = ceil(input / stride).
 
     Stride-(1, 1) inputs whose occupied pixels (channel row not all zero) are
     at most _OCCUPIED_SHARE of the grid take the occupied-pixel kernel;
-    everything else takes chunked im2col. A non-float input (the uint8 0/1
-    BEV rasters) is computed in float32: both kernels cast only the input
-    rows they read.
+    dense inputs of a Winograd shape (winograd_shape) take Winograd F(2x2,
+    3x3); everything else takes chunked im2col (conv_kernel_of). A non-float
+    input (the uint8 0/1 BEV rasters) is computed in float32: every kernel
+    casts only the input rows it reads.
 
     out, when given, receives the result and is returned: an (oh, ow, cout)
     array of the compute dtype whose pixels are evenly spaced (a channel
     slice of a wider array qualifies); every element is written. work, when
     given, is a uint8 buffer for the kernel's largest temporary, the
-    occupied-pixel kernel's gathered input rows or an im2col chunk's patch
-    matrix, used when it fits (conv_work_bytes sizes it); else that is
-    allocated.
+    occupied-pixel kernel's gathered input rows, an im2col chunk's patch
+    matrix or a Winograd tile block's planes, used when it fits
+    (conv_work_bytes sizes it); else that is allocated. transformed, when
+    given, is called with the compute dtype and returns the kernel's
+    Winograd transform (winograd_kernel), so a caller can keep it from
+    call to call; else the Winograd kernel transforms the kernel itself.
     """
     h, w, cin = data.shape
     kh, kw, kcin, cout = kernel.shape
     if kcin != cin:
         raise ValueError(f"kernel expects {kcin} input channels, data has {cin}")
     dtype = _compute_dtype(data)
-    kernel = kernel.astype(dtype, copy=False)
     bias = bias.astype(dtype, copy=False)
     out = output_array(out, (*conv_output_shape(h, w, stride), cout), dtype)
-    if tuple(stride) == (1, 1):
-        pixels = data.reshape(h * w, cin)
-        occupied = _occupied_pixels(pixels, _OCCUPIED_SHARE * h * w)
-        if occupied is not None:
-            _conv2d_occupied(pixels, occupied, (h, w), kernel, bias, _pixel_rows(out), work)
-            return _activate_inplace(out, activation)
+    name, occupied = _choose_kernel(data, (kh, kw), stride)
+    if name == WINOGRAD:
+        planes = winograd_kernel(kernel, dtype) if transformed is None else transformed(dtype)
+        _conv2d_winograd(data, planes, bias, activation, out, work)
+        return out
+    kernel = kernel.astype(dtype, copy=False)
+    if name == OCCUPIED:
+        _conv2d_occupied(data.reshape(h * w, cin), occupied, (h, w), kernel, bias, _pixel_rows(out), work)
+        return _activate_inplace(out, activation)
     _conv2d_im2col(data, kernel, bias, stride, activation, _pixel_rows(out), work)
     return out
+
+
+def conv_kernel_of(data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> str:
+    """The kernel conv2d_raw runs on data: OCCUPIED, WINOGRAD or IM2COL."""
+    return _choose_kernel(data, kernel, stride)[0]
+
+
+def _choose_kernel(data: np.ndarray, kernel: tuple[int, int],
+                   stride: tuple[int, int]) -> tuple[str, np.ndarray | None]:
+    """conv2d_raw's kernel for data, with the occupied pixels when it is OCCUPIED."""
+    h, w, cin = data.shape
+    if tuple(stride) == (1, 1):
+        occupied = _occupied_pixels(data.reshape(h * w, cin), _OCCUPIED_SHARE * h * w)
+        if occupied is not None:
+            return OCCUPIED, occupied
+    return (WINOGRAD if winograd_shape(h, w, cin, kernel, stride) else IM2COL), None
 
 
 def _occupied_pixels(pixels: np.ndarray, limit: float) -> np.ndarray | None:
@@ -316,6 +388,139 @@ def _im2col_rows(data: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
     return matrix.reshape(-1, kh * kw * cin)
 
 
+# Winograd F(2x2, 3x3) (Lavin & Gray, "Fast Algorithms for Convolutional
+# Neural Networks", CVPR 2016): a 2x2 output tile is A^T [U * (B^T d B)] A,
+# with d the 4x4 input patch around it and U = G g G^T the kernel's transform.
+# Each row of B^T has two non-zeros, +-1: (index, index, ufunc) per row.
+_WINOGRAD_BT = ((0, 2, np.subtract), (1, 2, np.add), (2, 1, np.subtract), (1, 3, np.subtract))
+_WINOGRAD_G = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0.0, 0.0, 1.0]])
+
+
+def winograd_kernel(kernel: np.ndarray, dtype) -> np.ndarray:
+    """The (16, cin, cout) transform U = G g G^T of a (3, 3, cin, cout)
+    kernel in dtype, plane 4 * a + b holding U[a, b]. Each plane is summed
+    in float64, then cast."""
+    _, _, cin, cout = kernel.shape
+    g = kernel.astype(np.float64, copy=False)
+    out = np.empty((16, cin, cout), dtype=dtype)
+    for a in range(4):
+        for b in range(4):
+            out[4 * a + b] = np.tensordot(np.outer(_WINOGRAD_G[a], _WINOGRAD_G[b]), g, axes=2)
+    return out
+
+
+def _even_spans(n: int, size: int) -> list[int]:
+    """Bounds of the fewest spans of at most size covering range(n), their
+    lengths differing by at most one."""
+    k = -(-n // size)
+    return [i * n // k for i in range(k + 1)]
+
+
+def _winograd_blocks(h: int, w: int, cin: int, cout: int, itemsize: int,
+                     budget: int) -> list[tuple[int, int, int, int]]:
+    """The tile blocks (t0, t1, s0, s1), tile rows t0..t1-1 by tile columns
+    s0..s1-1, of an (h, w) input: whole tile rows, as many as fit budget
+    bytes of planes (_winograd_elements), or when one row does not fit, as
+    many tiles of one row as do, at least three so no block is a single
+    tile (numpy runs a one-row product as a matrix-vector call)."""
+    th, tw = -(-h // 2), -(-w // 2)
+    per_tile = (16 * (cin + cout) + 2 * cin) * itemsize  # planes, and a share of the row-pass rows
+    per_row = tw * per_tile + 2 * cin * itemsize
+    if per_row <= budget:
+        rows, cols = _even_spans(th, budget // per_row), [0, tw]
+    else:
+        rows, cols = list(range(th + 1)), _even_spans(tw, max(3, (budget - 2 * cin * itemsize) // per_tile))
+    return [(t0, t1, s0, s1) for t0, t1 in zip(rows, rows[1:]) for s0, s1 in zip(cols, cols[1:])]
+
+
+def _winograd_elements(blocks: list[tuple[int, int, int, int]], cin: int, cout: int) -> int:
+    """Elements of the largest block's planes: the transformed input V (16
+    per tile, cin wide), the products M (16 per tile, cout wide) and the
+    rows of one row pass (2 * tile columns + 2 per tile row, cin wide)."""
+    return max(16 * (t1 - t0) * (s1 - s0) * (cin + cout) + (t1 - t0) * (2 * (s1 - s0) + 2) * cin
+               for t0, t1, s0, s1 in blocks)
+
+
+def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray, activation: str,
+                     out: np.ndarray, work: np.ndarray | None) -> None:
+    """Stride-1 SAME 3x3 conv plus bias and activation by Winograd F(2x2,
+    3x3), written into out (h, w, cout).
+
+    The output is cut into 2x2 tiles and the tiles into blocks
+    (_winograd_blocks). Per block:
+    - the input transform B^T d B runs one row of B^T at a time: over whole
+      input rows, every other one, into the block's row-pass rows, then over
+      those rows' stride-2 column views into four of the 16 planes V;
+    - one batched matmul multiplies V by the transformed kernel (16, cin,
+      cout) into M, 16 products per tile over the channels instead of 36;
+    - the output transform A^T M A runs in place in M along the columns,
+      then writes each pixel of the tiles into out's stride-2 view of it,
+      bias and activation added there.
+    Padding rows and columns enter as zeros and are never stored: rows
+    outside the input are a broadcast zero, the row-pass rows' columns
+    outside it are zeroed. The planes go into work when it holds them,
+    else into one heap buffer; with work of more than CHUNK_BYTES the
+    blocks grow up to _WINOGRAD_BLOCK_BYTES, else they fit CHUNK_BYTES.
+    """
+    h, w, cin = data.shape
+    cout, dtype = transformed.shape[2], transformed.dtype
+    room = 0 if work is None else work.nbytes
+    budget = min(room, _WINOGRAD_BLOCK_BYTES) if room > CHUNK_BYTES else CHUNK_BYTES
+    blocks = _winograd_blocks(h, w, cin, cout, dtype.itemsize, budget)
+    need = _winograd_elements(blocks, cin, cout)
+    flat = _work_view(work, (need,), dtype)
+    if flat is None:
+        flat = np.empty(need, dtype=dtype)
+    zero = np.zeros((), dtype=dtype)
+    for t0, t1, s0, s1 in blocks:
+        nt, ns = t1 - t0, s1 - s0
+        v = flat[:16 * nt * ns * cin].reshape(16, nt, ns, cin)
+        m = flat[v.size:v.size + 16 * nt * ns * cout].reshape(16, nt * ns, cout)
+        rows = flat[v.size + m.size:v.size + m.size + nt * (2 * ns + 2) * cin].reshape(nt, 2 * ns + 2, cin)
+        x0 = 2 * s0 - 1  # input column of the rows' first column
+        c0, c1 = max(x0, 0), min(x0 + 2 * ns + 2, w)
+        rows[:, :c0 - x0] = 0
+        rows[:, c1 - x0:] = 0
+        lo, hi = max(t0, 1), min(t1, (h - 1) // 2)  # tile rows whose four input rows all lie inside the input
+        spans = ([(lo, hi)] if lo < hi else []) + [(i, i + 1) for i in range(t0, t1) if not lo <= i < hi]
+        for j, (ka, kb, combine_rows) in enumerate(_WINOGRAD_BT):
+            for i0, i1 in spans:
+                src = [_winograd_input_rows(data, i0, i1, k, c0, c1, zero) for k in (ka, kb)]
+                combine_rows(*src, out=rows[i0 - t0:i1 - t0, c0 - x0:c1 - x0], dtype=dtype)
+            for jj, (ca, cb, combine_cols) in enumerate(_WINOGRAD_BT):
+                combine_cols(rows[:, ca:ca + 2 * ns:2], rows[:, cb:cb + 2 * ns:2], out=v[4 * j + jj])
+        np.matmul(v.reshape(16, nt * ns, cin), transformed, out=m)
+        m = m.reshape(4, 4, nt, ns, cout)
+        for r in m:  # A^T along the columns: R[a, 0] into M[a, 0], R[a, 1] into M[a, 1]
+            r[0] += r[1]
+            r[0] += r[2]
+            r[1] -= r[2]
+            r[1] -= r[3]
+        for p in (0, 1):
+            for q in (0, 1):
+                y = out[2 * t0 + p:2 * t1:2, 2 * s0 + q:2 * s1:2]
+                part = m[:, q, :y.shape[0], :y.shape[1]]
+                if p == 0:
+                    np.add(part[0], part[1], out=y)
+                    y += part[2]
+                else:
+                    np.subtract(part[1], part[2], out=y)
+                    y -= part[3]
+                y += bias
+                _activate_inplace(y, activation)
+
+
+def _winograd_input_rows(data: np.ndarray, i0: int, i1: int, k: int, c0: int, c1: int,
+                         zero: np.ndarray) -> np.ndarray:
+    """Columns c0..c1-1 of input row 2 i - 1 + k, the k-th row of tile row
+    i's patch, for tile rows i0..i1-1: every other row of data, or a
+    broadcast zero for a single tile row whose row lies outside the input."""
+    r = 2 * i0 - 1 + k
+    if i1 - i0 == 1 and not 0 <= r < data.shape[0]:
+        return np.broadcast_to(zero, (c1 - c0, data.shape[2]))
+    return data[r:2 * i1 - 1 + k:2, c0:c1]
+
+
 def deconv2d_h_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                    activation: str = RELU, out: np.ndarray | None = None) -> np.ndarray:
     """Transposed conv, kernel (1, kw), horizontal stride 2: width doubles.
@@ -360,9 +565,20 @@ class NetworkWeights:
     blocks: dict[str, np.ndarray]
     seed: int | None = None
     scheme: str = "uniform-fan"
+    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kernel(self, name: str) -> np.ndarray:
         return self.blocks[f"{name}.kernel"]
+
+    def transformed_kernel(self, name: str, dtype) -> np.ndarray:
+        """winograd_kernel of the layer's kernel in dtype, computed on first
+        use and kept while the block is the same array: a forward pass pays
+        for it once per weights, not once per frame, and set-up not at all."""
+        kernel = self.kernel(name)
+        key = (name, np.dtype(dtype).str)
+        if key not in self._transforms or self._transforms[key][0] is not kernel:
+            self._transforms[key] = (kernel, winograd_kernel(kernel, dtype))
+        return self._transforms[key][1]
 
     def bias(self, name: str) -> np.ndarray:
         return self.blocks[f"{name}.bias"]
@@ -523,7 +739,8 @@ def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, weights: NetworkWeights
     if layer.transposed:
         data = deconv2d_h_raw(fm.data, kernel, bias, layer.activation, out=out)
     else:
-        data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work)
+        data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work,
+                          transformed=lambda dtype: weights.transformed_kernel(layer.name, dtype))
     return FeatureMap(fm.view, data, fm.geometry)
 
 

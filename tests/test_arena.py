@@ -178,3 +178,23 @@ def test_scratch_takes_only_the_room_the_tensors_leave():
     assert plan.size == plan_arena([Step(s.name, s.writes, s.reads) for s in steps]).size == 4032 + 448
     assert [t.name for t in plan.tensors] == ["x", "y", "c.work"]  # x and y fill step b
     assert (plan.tensor("c.work").offset, plan.tensor("c.work").nbytes) == (0, 4032)  # x's bytes, dead in c
+
+
+def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
+    preset = get_preset("atg4d")
+    plan = layer_plan(preset, make_weights(preset, 0))
+    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan)
+    with_winograd = plan_arena(steps, export="outputs")
+    shapes = {name: shape for step in steps for name, shape, _ in step.writes}
+    winograd = {step.name: shapes[step.reads[0]] for step in steps if step.name in plan.layers
+                and network.winograd_shape(*shapes[step.reads[0]], plan[step.name].kernel, plan[step.name].stride)}
+    assert len(winograd) == 12  # 11 dense layers and bev.lidar1, whose sparse stack the occupied kernel takes
+    for name, (h, w, _) in winograd.items():  # each gets room for the planes of its tile blocks
+        layer = plan[name]
+        blocks = network._winograd_blocks(h, w, layer.in_channels, layer.out_channels, 4,
+                                          network._WINOGRAD_BLOCK_BYTES)
+        need = network._winograd_elements(blocks, layer.in_channels, layer.out_channels) * 4
+        assert with_winograd.tensor(f"{name}.work").nbytes >= need
+    monkeypatch.setattr(network, "winograd_shape", lambda *args: False)  # no Winograd work
+    without = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan), export="outputs")
+    assert with_winograd.size == without.size

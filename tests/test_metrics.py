@@ -23,6 +23,7 @@ from mvfusion.metrics import (
 )
 from mvfusion.network import CellOutputs
 from mvfusion.oracles import Point3, camera_pixel_of, decode_detections_literal, monte_carlo_iou
+from mvfusion.presets import get_preset
 from mvfusion.scene import ActorLabel
 from mvfusion.views import CameraModel, OutputGrid
 
@@ -491,6 +492,9 @@ def test_fov_unrestricted_camera_is_identity():
 # frame evaluation and latency
 # ---------------------------------------------------------------------------
 
+DESK = get_preset("desk")
+
+
 def test_evaluate_frames_perfect_detections():
     gt_v = _label(box=RotatedBox2D(10.0, 0.0, 4.0, 2.0, 0.0))
     gt_p = _label(cls="pedestrian", box=RotatedBox2D(8.0, 2.0, 0.6, 0.6, 0.0))
@@ -498,7 +502,8 @@ def test_evaluate_frames_perfect_detections():
         _det(score=0.95, box=gt_v.box),
         _det(cls="pedestrian", score=0.9, box=gt_p.box),
     ]
-    report = evaluate_frames([(dets, [gt_v, gt_p])], camera=_front_cam())
+    report = evaluate_frames([(dets, [gt_v, gt_p])], horizon=DESK.horizon, camera=_front_cam(),
+                             range_bands=DESK.range_bands)
     v = report.sections["vehicle.full"]
     assert v["ap"] == 1.0
     assert v["operating_threshold"] == pytest.approx(0.95)
@@ -516,8 +521,9 @@ def test_evaluate_de_ignores_below_threshold_detections():
     gt = _label(box=RotatedBox2D(10.0, 0.0, 4.0, 2.0, 0.0))
     tp = _det(score=0.9, box=gt.box)
     frames = [([tp], [gt])]
-    base = evaluate_frames(frames, camera=None)
+    base = evaluate_frames(frames, horizon=DESK.horizon, camera=None, range_bands=DESK.range_bands)
     junk = _det(score=0.2, box=RotatedBox2D(40.0, 20.0, 4.0, 2.0, 0.0),
                 waypoints=np.tile([0.0, 0.0], (30, 1)))
-    with_junk = evaluate_frames([([tp, junk], [gt])], camera=None)
+    with_junk = evaluate_frames([([tp, junk], [gt])], horizon=DESK.horizon, camera=None,
+                                range_bands=DESK.range_bands)
     assert base.sections["vehicle.full"]["de_cm"] == with_junk.sections["vehicle.full"]["de_cm"]

@@ -393,6 +393,99 @@ def test_occupied_rows_gathered_into_work_give_the_same_output(work_rows):
     assert (work != 0xFF).any() == (work_rows >= np.count_nonzero(data.any(axis=2)) > 0)
 
 
+def _force_winograd(monkeypatch):
+    """Every dense stride-1 3x3 input takes the Winograd kernel."""
+    monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 1)
+    monkeypatch.setattr(network, "_WINOGRAD_MIN_PIXELS", 1)
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 7), (7, 1), (1, 2), (2, 3), (3, 2), (4, 4), (5, 6), (9, 8), (8, 9),
+                                 (13, 11)])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+@pytest.mark.parametrize("chunk_bytes", [None, 3000, 600])  # blocks of whole tile rows, or of three tiles
+def test_winograd_matches_naive_oracle(monkeypatch, h, w, activation, chunk_bytes):
+    _force_winograd(monkeypatch)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(network, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(h * 100 + w)
+    data = rng.normal(size=(h, w, 3))
+    kernel, bias = rng.normal(size=(3, 3, 3, 4)), rng.normal(size=4)
+    assert network.conv_kernel_of(data, (3, 3), (1, 1)) == network.WINOGRAD
+    got = conv2d_raw(data, kernel, bias, activation=activation)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - naive_conv2d(data, kernel, bias, (1, 1), relu=activation == "relu"))) < 1e-10
+
+
+@pytest.mark.parametrize("work_bytes", [None, 100, 64 << 10, 4 << 20])
+def test_winograd_channel_slice_and_work_match_naive_oracle(monkeypatch, work_bytes):
+    _force_winograd(monkeypatch)
+    monkeypatch.setattr(network, "CHUNK_BYTES", 4096)  # several blocks; work larger than this grows them
+    rng = np.random.default_rng(41)
+    data = rng.normal(size=(17, 23, 6))
+    kernel, bias = rng.normal(size=(3, 3, 6, 5)), rng.normal(size=5)
+    want = naive_conv2d(data, kernel, bias, (1, 1), relu=True)
+    buffer = np.full((17, 23, 2 + 5 + 3), np.nan)
+    out = buffer[:, :, 2:7]
+    work = None if work_bytes is None else np.full(work_bytes, 0xFF, dtype=np.uint8)
+    with mock.patch.object(network, "_conv2d_winograd", wraps=network._conv2d_winograd) as winograd:
+        assert conv2d_raw(data, kernel, bias, out=out, work=work) is out
+    assert winograd.called
+    assert np.max(np.abs(out - want)) < 1e-10
+    assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 7:]).all()
+    if work is not None:  # the planes went into work exactly when it was larger than the heap bound
+        assert (work != 0xFF).any() == (work_bytes > network.CHUNK_BYTES)
+
+
+def test_winograd_uint8_input_equals_float32_bit_for_bit(monkeypatch):
+    _force_winograd(monkeypatch)
+    rng = np.random.default_rng(43)
+    mask = rng.uniform(size=(14, 9, 5)) < 0.6  # dense: at most a quarter of the pixels are empty
+    kernel, bias = rng.normal(size=(3, 3, 5, 4)), rng.normal(size=4)
+    got = conv2d_raw(mask.astype(np.uint8), kernel, bias)
+    assert network.conv_kernel_of(mask, (3, 3), (1, 1)) == network.WINOGRAD
+    assert got.dtype == np.float32
+    assert np.array_equal(got, conv2d_raw(mask.astype(np.float32), kernel, bias))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_winograd_float32_error_is_no_worse_than_im2col(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.random((128, 130, 64), dtype=np.float32)  # a Winograd shape
+    kernel = rng.uniform(-0.1, 0.1, size=(3, 3, 64, 48)).astype(np.float32).astype(np.float64)
+    bias = rng.normal(size=48).astype(np.float32).astype(np.float64)
+    assert network.conv_kernel_of(data, (3, 3), (1, 1)) == network.WINOGRAD
+    winograd = conv2d_raw(data, kernel, bias, activation="linear")
+    monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 65)
+    assert network.conv_kernel_of(data, (3, 3), (1, 1)) == network.IM2COL
+    im2col = conv2d_raw(data, kernel, bias, activation="linear")
+    exact = conv2d_raw(data.astype(np.float64), kernel, bias, activation="linear")
+    scale = np.abs(exact).max()
+    assert np.abs(winograd - exact).max() / scale <= np.abs(im2col - exact).max() / scale < 1e-6
+
+
+def test_winograd_heap_temporaries_stay_within_the_chunk_bound():
+    rng = np.random.default_rng(44)
+    data = rng.random((256, 256, 64), dtype=np.float32)
+    kernel = rng.uniform(-0.1, 0.1, size=(3, 3, 64, 96))
+    bias = np.zeros(96)
+    transformed = network.winograd_kernel(kernel, np.float32)
+    out = np.empty((256, 256, 96), dtype=np.float32)
+    conv = network.conv_work_bytes(network.ConvLayerSpec("x", 64, 96), 256, 256)
+    peaks = []
+    for work in (None, np.empty(conv, dtype=np.uint8)):
+        tracemalloc.start()
+        try:
+            conv2d_raw(data, kernel, bias, out=out, work=work, transformed=lambda dtype: transformed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Without work the tile blocks' planes (60 MiB in all) come at most 2 MiB
+    # at a time; with the layer's work they all go there, and what is left
+    # is mostly the occupancy scan's index blocks.
+    assert peaks[0] <= network.CHUNK_BYTES
+    assert peaks[1] <= network.CHUNK_BYTES // 8
+
+
 # ---------------------------------------------------------------------------
 # branches
 # ---------------------------------------------------------------------------

@@ -156,6 +156,65 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
     assert dets and dets == [(d.cls, d.cell) for d in decode_detections(reference)]
 
 
+def _kernels_run(bundle, preset, weights, monkeypatch):
+    """forward_frame's cell outputs, and the kernel each conv layer ran."""
+    kernels = {}
+    conv2d_forward = network.conv2d_forward
+
+    def recording(fm, layer, weights, **kwargs):
+        kernels[layer.name] = "transposed" if layer.transposed else network.conv_kernel_of(
+            fm.data, layer.kernel, layer.stride)
+        return conv2d_forward(fm, layer, weights, **kwargs)
+
+    monkeypatch.setattr(network, "conv2d_forward", recording)
+    outputs = forward_frame(bundle, preset, weights)
+    monkeypatch.setattr(network, "conv2d_forward", conv2d_forward)
+    return outputs, kernels
+
+
+def _winograd_shaped(preset):
+    """The layers whose planned input shape the Winograd rule takes when it is dense."""
+    plan = layer_plan(preset, make_weights(preset, seed=0))
+    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan)
+    shapes = {name: shape for step in steps for name, shape, _ in step.writes}
+    return {step.name for step in steps if step.name in plan.layers
+            and network.winograd_shape(*shapes[step.reads[0]], plan[step.name].kernel, plan[step.name].stride)}
+
+
+def test_kernel_choice_of_every_desk_and_atg4d_layer(desk_frame, monkeypatch):
+    preset, bundle = desk_frame
+    _, kernels = _kernels_run(bundle, preset, make_weights(preset, seed=0), monkeypatch)
+    sparse = {"bev.lidar1", "bev.map1", "bev.map2"}  # 19%, 11% and 19% of their pixels occupied
+    assert kernels == {layer.name: "occupied" if layer.name in sparse else "transposed" if layer.transposed
+                       else "im2col" for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))}
+    assert not _winograd_shaped(preset)  # desk's widest layers have at most 8192 pixels
+    # atg4d: the rule on the planned shapes. bev.lidar1's 160-channel stack has
+    # about 15% of its pixels occupied, so the occupied-pixel kernel takes it
+    # first (README.md, "Convolution kernels").
+    assert _winograd_shaped(get_preset("atg4d")) == {
+        "bev.lidar1", "unet.enc1", "unet.res1.conv1", "unet.res1.conv2", "unet.res2.conv1", "unet.res2.conv2",
+        "unet.fuse", "fuse.conv2", "fuse.conv4", "fuse.conv5", "fuse.conv6", "fuse.head"}
+
+
+def test_desk_frame_with_winograd_forced_stays_inside_the_bounds(desk_frame, monkeypatch):
+    preset, bundle = desk_frame
+    weights = make_weights(preset, seed=0)
+    reference = forward_frame(bundle, preset, weights)
+    monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 1)
+    monkeypatch.setattr(network, "_WINOGRAD_MIN_PIXELS", 1)
+    outputs, kernels = _kernels_run(bundle, preset, weights, monkeypatch)
+    assert [name for name, kernel in kernels.items() if kernel == "winograd"] == [
+        "bev.lidar2", "cam.conv1", "cam.conv3", "cam.conv5", "rv.conv1", "rv.conv2", "unet.enc1",
+        "unet.res1.conv1", "unet.res1.conv2", "unet.res2.conv1", "unet.res2.conv2", "unet.fuse", "fuse.conv2",
+        "fuse.conv4", "fuse.conv5", "fuse.conv6", "fuse.head"]
+    for cls in outputs.classes:
+        assert np.abs(outputs.prob[cls] - reference.prob[cls]).max() <= PROB_BOUND
+        for field in ("size", "centers", "headings"):
+            assert np.abs(getattr(outputs, field)[cls] - getattr(reference, field)[cls]).max() <= REGRESSION_BOUND
+    dets = [(d.cls, d.cell) for d in decode_detections(outputs)]
+    assert dets and dets == [(d.cls, d.cell) for d in decode_detections(reference)]
+
+
 def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monkeypatch):
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0)

@@ -1,9 +1,10 @@
 """The scripts under scripts/ run to completion on small inputs.
 
 fit_convergence.py fits outputs and scores them, run_demo.py drives every
-CLI stage from gen through fit and eval, and stage_memory.py prints the
+CLI stage from gen through fit and eval, stage_memory.py prints the
 frame's arena plan, then the forward pass's tracemalloc peaks per stage and
-per conv layer, or with --frames the CPU time and page faults of frames.
+per conv layer, or with --frames the CPU time and page faults of frames,
+and conv_kernels.py times every conv layer under each kernel it can take.
 """
 import json
 import os
@@ -78,3 +79,21 @@ def test_stage_memory_times_frames():
     for r in rounds:
         assert r["user_ms"] > 0.0 and r["sys_ms"] >= 0.0 and r["minor_faults"] >= 0 and r["maxrss_mb"] > 0.0
     assert not [r for r in records if r["kind"] in ("layer", "stage", "frame")]
+
+
+def test_conv_kernels_times_every_layer_under_its_eligible_kernels():
+    out = _run_script("scripts/conv_kernels.py", "--preset", "desk", "--seed", "1", "--repeats", "1")
+    header, rule, *rows = out.strip().splitlines()
+    assert header == "| layer | input | occupied | rule | im2col ms | winograd ms | occupied ms | transposed ms |"
+    assert rule == "|---" * 8 + "|"
+    preset = get_preset("desk")
+    plan = {layer.name: layer for layer in network_plan(preset.fusion, bev_stack_channels(preset))}
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    assert sorted(c[0] for c in cells) == sorted(plan)
+    for name, shape, occupied, kernel, *times in cells:
+        layer = plan[name]
+        assert int(shape.split("x")[2]) == layer.in_channels and 0.0 < float(occupied) <= 1.0
+        timed = [k for k, t in zip(("im2col", "winograd", "occupied", "transposed"), times) if t != "-"]
+        assert kernel in timed and all(float(t) >= 0.0 for t in times if t != "-")
+        assert ("winograd" in timed) == (layer.kernel == (3, 3) and layer.stride == (1, 1))
+        assert kernel != "winograd"  # no desk layer has a Winograd shape
