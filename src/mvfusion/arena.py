@@ -177,7 +177,7 @@ def plan_arena(steps: Iterable[Step], export: str | None = None) -> ArenaPlan:
             live = [t for t in tensors if t.live_at(i)]
             offset, room = max(_largest_gap(live, 0, lent_at), _largest_gap(live, lent_at, total),
                                key=lambda gap: gap[1])
-            room = min(step.work, room) // ALIGN * ALIGN
+            room = min(_round_up(step.work), room // ALIGN * ALIGN)  # the whole request, when there is room
             if room > 0:
                 tensors.append(PlannedTensor(f"{step.name}.work", (room,), np.dtype(np.uint8).str, i, i, offset))
     return ArenaPlan(tuple(s.name for s in steps), tuple(tensors), total, export, lent_at)

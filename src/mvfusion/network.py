@@ -15,10 +15,12 @@ time:
 
 - occupied-pixel: a stride-(1, 1) input whose occupied pixels (channel rows
   that are not all zero) are at most _OCCUPIED_SHARE of the grid, such as
-  the BEV LiDAR stack and map raster. The occupied rows are gathered once,
-  each tap multiplies them and scatter-adds into the shifted output cells.
-  This is ordinary sparse convolution (SECOND), not the submanifold kind:
-  every output cell equals the dense conv's, up to summation order.
+  the BEV LiDAR stack and map raster. The occupied rows are gathered once;
+  the output is made in bands of rows that fit CHUNK_BYTES, and for each
+  band each tap multiplies the occupied rows that reach it and adds into
+  the shifted cells. This is ordinary sparse convolution (SECOND), not the
+  submanifold kind: every output cell equals the dense conv's, up to
+  summation order.
 - Winograd F(2x2, 3x3) (Lavin & Gray, CVPR 2016) for a dense 3x3 stride-(1,
   1) input of at least _WINOGRAD_MIN_CHANNELS channels and
   _WINOGRAD_MIN_PIXELS pixels (winograd_shape): on atg4d, unet.enc1, the
@@ -34,8 +36,12 @@ time:
   memory. Each chunk zero-pads only the input rows it reads, so no padded
   copy of the whole input exists, and the matmul writes straight into the
   output, where bias and activation are applied to the chunk while it is
-  in cache. The Winograd kernel applies them as its output transform
-  writes each tile block, the occupied-pixel kernel after its last tap.
+  in cache. The Winograd kernel applies them to each tile block's output
+  tiles, assembled contiguously before one copy into the output; the
+  occupied-pixel kernel to each band after its last tap, as it copies the
+  band into the output. Neither adds a pass over the whole output, and
+  the bits of every kernel are the same whatever its chunks, bands or
+  blocks.
 
 Dtype policy: every layer keeps the dtype of a float input and computes a
 non-float input in float32. The frame path feeds uint8 0/1 BEV rasters
@@ -62,16 +68,15 @@ leading channels of unet.enc1's, fuse_input_of copies the BEV features into
 fuse.conv1's, and project_features writes the projection and its validity
 into the rest, so no concatenated copy of either exists. The kernels'
 temporaries stay on the heap under one working-set bound, arena.CHUNK_BYTES
-(its reason is given there): an im2col chunk's patch matrix, a row block's
-per-tap product and gathered output rows in the occupied-pixel kernel, a
-row block's per-tap product in the transposed conv, and a tile block's
-planes in the Winograd kernel when it has no work. A kernel's largest
-temporary, which can be far larger (the occupied-pixel kernel's gathered
-input rows, an im2col patch matrix when one output row's patches exceed
-the bound, or the Winograd planes of a larger tile block), goes into the
-work bytes the plan gives the layer (conv_work_bytes). The plan only gives
-work the room the frame's tensors leave, so work never makes the arena
-larger.
+(its reason is given there): an im2col chunk's patch matrix, a band and
+its per-tap products in the occupied-pixel kernel, a row block's per-tap
+product in the transposed conv, and a tile block's planes in the Winograd
+kernel when it has no work. A kernel's largest temporary, which can be far
+larger (the occupied-pixel kernel's gathered input rows, an im2col patch
+matrix of one or two output rows whose patches exceed the bound, or the
+Winograd planes of a larger tile block), goes into the work bytes the plan gives
+the layer (conv_work_bytes). The plan only gives work the room the frame's
+tensors leave, so work never makes the arena larger.
 """
 from __future__ import annotations
 
@@ -102,8 +107,8 @@ _SCAN_BYTES = 1 << 20  # occupancy-scan block: a dense input stops after about a
 # Dense stride-(1, 1) 3x3 inputs with at least this many channels and pixels
 # take the Winograd kernel, every other dense input im2col (winograd_shape).
 # Measured per layer on one core (README.md, "Convolution kernels"): the 11
-# atg4d layers it picks run 14-32% faster; the narrower ones run slower
-# (cam.conv3, 16 channels: 27 -> 41 ms; bev.lidar2, 32: 118 -> 126) or tie
+# atg4d layers it picks run 16-36% faster; the narrower ones run slower
+# (cam.conv3, 16 channels: 27 -> 41 ms; cam.conv5, 32: 18.6 -> 21.8) or tie
 # (rv.conv2, 32). The desk layers, at most 8192 pixels, stay on im2col,
 # which keeps desk outputs bit for bit.
 _WINOGRAD_MIN_CHANNELS = 64
@@ -165,10 +170,10 @@ def winograd_shape(h: int, w: int, cin: int, kernel: tuple[int, int], stride: tu
 def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
     """Bytes of scratch conv2d_raw can use on an (h, w) input of the layer
     computed in float32 (its work), the largest of what its kernels can use:
-    one im2col chunk's patch matrix; at stride 1, the occupied-pixel
-    kernel's gathered rows at the most occupied pixels it takes; and for a
-    Winograd shape, the planes of a tile block of _WINOGRAD_BLOCK_BYTES. A
-    transposed layer uses none."""
+    one im2col chunk's patch matrix (_chunk_rows); at stride 1, the
+    occupied-pixel kernel's gathered rows at the most occupied pixels it
+    takes; and for a Winograd shape, the planes of a tile block of
+    _WINOGRAD_BLOCK_BYTES. A transposed layer uses none."""
     if layer.transposed:
         return 0
     itemsize = np.dtype(np.float32).itemsize
@@ -183,8 +188,14 @@ def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
 
 
 def _chunk_rows(oh: int, bytes_per_row: int) -> int:
-    """Output rows per im2col chunk: as many as fit CHUNK_BYTES, at least one."""
-    return min(oh, max(1, CHUNK_BYTES // max(bytes_per_row, 1)))
+    """Output rows per im2col chunk: as many as fit CHUNK_BYTES, at least one,
+    and two when only one fits. Those two exceed the bound, so they need the
+    layer's work, which conv_work_bytes plans for them: on atg4d, fuse.conv1
+    (1.45 MB of patches a row) ran 7% faster with two rows per matmul than
+    with one, while a second row gained nothing for unet.down (2.36 MB a
+    row), whose row alone exceeds the bound."""
+    rows = CHUNK_BYTES // max(bytes_per_row, 1)
+    return min(oh, 2 if rows == 1 else max(rows, 1))
 
 
 def _work_view(work: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray | None:
@@ -236,8 +247,9 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
         return out
     kernel = kernel.astype(dtype, copy=False)
     if name == OCCUPIED:
-        _conv2d_occupied(data.reshape(h * w, cin), occupied, (h, w), kernel, bias, _pixel_rows(out), work)
-        return _activate_inplace(out, activation)
+        _conv2d_occupied(data.reshape(h * w, cin), occupied, (h, w), kernel, bias, activation, _pixel_rows(out),
+                         work)
+        return out
     _conv2d_im2col(data, kernel, bias, stride, activation, _pixel_rows(out), work)
     return out
 
@@ -291,52 +303,59 @@ def _gathered_rows(pixels: np.ndarray, order: np.ndarray, dtype, work: np.ndarra
 
 
 def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, int],
-                     kernel: np.ndarray, bias: np.ndarray, out: np.ndarray,
+                     kernel: np.ndarray, bias: np.ndarray, activation: str, out: np.ndarray,
                      work: np.ndarray | None) -> None:
-    """Stride-1 SAME conv plus bias of the (h * w, cin) pixel rows, summed
-    over the occupied ones only, written into out's (h * w, cout) rows.
+    """Stride-1 SAME conv plus bias and activation of the (h * w, cin) pixel
+    rows, summed over the occupied ones only, written into out's (h * w,
+    cout) rows.
 
     Ordinary sparse convolution: every output cell, including the ones next
     to an occupied pixel, equals the dense conv's. The occupied rows are
-    gathered once, interior pixels first, and cast to the kernel's dtype
-    (exact for the uint8 0/1 rasters); each tap multiplies them by its
-    (cin, cout) slice and scatter-adds into the shifted output cells, in
-    blocks of rows whose (rows, max(cin, cout)) temporaries fit
-    CHUNK_BYTES. Indices within one tap are unique and the taps run in a
-    fixed order, so the gather-add-scatter is exact and the blocking does
-    not change a bit. Only the pixels on the grid's border can shift off
-    it, so only their taps are masked; the output is never padded.
+    gathered once, in pixel order, and cast to the kernel's dtype (exact for
+    the uint8 0/1 rasters). The output is made in bands of rows, each summed
+    in a zeroed heap buffer of at most CHUNK_BYTES that is padded by the
+    kernel's reach on the left and right, so a tap never shifts a pixel off
+    it. For each band and kernel row dy, the occupied pixels whose row
+    reaches the band are one run of the gathered rows (searchsorted on
+    their pixel index); each tap (dy, dx) multiplies the run by its (cin,
+    cout) slice and adds the product into the shifted cells. Bias and
+    activation are applied as the band is copied into out, while it is in
+    cache. Indices within one tap are unique and every cell adds its taps
+    in (dy, dx) order, so the sums do not depend on the band height.
     """
     h, w = grid
-    kh, kw, cin, cout = kernel.shape
+    kh, kw, _, cout = kernel.shape
     top, left = (kh - 1) // 2, (kw - 1) // 2
+    pad = kw - 1 - left  # the band's padding columns on the left; left on the right
+    wide = w + kw - 1
+    n = len(occupied)
     iy, ix = np.divmod(occupied, w)
-    interior = (iy >= top) & (iy < h - (kh - 1 - top)) & (ix >= left) & (ix < w - (kw - 1 - left))
-    order = np.concatenate([occupied[interior], occupied[~interior]])
-    n_interior = int(np.count_nonzero(interior))
-    border_y, border_x = iy[~interior], ix[~interior]
-    rows = _gathered_rows(pixels, order, kernel.dtype, work)
-    out[...] = 0
-    # numpy runs a one-row product as a matrix-vector call, which rounds
-    # differently from the same row in a larger product, so no block is left
-    # with a single row: the last block takes up to one row more.
-    step = max(2, CHUNK_BYTES // (max(cin, cout) * kernel.itemsize))
-    bounds = [*range(0, max(len(order) - 1, 1), step), len(order)]
-    for dy in range(kh):
-        for dx in range(kw):
-            shift = (top - dy) * w + (left - dx)
-            oy, ox = border_y + (top - dy), border_x + (left - dx)
-            inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
-            for b0, b1 in zip(bounds, bounds[1:]):
-                tap = rows[b0:b1] @ kernel[dy, dx]
-                target = order[b0:b1] + shift
-                split = min(max(n_interior - b0, 0), b1 - b0)  # the block's interior rows come first
-                border = inside[max(b0 - n_interior, 0):max(b1 - n_interior, 0)]
-                for cells, contrib in ((target[:split], tap[:split]), (target[split:][border], tap[split:][border])):
-                    acc = out.take(cells, axis=0)  # take + setitem: faster than a fancy +=
-                    acc += contrib
-                    out[cells] = acc
-    out += bias
+    base = iy * wide + ix  # each pixel's cell in a padded band starting at its own row
+    rows = _gathered_rows(pixels, occupied, kernel.dtype, work)
+    band_rows = max(1, CHUNK_BYTES // (wide * cout * kernel.itemsize))
+    buffer = np.empty((min(band_rows, h) * wide, cout), dtype=kernel.dtype)
+    for y0 in range(0, h, band_rows):
+        y1 = min(y0 + band_rows, h)
+        band = buffer[:(y1 - y0) * wide]
+        band[...] = 0
+        for dy in range(kh):
+            a, b = np.searchsorted(occupied, [(y0 + dy - top) * w, (y1 + dy - top) * w])
+            if a == b:
+                continue
+            # numpy runs a one-row product as a matrix-vector call, which
+            # rounds differently from the same row in a larger product, so a
+            # run of one row is multiplied together with a neighbour
+            p0 = a if b - a > 1 else max(0, min(a, n - 2))
+            p1 = max(b, min(p0 + 2, n))
+            for dx in range(kw):
+                tap = (rows[p0:p1] @ kernel[dy, dx])[a - p0:b - p0]
+                cells = base[a:b] + ((top - dy - y0) * wide + left - dx + pad)
+                acc = band.take(cells, axis=0)  # take + setitem: faster than a fancy +=
+                acc += tap
+                band[cells] = acc
+        y = np.reshape(out[y0 * w:y1 * w], (y1 - y0, w, cout), copy=False)
+        np.add(band.reshape(y1 - y0, wide, cout)[:, pad:pad + w], bias, out=y)
+        _activate_inplace(y, activation)
 
 
 def _conv2d_im2col(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: tuple[int, int],
@@ -353,8 +372,11 @@ def _conv2d_im2col(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray, strid
     kh, kw, _, cout = kernel.shape
     oh, ow = conv_output_shape(h, w, stride)
     wmat = kernel.reshape(kh * kw * cin, cout)
-    chunk = _chunk_rows(oh, ow * kh * kw * cin * kernel.itemsize)
-    patches = _work_view(work, (chunk * ow * kh * kw * cin,), kernel.dtype)
+    row = ow * kh * kw * cin  # one output row's patches
+    chunk = _chunk_rows(oh, row * kernel.itemsize)
+    patches = _work_view(work, (chunk * row,), kernel.dtype)
+    if patches is None and chunk * row * kernel.itemsize > CHUNK_BYTES:  # no work for the two rows: one
+        chunk = 1
     for r0 in range(0, oh, chunk):
         r1 = min(r0 + chunk, oh)
         block = out[r0 * ow:r1 * ow]
@@ -424,7 +446,7 @@ def _winograd_blocks(h: int, w: int, cin: int, cout: int, itemsize: int,
     many tiles of one row as do, at least three so no block is a single
     tile (numpy runs a one-row product as a matrix-vector call)."""
     th, tw = -(-h // 2), -(-w // 2)
-    per_tile = (16 * (cin + cout) + 2 * cin) * itemsize  # planes, and a share of the row-pass rows
+    per_tile = (max(16 * cin, 4 * cout) + 16 * cout + 2 * cin) * itemsize  # planes, and a share of the row-pass rows
     per_row = tw * per_tile + 2 * cin * itemsize
     if per_row <= budget:
         rows, cols = _even_spans(th, budget // per_row), [0, tw]
@@ -435,9 +457,11 @@ def _winograd_blocks(h: int, w: int, cin: int, cout: int, itemsize: int,
 
 def _winograd_elements(blocks: list[tuple[int, int, int, int]], cin: int, cout: int) -> int:
     """Elements of the largest block's planes: the transformed input V (16
-    per tile, cin wide), the products M (16 per tile, cout wide) and the
-    rows of one row pass (2 * tile columns + 2 per tile row, cin wide)."""
-    return max(16 * (t1 - t0) * (s1 - s0) * (cin + cout) + (t1 - t0) * (2 * (s1 - s0) + 2) * cin
+    per tile, cin wide) or, in the same elements once V is read, the output
+    tiles (4 per tile, cout wide), whichever is larger; the products M (16
+    per tile, cout wide); and the rows of one row pass (2 * tile columns + 2
+    per tile row, cin wide)."""
+    return max((t1 - t0) * (s1 - s0) * (max(16 * cin, 4 * cout) + 16 * cout) + (t1 - t0) * (2 * (s1 - s0) + 2) * cin
                for t0, t1, s0, s1 in blocks)
 
 
@@ -454,8 +478,12 @@ def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray
     - one batched matmul multiplies V by the transformed kernel (16, cin,
       cout) into M, 16 products per tile over the channels instead of 36;
     - the output transform A^T M A runs in place in M along the columns,
-      then writes each pixel of the tiles into out's stride-2 view of it,
-      bias and activation added there.
+      then along the rows into the block's 2x2 output tiles, laid out
+      contiguously as the block's output rows in the elements V took (V is
+      read by then; when 4 cout > 16 cin the tiles need more, and
+      _winograd_elements counts it); bias and activation are added there,
+      and the rows are copied into out once. Writing each tile pixel into
+      out's stride-2 view of it instead took four strided passes over out.
     Padding rows and columns enter as zeros and are never stored: rows
     outside the input are a broadcast zero, the row-pass rows' columns
     outside it are zeroed. The planes go into work when it holds them,
@@ -474,9 +502,10 @@ def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray
     zero = np.zeros((), dtype=dtype)
     for t0, t1, s0, s1 in blocks:
         nt, ns = t1 - t0, s1 - s0
+        lead = nt * ns * max(16 * cin, 4 * cout)  # V, then the output tiles
         v = flat[:16 * nt * ns * cin].reshape(16, nt, ns, cin)
-        m = flat[v.size:v.size + 16 * nt * ns * cout].reshape(16, nt * ns, cout)
-        rows = flat[v.size + m.size:v.size + m.size + nt * (2 * ns + 2) * cin].reshape(nt, 2 * ns + 2, cin)
+        m = flat[lead:lead + 16 * nt * ns * cout].reshape(16, nt * ns, cout)
+        rows = flat[lead + m.size:lead + m.size + nt * (2 * ns + 2) * cin].reshape(nt, 2 * ns + 2, cin)
         x0 = 2 * s0 - 1  # input column of the rows' first column
         c0, c1 = max(x0, 0), min(x0 + 2 * ns + 2, w)
         rows[:, :c0 - x0] = 0
@@ -496,18 +525,16 @@ def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray
             r[0] += r[2]
             r[1] -= r[2]
             r[1] -= r[3]
-        for p in (0, 1):
-            for q in (0, 1):
-                y = out[2 * t0 + p:2 * t1:2, 2 * s0 + q:2 * s1:2]
-                part = m[:, q, :y.shape[0], :y.shape[1]]
-                if p == 0:
-                    np.add(part[0], part[1], out=y)
-                    y += part[2]
-                else:
-                    np.subtract(part[1], part[2], out=y)
-                    y -= part[3]
-                y += bias
-                _activate_inplace(y, activation)
+        tiles = flat[:4 * nt * ns * cout].reshape(nt, 2, ns, 2, cout)  # pixel (2 i + p, 2 j + q) at [i, p, j, q]
+        for q in (0, 1):  # A^T along the rows
+            np.add(m[0, q], m[1, q], out=tiles[:, 0, :, q])
+            tiles[:, 0, :, q] += m[2, q]
+            np.subtract(m[1, q], m[2, q], out=tiles[:, 1, :, q])
+            tiles[:, 1, :, q] -= m[3, q]
+        tiles += bias
+        _activate_inplace(tiles, activation)
+        y1, x1 = min(2 * t1, h), min(2 * s1, w)
+        out[2 * t0:y1, 2 * s0:x1] = tiles.reshape(2 * nt, 2 * ns, cout)[:y1 - 2 * t0, :x1 - 2 * s0]
 
 
 def _winograd_input_rows(data: np.ndarray, i0: int, i1: int, k: int, c0: int, c1: int,

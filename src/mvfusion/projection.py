@@ -13,15 +13,26 @@ single division at the end: contributions are sorted by (target cell,
 source cell) before summing, so results are bit-reproducible and
 bit-identical under any permutation of the input points (points sharing
 both cells carry identical feature vectors, making their mutual order
-irrelevant). The sums are taken over consecutive blocks of whole hit
-cells in that order, about arena.CHUNK_BYTES of float64 contributions at a
-time, so the per-point feature rows never exist all at once; each cell's
-sum is the same sequence of additions as over all points at once. Only
-the averages are scattered into the target grid, which has the source's
-dtype (float32 stays float32, anything else is float64), so a float32
-result is exactly the float64 result cast to float32. The target grid may
-be a caller's buffer (project_features' out), so the projection can be
-written straight into the input of the convolution that reads it.
+irrelevant). Each cell's sum is sequential, 0.0 + v0 + v1 + ... in that
+order (so a cell of -0.0 contributions sums to +0.0), and is taken in
+one of two ways (_cell_means), over consecutive blocks of whole hit cells,
+about arena.CHUNK_BYTES of float64 contributions at a time, so the
+per-point feature rows never exist all at once:
+
+- a cell of at most _STEPWISE_MAX contributions is summed in steps that
+  each add the k-th contribution of every such cell in the block, read
+  straight from the source;
+- a larger cell (atg4d cells take up to about 180) is summed alone by
+  np.add.accumulate, which adds one row after another along its axis, so
+  a cell of 100k points takes a few numpy calls, not 100k steps.
+
+np.add.reduceat would take each cell in one call, but it sums a segment
+of a narrow array pairwise, which changes the bits of long cells of 1-3
+channels. Only the averages are scattered into the target grid, which has
+the source's dtype (float32 stays float32, anything else is float64), so a
+float32 result is exactly the float64 result cast to float32. The target
+grid may be a caller's buffer (project_features' out), so the projection
+can be written straight into the input of the convolution that reads it.
 """
 from __future__ import annotations
 
@@ -126,26 +137,63 @@ def project_features(
     features[...] = 0.0
     validity[...] = -1.0
     if keep.any():
-        tr, tc = tr[keep], tc[keep]
-        sr, sc = sr[keep], sc[keep]
+        target = (tr * cols_t + tc)[keep]
+        src = (sr * source.width + sc)[keep]
         # canonical accumulation order: by target cell, then source cell
-        order = np.lexsort((sr * source.width + sc, tr * cols_t + tc))
-        cells, count = np.unique((tr * cols_t + tc)[order], return_counts=True)
-        sr, sc = sr[order], sc[order]
-        hit_rows, hit_cols = np.divmod(cells, cols_t)
-        starts = np.concatenate([[0], np.cumsum(count)])  # cell k's contributions: starts[k]..starts[k + 1] - 1
+        order = np.lexsort((src, target))
+        target, src = target[order], src[order]
+        first = np.flatnonzero(np.diff(target, prepend=-1))  # each hit cell's first contribution
+        count = np.diff(first, append=target.size)
+        hit_rows, hit_cols = np.divmod(target[first], cols_t)
+        pixels = source.data.reshape(-1, channels)
         per_block = max(1, CHUNK_BYTES // (channels * 8))
         c0 = 0
-        while c0 < cells.size:  # blocks of whole cells, about per_block contributions each
-            c1 = max(c0 + 1, min(int(np.searchsorted(starts, starts[c0] + per_block)), cells.size))
-            p0, p1 = starts[c0], starts[c1]
-            acc = np.zeros((c1 - c0, channels))
-            np.add.at(acc, np.repeat(np.arange(c1 - c0), count[c0:c1]),
-                      source.data[sr[p0:p1], sc[p0:p1]].astype(np.float64))
-            features[hit_rows[c0:c1], hit_cols[c0:c1]] = acc / count[c0:c1, None]
+        while c0 < first.size:  # blocks of whole cells, about per_block contributions each
+            c1 = max(c0 + 1, int(np.searchsorted(first, first[c0] + per_block)))
+            means, cells = _cell_means(pixels, src, first[c0:c1], count[c0:c1], per_block)
+            features[hit_rows[c0:c1][cells], hit_cols[c0:c1][cells]] = means
             c0 = c1
         validity[hit_rows, hit_cols] = 1.0
     return (
         FeatureMap(target_view, features, target_geometry),
         FeatureMap(target_view, validity, target_geometry),
     )
+
+
+# Cells with more contributions than this are summed one cell at a time by
+# np.add.accumulate; the others one contribution per cell at a time. On the
+# atg4d RV->BEV projection 16, 32 and 48 took 22.5, 18.2 and 18.6 ms.
+_STEPWISE_MAX = 32
+
+
+def _cell_means(pixels: np.ndarray, src: np.ndarray, first: np.ndarray, count: np.ndarray,
+                per_block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 averages of cells' contributions, the rows of pixels at
+    src[first[k]:first[k] + count[k]] for cell k, each summed in order
+    starting from 0.0 and divided once, and the order of the cells they are
+    given in: by falling count.
+
+    In that order the cells that have a k-th contribution come first, so
+    one step adds the k-th contribution of each of them. A cell of more
+    than _STEPWISE_MAX contributions is summed alone by np.add.accumulate,
+    which adds along its axis one row after another, over pieces of at most
+    per_block contributions that carry the running sum from one to the
+    next. Either way each sum is 0.0 + v0 + v1 + ...
+    """
+    cells = np.argsort(-count, kind="stable")
+    first, count = first[cells], count[cells]
+    sums = np.zeros((count.size, pixels.shape[1]))
+    big = int(np.count_nonzero(count > _STEPWISE_MAX))
+    for i in range(big):
+        end = first[i] + count[i]
+        for p0 in range(first[i], end, per_block):
+            piece = pixels.take(src[p0:min(p0 + per_block, end)], axis=0).astype(np.float64, copy=False)
+            piece[0] += sums[i]
+            np.add.accumulate(piece, axis=0, out=piece)
+            sums[i] = piece[-1]
+    falling = -count
+    for k in range(int(count[big]) if big < count.size else 0):
+        n = int(np.searchsorted(falling, -k))  # the cells with a k-th contribution
+        np.add(sums[big:n], pixels.take(src[first[big:n] + k], axis=0), out=sums[big:n])
+    sums /= count[:, None]
+    return sums, cells

@@ -235,7 +235,7 @@ def test_conv_peak_memory_stays_below_a_padded_input_copy(occupied_share):
     assert peak < data.nbytes + out.nbytes + network.CHUNK_BYTES
 
 
-def _unblocked_occupied_conv(data, kernel, bias):
+def _unblocked_occupied_conv(data, kernel, bias, relu=True):
     """The occupied-pixel conv with each tap's product over all occupied rows at once."""
     h, w, cin = data.shape
     kh, kw, _, cout = kernel.shape
@@ -251,7 +251,7 @@ def _unblocked_occupied_conv(data, kernel, bias):
             inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
             out[(oy * w + ox)[inside]] += (rows @ kernel[dy, dx])[inside]
     out += bias.astype(data.dtype)
-    return np.maximum(out, 0).reshape(h, w, cout)
+    return (np.maximum(out, 0) if relu else out).reshape(h, w, cout)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -272,6 +272,35 @@ def test_occupied_blocks_are_bit_identical(monkeypatch, dtype, cin, cout, rows_p
     got = conv2d_raw(data, kernel, bias)
     assert calls and got.dtype == dtype
     assert np.array_equal(got, _unblocked_occupied_conv(data, kernel, bias))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("band_rows", [1, 2, 3, 5, 100])
+@pytest.mark.parametrize("pattern", ["scattered", "one_per_row"])
+def test_occupied_bands_are_bit_identical(monkeypatch, dtype, band_rows, pattern):
+    calls = []
+    kernel_fn = network._conv2d_occupied
+    monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
+    rng = np.random.default_rng(13)
+    h, w, cin, cout = 31, 19, 4, 7
+    if pattern == "scattered":
+        mask = rng.uniform(size=(h, w)) < 0.15
+        mask[[0, 0, -1, -1], [0, -1, 0, -1]] = True  # all four corners
+    else:  # one pixel in every other row, two of them on the edges: runs of a single row
+        cols = rng.integers(0, w, size=len(range(0, h, 2)))
+        cols[1:3] = 0, w - 1
+        mask = np.zeros((h, w), dtype=bool)
+        mask[np.arange(0, h, 2), cols] = True
+    data = (rng.normal(size=(h, w, cin)) * mask[:, :, None]).astype(dtype)
+    kernel, bias = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+    monkeypatch.setattr(network, "CHUNK_BYTES", band_rows * (w + 2) * cout * np.dtype(dtype).itemsize)
+    buffer = np.full((h, w, 2 + cout + 3), np.nan, dtype=dtype)
+    out = buffer[:, :, 2:2 + cout]
+    for activation in ("relu", "linear"):
+        assert conv2d_raw(data, kernel, bias, activation=activation, out=out) is out
+        assert np.array_equal(out, _unblocked_occupied_conv(data, kernel, bias, relu=activation == "relu"))
+    assert len(calls) == 2
+    assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 2 + cout:]).all()
 
 
 def test_occupied_kernel_temporaries_stay_within_the_chunk_bound(monkeypatch):
@@ -445,6 +474,82 @@ def test_winograd_uint8_input_equals_float32_bit_for_bit(monkeypatch):
     assert network.conv_kernel_of(mask, (3, 3), (1, 1)) == network.WINOGRAD
     assert got.dtype == np.float32
     assert np.array_equal(got, conv2d_raw(mask.astype(np.float32), kernel, bias))
+
+
+def _quadrant_winograd(data, kernel, bias, activation):
+    """Winograd F(2x2, 3x3) over all tiles at once, from a zero-padded copy
+    of the input, each output pixel of the tiles added up in out's
+    stride-2 view of it, bias and activation applied there."""
+    h, w, cin = data.shape
+    cout, th, tw = kernel.shape[3], -(-h // 2), -(-w // 2)
+    padded = np.zeros((2 * th + 2, 2 * tw + 2, cin), dtype=data.dtype)
+    padded[1:h + 1, 1:w + 1] = data
+    v = np.empty((16, th, tw, cin), dtype=data.dtype)
+    for j, (ka, kb, combine_rows) in enumerate(network._WINOGRAD_BT):
+        rows = combine_rows(padded[ka::2][:th], padded[kb::2][:th])
+        for jj, (ca, cb, combine_cols) in enumerate(network._WINOGRAD_BT):
+            combine_cols(rows[:, ca::2][:, :tw], rows[:, cb::2][:, :tw], out=v[4 * j + jj])
+    m = np.matmul(v.reshape(16, th * tw, cin), network.winograd_kernel(kernel, data.dtype))
+    m = m.reshape(4, 4, th, tw, cout)
+    for r in m:
+        r[0] += r[1]
+        r[0] += r[2]
+        r[1] -= r[2]
+        r[1] -= r[3]
+    out = np.empty((h, w, cout), dtype=data.dtype)
+    for p in (0, 1):
+        for q in (0, 1):
+            y = out[p::2, q::2]
+            part = m[:, q, :y.shape[0], :y.shape[1]]
+            if p == 0:
+                np.add(part[0], part[1], out=y)
+                y += part[2]
+            else:
+                np.subtract(part[1], part[2], out=y)
+                y -= part[3]
+            y += bias.astype(data.dtype)
+            if activation == "relu":
+                np.maximum(y, 0, out=y)
+    return out
+
+
+@pytest.mark.parametrize("h,w,cin,cout", [(13, 11, 5, 23), (9, 15, 3, 13), (14, 10, 6, 4)])  # cout > 4 cin, and not
+@pytest.mark.parametrize("chunk_bytes", [None, 3000, 600])  # one block, blocks of whole tile rows, of three tiles
+def test_winograd_float32_bits_do_not_depend_on_the_tile_blocks(monkeypatch, h, w, cin, cout, chunk_bytes):
+    _force_winograd(monkeypatch)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(network, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(h * w + cout)
+    data = rng.normal(size=(h, w, cin)).astype(np.float32)
+    kernel = rng.normal(size=(3, 3, cin, cout)).astype(np.float32).astype(np.float64)
+    bias = rng.normal(size=cout).astype(np.float32).astype(np.float64)
+    buffer = np.full((h, w, 2 + cout + 3), np.nan, dtype=np.float32)
+    out = buffer[:, :, 2:2 + cout]
+    for activation in ("relu", "linear"):
+        with mock.patch.object(network, "_conv2d_winograd", wraps=network._conv2d_winograd) as winograd:
+            assert conv2d_raw(data, kernel, bias, activation=activation, out=out) is out
+        assert winograd.called
+        assert np.array_equal(out, _quadrant_winograd(data, kernel, bias, activation))
+    assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 2 + cout:]).all()
+
+
+def test_winograd_work_holds_the_output_tiles_apart_from_the_products(monkeypatch):
+    # desk's fuse.head (64 -> 381 channels) with Winograd forced: the output
+    # tiles (4 per tile, 381 wide) outgrow the transformed input (16 per
+    # tile, 64 wide) whose elements they take, so the work must count them
+    _force_winograd(monkeypatch)
+    layer = network.ConvLayerSpec("fuse.head", 64, 381, activation="linear")
+    h, w = 24, 16
+    blocks = network._winograd_blocks(h, w, 64, 381, 4, network._WINOGRAD_BLOCK_BYTES)
+    assert network._winograd_elements(blocks, 64, 381) == 12 * 8 * (4 * 381 + 16 * 381) + 12 * 18 * 64
+    rng = np.random.default_rng(47)
+    data = rng.normal(size=(h, w, 64)).astype(np.float32)
+    kernel = rng.normal(size=(3, 3, 64, 381)).astype(np.float32).astype(np.float64)
+    bias = rng.normal(size=381)
+    work = np.full(network.conv_work_bytes(layer, h, w), 0xFF, dtype=np.uint8)
+    got = conv2d_raw(data, kernel, bias, activation="linear", work=work)
+    assert (work != 0xFF).any()  # the planes went into work
+    assert np.array_equal(got, _quadrant_winograd(data, kernel, bias, "linear"))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -265,3 +266,75 @@ def test_projection_temporaries_stay_within_the_block_bound():
     finally:
         tracemalloc.stop()
     assert peak < 3 * projection.CHUNK_BYTES + 160 * len(pts)
+
+
+def _points_in_cells(rng, grid, rv, counts):
+    """Points in distinct BEV cells of grid, counts[k] in the k-th, each from a
+    random RV cell of rv."""
+    cells = rng.choice(grid.rows * grid.cols, size=len(counts), replace=False)
+    rows, cols = np.divmod(np.repeat(cells, counts), grid.cols)
+    n = len(rows)
+    x = grid.x_min + (rows + 0.5) * grid.cell_length
+    y = grid.y_min + (cols + 0.5) * grid.cell_width
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    laser = rng.integers(0, rv.rows, size=n)
+    return PointArray(x, y, np.full(n, 0.5), np.hypot(x, y), np.full(n, 0.5), azimuth, laser)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_long_cell_sums_match_the_literal_oracle(channels, dtype):
+    # 9-200 contributions a cell, both sides of the count above which a
+    # cell is summed alone; narrow sources are where np.add.reduceat, which
+    # sums a long segment pairwise, would differ
+    rng = np.random.default_rng(channels)
+    rv, grid = rv8(), small_grid()
+    source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, channels)).astype(dtype), rv)
+    counts = [9, 15, 16, 17, 33, 64, 117, 200, 1, 2]
+    pts = _points_in_cells(rng, grid, rv, counts)
+    feats, validity = project_features(source, pts, grid)
+    wide = FeatureMap("rv", source.data.astype(np.float64), rv)
+    ref_feats, ref_valid = project_reference(wide, pts, grid, (grid.rows, grid.cols))
+    assert np.array_equal(feats.data, ref_feats.astype(dtype))
+    assert np.array_equal(validity.data[:, :, 0], ref_valid)
+    assert np.count_nonzero(ref_valid == 1.0) == len(counts)
+
+
+@pytest.mark.parametrize("count", [1, 5, 40])
+def test_a_cell_of_negative_zeros_averages_to_positive_zero(count):
+    rv, grid = rv8(), small_grid()
+    source = FeatureMap("rv", np.full((rv.rows, rv.cols, 2), -0.0), rv)
+    pts = _points_in_cells(np.random.default_rng(count), grid, rv, [count])
+    feats, _ = project_features(source, pts, grid)
+    ref_feats, _ = project_reference(source, pts, grid, (grid.rows, grid.cols))
+    assert feats.data.tobytes() == ref_feats.tobytes()  # bit for bit: array_equal takes -0.0 for 0.0
+    assert not np.signbit(feats.data).any()
+
+
+def test_a_cell_of_100k_points_is_summed_in_few_steps():
+    rng = np.random.default_rng(23)
+    rv, grid = rv8(), small_grid()
+    source = FeatureMap("rv", rng.normal(size=(rv.rows, rv.cols, 2)), rv)
+    pts = _points_in_cells(rng, grid, rv, [100_000])
+    lines = [0]
+
+    def trace(frame, event, arg):  # counts the lines run in projection.py: a work count, not a clock
+        if frame.f_code.co_filename != projection.__file__:
+            return None
+        if event == "line":
+            lines[0] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        feats, _ = project_features(source, pts, grid)
+    finally:
+        sys.settrace(None)
+    assert lines[0] < 500  # one step per contribution would run 100k lines or more
+    # the canonical order: by source cell, each sum starting from 0.0
+    src = pts.laser * rv.cols + np.floor(pts.azimuth / (2 * math.pi) * rv.cols).astype(np.int64)
+    want = np.zeros(2)
+    for v in source.data.reshape(-1, 2)[np.sort(src)]:
+        want += v
+    r, c = map(int, np.argwhere(feats.data.any(axis=2))[0])
+    assert feats.data[r, c].tobytes() == (want / len(pts)).tobytes()

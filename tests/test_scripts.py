@@ -4,7 +4,8 @@ fit_convergence.py fits outputs and scores them, run_demo.py drives every
 CLI stage from gen through fit and eval, stage_memory.py prints the
 frame's arena plan, then the forward pass's tracemalloc peaks per stage and
 per conv layer, or with --frames the CPU time and page faults of frames,
-and conv_kernels.py times every conv layer under each kernel it can take.
+conv_kernels.py times every conv layer under each kernel it can take, and
+frame_digests.py prints the SHA-256 of the cell outputs of fixed frames.
 """
 import json
 import os
@@ -97,3 +98,11 @@ def test_conv_kernels_times_every_layer_under_its_eligible_kernels():
         assert kernel in timed and all(float(t) >= 0.0 for t in times if t != "-")
         assert ("winograd" in timed) == (layer.kernel == (3, 3) and layer.stride == (1, 1))
         assert kernel != "winograd"  # no desk layer has a Winograd shape
+
+
+def test_frame_digests_agree_from_run_to_run():
+    first = _run_script("scripts/frame_digests.py", "--desk-frames", "2", "--atg4d-frames", "0")
+    lines = first.strip().splitlines()
+    assert [line.split()[:3] for line in lines] == [["desk", "1000", "0.200"], ["desk", "1000", "0.700"]]
+    assert all(len(line.split()[3]) == 64 for line in lines)
+    assert _run_script("scripts/frame_digests.py", "--desk-frames", "2", "--atg4d-frames", "0") == first
