@@ -92,22 +92,22 @@ def layer_rows(preset, path, weights, repeats: int) -> list[dict]:
     rows = []
     conv_fn = network.conv2d_forward
 
-    def timed_conv(fm, layer, weights, out=None, work=None):
+    def timed_conv(fm, layer, net, out=None, work=None):
         share = occupied_share(fm.data)
-        rule = "transposed" if layer.transposed else network.conv_kernel_of(fm.data, layer.kernel, layer.stride)
+        rule = network.conv_kernel_of(fm.data, layer)
         row = {"layer": layer.name, "input": "x".join(map(str, fm.data.shape)), "occupied": share, "rule": rule,
                "ms": {}}
         for kernel in eligible(layer, share):
             with forced(kernel):
-                conv_fn(fm, layer, weights, out=out, work=work)  # first call: builds the Winograd transform
+                conv_fn(fm, layer, net, out=out, work=work)  # first call: builds the Winograd planes
                 samples = []
                 for _ in range(repeats):
                     start = time.process_time()
-                    conv_fn(fm, layer, weights, out=out, work=work)
+                    conv_fn(fm, layer, net, out=out, work=work)
                     samples.append((time.process_time() - start) * 1e3)
             row["ms"][kernel] = float(np.median(samples))
         rows.append(row)
-        return conv_fn(fm, layer, weights, out=out, work=work)
+        return conv_fn(fm, layer, net, out=out, work=work)
 
     network.conv2d_forward = timed_conv
     try:

@@ -4,12 +4,12 @@ or with --frames N the CPU time, page faults and peak RSS of N frames.
 
 Generates the first frame of scene seed --seed on --preset and writes it as
 a bundle, with the benchmark's seeded weights (seed 0, camera branch on).
-First prints the arena plan (pipeline.frame_plan): one JSON line per
-tensor with its bytes, offset and live range (the names of its first and
-last steps), then the arena's size:
+First prints the arena plan of the frame's net (pipeline.fusion_net): one
+JSON line per tensor with its bytes, offset and live range (the names of
+its first and last steps), then the arena's size:
 
-  {"kind": "tensor", "name": "bev.lidar1", "bytes": 75040000, "offset": 187695104, "first": "bev.lidar1", "last": "bev.lidar2"}
-  {"kind": "arena", "mib": 435.6, "tensors": 54}
+  {"kind": "tensor", "name": "bev.lidar1", "bytes": 75040000, "offset": 93800000, "first": "bev.lidar1", "last": "bev.lidar2"}
+  {"kind": "arena", "mib": 433.6, "tensors": 60}
 
 Then, by default, reads the bundle back and runs the pipeline stages one
 by one under tracemalloc, printing one JSON line per conv layer and per
@@ -70,9 +70,9 @@ def forward_peaks(preset, bundle, weights, baseline: int) -> list[dict]:
 
     conv_fn = network.conv2d_forward
 
-    def traced_conv(fm, layer, weights, **kwargs):
+    def traced_conv(fm, layer, net, **kwargs):
         interval_peak()
-        out = conv_fn(fm, layer, weights, **kwargs)
+        out = conv_fn(fm, layer, net, **kwargs)
         records.append({"kind": "layer", "name": layer.name, "stage": stage, "peak_mib": interval_peak() / MIB})
         return out
 
@@ -129,8 +129,6 @@ def main(argv=None) -> None:
 
     preset = get_preset(args.preset)
     weights = pipeline.make_weights(preset, 0)
-    for record in plan_records(pipeline.frame_plan(preset, pipeline.layer_plan(preset, weights))):
-        print(json.dumps(record))
     _, bundles = pipeline.generate_bundles(preset, args.seed, 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "frame.bin"
@@ -140,7 +138,8 @@ def main(argv=None) -> None:
             records = round_records(path, preset, weights, args.frames)
         else:
             records = peak_records(path, preset, weights)
-    for record in records:
+    # the first forward pass built the net and its arena, inside the measurements
+    for record in plan_records(pipeline.fusion_net(preset, weights).arena.plan) + records:
         print(json.dumps(record))
 
 

@@ -28,7 +28,7 @@ time:
   no desk layer. Each 2x2 output tile costs 16 products over the channels
   instead of 36. Its input and output transforms only add and subtract;
   the kernel transform G g G^T is summed in float64 and cast, once per
-  weights and dtype (NetworkWeights.transformed_kernel). In float32 its
+  layer of a FusionNet (FusionNet.planes). In float32 its
   error against float64 is no larger than im2col's (3-5e-7 relative,
   against 5-6e-7), but its bits differ from im2col's; in float64 it agrees
   with the literal conv to rounding (below 1e-10 in the tests).
@@ -54,13 +54,14 @@ project to float32) and after the head (CellOutputs.unpack). Seeded
 and loaded kernels are float64 blocks holding float32-exact values, so
 casting them to float32 is exact.
 
-Memory: every kernel writes into a caller's view when given one (out=), and
-the branch functions take an optional Arena (arena.py) whose plan
-(pipeline.frame_plan) gives each grid-shaped tensor of a frame its bytes
-for its live range: each conv output, the joined inputs and the float32
-copies of the images. A frame then allocates none of them, and a process
-reuses the same pages frame after frame instead of mapping, zero-filling
-and unmapping fresh ones; without an arena each tensor is a new array.
+Memory: every kernel writes into a caller's view when given one (out=).
+A FusionNet (one configuration, its validated weights and its layers'
+Winograd planes) may hold an Arena (arena.py) whose plan (pipeline.fusion_net
+plans it from pipeline.frame_steps) gives each grid-shaped tensor of a frame
+its bytes for its live range: each conv output, the joined inputs and the
+float32 images. A frame then allocates none of them, and a process reuses
+the same pages frame after frame instead of mapping, zero-filling and
+unmapping fresh ones; a net without an arena gives each tensor a new array.
 Residual sums, their ReLU and the BEV LiDAR + map sum are done in place.
 The two inputs that join a view's own features with projected ones,
 unet.enc1's and fuse.conv1's, are built at full width: rv.conv2 writes the
@@ -81,9 +82,9 @@ tensors leave, so work never makes the arena larger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -212,7 +213,7 @@ OCCUPIED, WINOGRAD, IM2COL = "occupied", "winograd", "im2col"
 def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                stride: tuple[int, int] = (1, 1), activation: str = RELU,
                out: np.ndarray | None = None, work: np.ndarray | None = None,
-               transformed: Callable[[np.dtype], np.ndarray] | None = None) -> np.ndarray:
+               planes: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation with zero SAME padding; output = ceil(input / stride).
 
     Stride-(1, 1) inputs whose occupied pixels (channel row not all zero) are
@@ -228,10 +229,10 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     given, is a uint8 buffer for the kernel's largest temporary, the
     occupied-pixel kernel's gathered input rows, an im2col chunk's patch
     matrix or a Winograd tile block's planes, used when it fits
-    (conv_work_bytes sizes it); else that is allocated. transformed, when
-    given, is called with the compute dtype and returns the kernel's
-    Winograd transform (winograd_kernel), so a caller can keep it from
-    call to call; else the Winograd kernel transforms the kernel itself.
+    (conv_work_bytes sizes it); else that is allocated. planes, when
+    given, is the kernel's Winograd transform in the compute dtype, kept by
+    the caller (FusionNet.planes); else the Winograd kernel makes it
+    (winograd_kernel).
     """
     h, w, cin = data.shape
     kh, kw, kcin, cout = kernel.shape
@@ -242,7 +243,7 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     out = output_array(out, (*conv_output_shape(h, w, stride), cout), dtype)
     name, occupied = _choose_kernel(data, (kh, kw), stride)
     if name == WINOGRAD:
-        planes = winograd_kernel(kernel, dtype) if transformed is None else transformed(dtype)
+        planes = winograd_kernel(kernel, dtype) if planes is None else planes
         _conv2d_winograd(data, planes, bias, activation, out, work)
         return out
     kernel = kernel.astype(dtype, copy=False)
@@ -254,9 +255,10 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return out
 
 
-def conv_kernel_of(data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> str:
-    """The kernel conv2d_raw runs on data: OCCUPIED, WINOGRAD or IM2COL."""
-    return _choose_kernel(data, kernel, stride)[0]
+def conv_kernel_of(data: np.ndarray, layer: ConvLayerSpec) -> str:
+    """The kernel conv2d_forward runs for layer on data: "transposed" for
+    the transposed layer, else conv2d_raw's OCCUPIED, WINOGRAD or IM2COL."""
+    return "transposed" if layer.transposed else _choose_kernel(data, layer.kernel, layer.stride)[0]
 
 
 def _choose_kernel(data: np.ndarray, kernel: tuple[int, int],
@@ -585,27 +587,24 @@ def deconv2d_h_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
 # weights
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkWeights:
-    """Ordered named parameter blocks plus the seed/scheme that produced them."""
+    """Ordered named parameter blocks plus the seed/scheme that produced them.
+    Immutable: blocks becomes a read-only mapping of read-only copies of the
+    given arrays, so what a FusionNet computes from them never goes stale."""
 
-    blocks: dict[str, np.ndarray]
+    blocks: Mapping[str, np.ndarray]
     seed: int | None = None
     scheme: str = "uniform-fan"
-    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        blocks = {name: np.array(arr) for name, arr in self.blocks.items()}
+        for arr in blocks.values():
+            arr.flags.writeable = False
+        object.__setattr__(self, "blocks", MappingProxyType(blocks))
 
     def kernel(self, name: str) -> np.ndarray:
         return self.blocks[f"{name}.kernel"]
-
-    def transformed_kernel(self, name: str, dtype) -> np.ndarray:
-        """winograd_kernel of the layer's kernel in dtype, computed on first
-        use and kept while the block is the same array: a forward pass pays
-        for it once per weights, not once per frame, and set-up not at all."""
-        kernel = self.kernel(name)
-        key = (name, np.dtype(dtype).str)
-        if key not in self._transforms or self._transforms[key][0] is not kernel:
-            self._transforms[key] = (kernel, winograd_kernel(kernel, dtype))
-        return self._transforms[key][1]
 
     def bias(self, name: str) -> np.ndarray:
         return self.blocks[f"{name}.bias"]
@@ -615,7 +614,7 @@ class NetworkWeights:
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite values in block {name}")
 
-    def validate_plan(self, plan: Sequence[ConvLayerSpec]) -> None:
+    def validate_plan(self, plan: Iterable[ConvLayerSpec]) -> None:
         """Every planned layer has a kernel of its planned shape and a (cout,) bias."""
         for layer in plan:
             for block, want in ((f"{layer.name}.kernel", (*layer.kernel, layer.in_channels, layer.out_channels)),
@@ -753,73 +752,80 @@ def init_network_weights(config: FusionConfig, bev_in_channels: int, seed: int) 
 # forward passes
 # ---------------------------------------------------------------------------
 
-def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, weights: NetworkWeights,
+def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, net: FusionNet,
                    out: np.ndarray | None = None, work: np.ndarray | None = None) -> FeatureMap:
-    """Apply one planned layer to a feature map (geometry carried through);
+    """Apply one of net's layers to a feature map (geometry carried through);
     out and work as in conv2d_raw."""
     if fm.channels != layer.in_channels:
         raise ValueError(f"{layer.name}: expected {layer.in_channels} channels, got {fm.channels}")
-    kernel = weights.kernel(layer.name)
-    bias = weights.bias(layer.name)
-    if kernel.shape != (*layer.kernel, layer.in_channels, layer.out_channels):
-        raise ValueError(f"{layer.name}: weight block shape {kernel.shape} does not match the layer plan")
+    kernel, bias = net.weights.kernel(layer.name), net.weights.bias(layer.name)
     if layer.transposed:
         data = deconv2d_h_raw(fm.data, kernel, bias, layer.activation, out=out)
     else:
         data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work,
-                          transformed=lambda dtype: weights.transformed_kernel(layer.name, dtype))
+                          planes=net.planes(layer, fm.data))
     return FeatureMap(fm.view, data, fm.geometry)
 
 
-@dataclass(frozen=True)
-class LayerPlan:
-    """The conv layers of one configuration, looked up by name (plan["rv.conv1"])."""
+class FusionNet:
+    """The network of one configuration and one set of weights: the config,
+    the layers by name, the weights, checked against the layers once when
+    the net is built, the float32 Winograd planes of its layers, and the
+    arena of the frame path, which pipeline.fusion_net plans for a preset.
 
-    config: FusionConfig
-    bev_in_channels: int
+    With an arena, every tensor the branch functions produce is written into
+    its planned view: a conv into the view named after its layer, with the
+    layer's "<name>.work" bytes as its work, and the joined inputs into
+    "unet.enc1.in", "unet.fuse.in" and "fuse.conv1.in". Without one (the
+    default), each is a new array.
+    """
 
-    @cached_property
-    def layers(self) -> dict[str, ConvLayerSpec]:
-        return {layer.name: layer for layer in network_plan(self.config, self.bev_in_channels)}
+    def __init__(self, config: FusionConfig, bev_in_channels: int, weights: NetworkWeights):
+        self.config = config
+        self.bev_in_channels = bev_in_channels
+        self.layers = {layer.name: layer for layer in network_plan(config, bev_in_channels)}
+        weights.validate_plan(self.layers.values())
+        self.weights = weights
+        self.arena: Arena | None = None
+        self._planes: dict[str, np.ndarray] = {}
 
-    def __getitem__(self, name: str) -> ConvLayerSpec:
-        return self.layers[name]
+    def planes(self, layer: ConvLayerSpec, data: np.ndarray) -> np.ndarray | None:
+        """The layer's float32 Winograd planes (winograd_kernel) when data is
+        an input of a Winograd shape computed in float32, made on the first
+        such input and kept; else None."""
+        h, w, cin = data.shape
+        if _compute_dtype(data) != np.float32 or not winograd_shape(h, w, cin, layer.kernel, layer.stride):
+            return None
+        if layer.name not in self._planes:
+            self._planes[layer.name] = winograd_kernel(self.weights.kernel(layer.name), np.float32)
+        return self._planes[layer.name]
+
+    def conv(self, fm: FeatureMap, name: str, out: np.ndarray | None = None) -> FeatureMap:
+        """conv2d_forward of the layer called name into out, by default the
+        arena's view of the layer's output."""
+        work = None if self.arena is None else self.arena.find(f"{name}.work")
+        if out is None and self.arena is not None:
+            out = self.arena.view(name)
+        return conv2d_forward(fm, self.layers[name], self, out=out, work=work)
+
+    def buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """The arena's view called name, checked against shape and dtype, or a new array."""
+        return output_array(None if self.arena is None else self.arena.view(name), shape, dtype)
 
 
-# The branch functions below take an optional Arena (arena.py). With one,
-# every tensor they produce is written into its planned view: a conv into
-# the view named after its layer, with the layer's "<name>.work" bytes as
-# its work, and the joined inputs into "unet.enc1.in", "unet.fuse.in" and
-# "fuse.conv1.in". Without one, each is a new array.
-
-def _conv(fm: FeatureMap, layer: ConvLayerSpec, weights: NetworkWeights, arena: Arena | None,
-          out: np.ndarray | None = None) -> FeatureMap:
-    """conv2d_forward into out, by default the arena's view of the layer's output."""
-    if arena is None:
-        return conv2d_forward(fm, layer, weights, out=out)
-    return conv2d_forward(fm, layer, weights, out=arena.view(layer.name) if out is None else out,
-                          work=arena.find(f"{layer.name}.work"))
-
-
-def _buffer(arena: Arena | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """The arena's view called name, checked against shape and dtype, or a new array."""
-    return output_array(None if arena is None else arena.view(name), shape, dtype)
-
-
-def camera_net_forward(image: FeatureMap, weights: NetworkWeights, plan: LayerPlan,
-                       arena: Arena | None = None) -> FeatureMap:
+def camera_net_forward(image: FeatureMap, net: FusionNet) -> FeatureMap:
     """6-conv camera feature extractor; total spatial downscale 8x with ceiling."""
     if not isinstance(image.geometry, CameraGeometry):
         raise ValueError("camera image must carry CameraGeometry")
     out = image
-    for i in range(len(plan.config.cam_widths)):
-        out = _conv(out, plan[f"cam.conv{i + 1}"], weights, arena)
+    for i in range(len(net.config.cam_widths)):
+        out = net.conv(out, f"cam.conv{i + 1}")
     geometry = CameraGeometry(image.geometry.camera, pixel_stride=8 * image.geometry.pixel_stride)
     return FeatureMap(CAMERA, out.data, geometry)
 
 
 def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None, points,
-                      weights: NetworkWeights, plan: LayerPlan, arena: Arena | None = None) -> FeatureMap:
+                      net: FusionNet) -> FeatureMap:
     """LiDAR RV convs, camera fusion by point projection, 2-scale U-net.
 
     With the camera branch, unet.enc1's input is built in place: rv.conv2
@@ -830,32 +836,30 @@ def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None, 
     rv = rv_image.geometry
     if not isinstance(rv, RvSpec) or rv_image.height != rv.rows:
         raise ValueError("rv image rows must match its RvSpec")
-    config = plan.config
-    x = _conv(rv_image, plan["rv.conv1"], weights, arena)
+    config = net.config
+    x = net.conv(rv_image, "rv.conv1")
     if config.use_camera:
         if camera_features is None:
             raise ValueError("config.use_camera is set but no camera features were given")
-        enc1_in = _buffer(arena, "unet.enc1.in", (x.height, x.width, config.concat_width), x.data.dtype)
-        _conv(x, plan["rv.conv2"], weights, arena, out=enc1_in[:, :, :config.rv_width])
+        enc1_in = net.buffer("unet.enc1.in", (x.height, x.width, config.concat_width), x.data.dtype)
+        net.conv(x, "rv.conv2", out=enc1_in[:, :, :config.rv_width])
         project_features(camera_features, points, rv, out=enc1_in[:, :, config.rv_width:])
         x = FeatureMap(RV, enc1_in, rv)
     else:
-        x = _conv(x, plan["rv.conv2"], weights, arena)
+        x = net.conv(x, "rv.conv2")
 
-    enc1 = _conv(x, plan["unet.enc1"], weights, arena)
-    r = _conv(enc1, plan["unet.res1.conv1"], weights, arena)
-    level1 = _residual_relu(enc1, _conv(r, plan["unet.res1.conv2"], weights, arena))
-    down = _conv(level1, plan["unet.down"], weights, arena)
-    r2 = _conv(down, plan["unet.res2.conv1"], weights, arena)
-    level2 = _residual_relu(down, _conv(r2, plan["unet.res2.conv2"], weights, arena))
-    up = _conv(level2, plan["unet.up"], weights, arena)
-    merged = _buffer(arena, "unet.fuse.in", (level1.height, level1.width, up.channels + level1.channels),
-                     level1.data.dtype)
+    enc1 = net.conv(x, "unet.enc1")
+    level1 = _residual_relu(enc1, net.conv(net.conv(enc1, "unet.res1.conv1"), "unet.res1.conv2"))
+    down = net.conv(level1, "unet.down")
+    level2 = _residual_relu(down, net.conv(net.conv(down, "unet.res2.conv1"), "unet.res2.conv2"))
+    up = net.conv(level2, "unet.up")
+    merged = net.buffer("unet.fuse.in", (level1.height, level1.width, up.channels + level1.channels),
+                        level1.data.dtype)
     np.concatenate([up.data[:, :level1.width], level1.data], axis=2, out=merged)  # ceil-width rounding crop
-    return _conv(FeatureMap(RV, merged, rv), plan["unet.fuse"], weights, arena)
+    return net.conv(FeatureMap(RV, merged, rv), "unet.fuse")
 
 
-def fuse_input_of(bev_features: FeatureMap, config: FusionConfig, arena: Arena | None = None) -> FeatureMap:
+def fuse_input_of(bev_features: FeatureMap, net: FusionNet) -> FeatureMap:
     """fuse.conv1's input with the BEV branch's features in its leading
     bev_width channels.
 
@@ -865,12 +869,13 @@ def fuse_input_of(bev_features: FeatureMap, config: FusionConfig, arena: Arena |
     projected RV features and their validity. The BEV features are copied
     in: had bev.map2 written these channels and bev.lidar2's output been
     added to them, bev.lidar2's output, bev.map1's and this input would be
-    live at once: on atg4d, an arena of 507.2 MiB instead of 435.6.
+    live at once: on atg4d, an arena about 72 MiB larger.
     """
+    config = net.config
     if bev_features.channels != config.bev_width or not isinstance(bev_features.geometry, GridSpec):
         raise ValueError(f"bev features must have {config.bev_width} channels and carry a GridSpec")
     shape = (bev_features.height, bev_features.width, config.bev_width + config.unet_width + 1)
-    data = _buffer(arena, "fuse.conv1.in", shape, bev_features.data.dtype)
+    data = net.buffer("fuse.conv1.in", shape, bev_features.data.dtype)
     data[:, :, :config.bev_width] = bev_features.data
     return FeatureMap(BEV, data, bev_features.geometry)
 
@@ -882,14 +887,13 @@ def _residual_relu(x: FeatureMap, residual: FeatureMap) -> FeatureMap:
     return x
 
 
-def bev_branch_forward(lidar_bev: FeatureMap, map_raster: FeatureMap, weights: NetworkWeights,
-                       plan: LayerPlan, arena: Arena | None = None) -> FeatureMap:
+def bev_branch_forward(lidar_bev: FeatureMap, map_raster: FeatureMap, net: FusionNet) -> FeatureMap:
     """Separate LiDAR and map embeddings summed on the shared BEV grid, in
     bev.lidar2's output."""
     if (lidar_bev.height, lidar_bev.width) != (map_raster.height, map_raster.width):
         raise ValueError("lidar stack and map raster must share one grid")
-    lid = _conv(_conv(lidar_bev, plan["bev.lidar1"], weights, arena), plan["bev.lidar2"], weights, arena)
-    mp = _conv(_conv(map_raster, plan["bev.map1"], weights, arena), plan["bev.map2"], weights, arena)
+    lid = net.conv(net.conv(lidar_bev, "bev.lidar1"), "bev.lidar2")
+    mp = net.conv(net.conv(map_raster, "bev.map1"), "bev.map2")
     np.add(lid.data, mp.data, out=lid.data)
     return FeatureMap(BEV, lid.data, lidar_bev.geometry)
 
@@ -991,8 +995,7 @@ def _blocks(flat: np.ndarray):
     return take
 
 
-def fuse_and_head_forward(fuse_input: FeatureMap, weights: NetworkWeights, plan: LayerPlan,
-                          arena: Arena | None = None) -> CellOutputs:
+def fuse_and_head_forward(fuse_input: FeatureMap, net: FusionNet) -> CellOutputs:
     """Reduce stride over the fused BEV input, emit cells.
 
     fuse_input is fuse.conv1's input: the BEV features, the projected RV
@@ -1004,11 +1007,11 @@ def fuse_and_head_forward(fuse_input: FeatureMap, weights: NetworkWeights, plan:
     grid = fuse_input.geometry
     if not isinstance(grid, GridSpec):
         raise ValueError("the fuse input must carry a GridSpec")
-    config = plan.config
+    config = net.config
     x = fuse_input
     for i in range(len(config.head_widths)):
-        x = _conv(x, plan[f"fuse.conv{i + 1}"], weights, arena)
-    raw = _conv(x, plan["fuse.head"], weights, arena)
+        x = net.conv(x, f"fuse.conv{i + 1}")
+    raw = net.conv(x, "fuse.head")
     out_grid = OutputGrid.from_grid(grid, config.output_stride)
     return CellOutputs.unpack(raw.data, out_grid, config.horizon, config.classes, logits=True,
-                              out=None if arena is None else arena.lend())
+                              out=None if net.arena is None else net.arena.lend())

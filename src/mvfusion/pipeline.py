@@ -5,29 +5,29 @@ reference time; rasterization and the forward pass turn a bundle into
 per-cell outputs; evaluation decodes and scores them against the bundled
 labels. The forward pass is one list of named stages (pipeline_stages),
 run by forward_frame and, followed by decode, by benchmark_frame, which
-times whole frames with a clock read at each stage boundary. Its
-grid-shaped tensors live in one arena per process, planned once per
-preset and layer plan (frame_steps, frame_plan) and reused frame after
-frame (frame_arena).
+times whole frames with a clock read at each stage boundary. The stages
+run one FusionNet per process (fusion_net), built on the first forward
+pass for a preset and a weights object and kept while both stay the same.
+Its arena, planned from frame_steps, holds every grid-shaped tensor of a
+frame and is reused frame after frame.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .arena import Arena, ArenaPlan, Step, plan_arena
+from .arena import Arena, Step, plan_arena
 from .blockfile import BlockFileError, read_blocks, write_blocks
 from .bundle_io import FrameBundle
 from .losses import encode_targets, fit_outputs
 from .metrics import MetricsReport, decode_detections, evaluate_frames
 from .network import (
     CellOutputs,
-    LayerPlan,
+    FusionNet,
     NetworkWeights,
     bev_branch_forward,
     camera_net_forward,
@@ -86,13 +86,14 @@ def generate_bundles(preset: Preset, seed: int, frames: int) -> tuple[Scene, lis
 
 def rasterize_frame(bundle: FrameBundle, preset: Preset, arena: Arena | None = None) -> dict:
     """The BEV stack, the map raster and the RV image; with an arena, each is
-    written into its planned view ("lidar_stack", "map_raster", "rv_image")."""
+    written into its planned view ("lidar_stack", "map_raster" and, in
+    float32, rv.conv1's input "rv.conv1.in"), else the RV image is float64."""
     def view(name):
         return None if arena is None else arena.view(name)
 
     lidar = stack_history_bev(bundle.sweeps, preset.grid, expected_count=preset.sweep_count, out=view("lidar_stack"))
     map_raster = rasterize_map(bundle.map_geometry, preset.grid, out=view("map_raster"))
-    rv_image = build_rv_image(bundle.sweeps[-1], preset.rv, out=view("rv_image"))
+    rv_image = build_rv_image(bundle.sweeps[-1], preset.rv, out=view("rv.conv1.in"))
     return {"lidar_stack": lidar, "map_raster": map_raster, "rv_image": rv_image}
 
 
@@ -101,35 +102,31 @@ def make_weights(preset: Preset, seed: int, use_camera: bool = True) -> NetworkW
     return init_network_weights(config, bev_stack_channels(preset), seed)
 
 
-def layer_plan(preset: Preset, weights: NetworkWeights) -> LayerPlan:
-    """The preset's layers, with the camera branch when the weights hold cam.conv1.kernel."""
-    config = replace(preset.fusion, use_camera="cam.conv1.kernel" in weights.blocks)
-    return LayerPlan(config, bev_stack_channels(preset))
-
-
 # ---------------------------------------------------------------------------
-# the frame's arena
+# the frame's net and arena
 # ---------------------------------------------------------------------------
 
-def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, plan: LayerPlan) -> list[Step]:
+def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet) -> list[Step]:
     """The forward pass's steps in stage and layer order on a preset's BEV
     grid, RV image and camera, with the arena tensors each writes and reads:
     the one definition of their live ranges.
 
-    Every conv writes the tensor named after its layer, except rv.conv2
-    when the camera branch runs: it writes the leading channels of
-    "unet.enc1.in". Each conv asks for the work bytes its kernels can use
-    (conv_work_bytes). The residual sums write their block input in place,
-    and bev.lidar2's output ends up holding the BEV features. The last step
-    writes "outputs", the cell outputs in float64, which the plan lends to
-    the caller (ArenaPlan.export).
+    Rasterization writes the uint8 BEV stack and map raster and, in
+    float32, the RV image as rv.conv1's input. Every conv writes the tensor
+    named after its layer, except rv.conv2 when the camera branch runs: it
+    writes the leading channels of "unet.enc1.in". Each conv asks for the
+    work bytes its kernels can use (conv_work_bytes). The residual sums
+    write their block input in place, and bev.lidar2's output ends up
+    holding the BEV features. The last step writes "outputs", the cell
+    outputs in float64, which the plan lends to the caller
+    (ArenaPlan.export).
     """
-    config = plan.config
+    config = net.config
     f32 = "float32"
     steps: list[Step] = []
 
     def conv(name: str, src: str, in_shape: tuple[int, int, int], dst=None) -> tuple[int, int, int]:
-        layer = plan[name]
+        layer = net.layers[name]
         h, w, _ = in_shape
         oh, ow = (h, 2 * w) if layer.transposed else conv_output_shape(h, w, layer.stride)
         shape = (oh, ow, layer.out_channels)
@@ -137,10 +134,10 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, plan: LayerPlan
         return shape
 
     rows, cols = grid.rows, grid.cols
-    bev_in = (rows, cols, plan.bev_in_channels)
+    bev_in, rv_in = (rows, cols, net.bev_in_channels), (rv.rows, rv.cols, 4)
     steps += [Step("lidar_stack", (("lidar_stack", bev_in, "uint8"),)),
               Step("map_raster", (("map_raster", (rows, cols, 7), "uint8"),)),
-              Step("rv_image", (("rv_image", (rv.rows, rv.cols, 4), "float64"),))]
+              Step("rv.conv1.in", (("rv.conv1.in", rv_in, f32),))]
 
     lid = conv("bev.lidar2", "bev.lidar1", conv("bev.lidar1", "lidar_stack", bev_in))
     conv("bev.map2", "bev.map1", conv("bev.map1", "map_raster", (rows, cols, 7)))
@@ -156,8 +153,6 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, plan: LayerPlan
             shape = conv(f"cam.conv{i + 1}", src, shape)
             src = f"cam.conv{i + 1}"
 
-    rv_in = (rv.rows, rv.cols, 4)
-    steps.append(Step("rv.conv1.in", (("rv.conv1.in", rv_in, f32),), ("rv_image",)))
     shape = conv("rv.conv1", "rv.conv1.in", rv_in)
     if config.use_camera:
         enc1_in = ("unet.enc1.in", (*shape[:2], config.concat_width), f32)
@@ -188,34 +183,31 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, plan: LayerPlan
     return steps
 
 
-def frame_plan(preset: Preset, plan: LayerPlan) -> ArenaPlan:
-    """The arena plan of a frame of preset through plan's layers, computed
-    once per geometry and layer plan."""
-    return _frame_plan(preset.grid, preset.rv, preset.camera, plan)
+_net: tuple[Preset, FusionNet] | None = None
 
 
-@lru_cache(maxsize=16)
-def _frame_plan(grid: GridSpec, rv: RvSpec, camera: CameraModel, plan: LayerPlan) -> ArenaPlan:
-    return plan_arena(frame_steps(grid, rv, camera, plan), export="outputs")
+def fusion_net(preset: Preset, weights: NetworkWeights) -> FusionNet:
+    """The process's one net: preset's layers with these weights, with the
+    camera branch when they hold cam.conv1.kernel, and the arena of a frame
+    of preset planned from frame_steps.
 
-
-_arena: Arena | None = None
-
-
-def frame_arena(plan: ArenaPlan) -> Arena:
-    """The process's one arena, kept from frame to frame while the plan is
-    the same and replaced when it changes. Frames run one at a time: two
-    threads running frames at once would share it."""
-    global _arena
-    if _arena is None or _arena.plan != plan:
-        _arena = None  # free the old buffer before the new one is allocated
-        _arena = Arena(plan)
-    return _arena
-
-
-def _float32(fm: FeatureMap, out: np.ndarray) -> FeatureMap:
-    out[...] = fm.data
-    return FeatureMap(fm.view, out, fm.geometry)
+    It is built on the first forward pass and kept while the preset and the
+    weights object stay the same; the weights are immutable, so nothing it
+    holds goes stale. A net built for another preset or other weights takes
+    over the old net's arena when their plans are equal. Frames run one at a
+    time: two threads running frames at once would share the arena.
+    """
+    global _net
+    if _net is not None and _net[0] == preset and _net[1].weights is weights:
+        return _net[1]
+    config = replace(preset.fusion, use_camera="cam.conv1.kernel" in weights.blocks)
+    net = FusionNet(config, bev_stack_channels(preset), weights)
+    plan = plan_arena(frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
+    arena = None if _net is None or _net[1].arena.plan != plan else _net[1].arena
+    _net = None  # free the old arena before a new one is allocated
+    net.arena = Arena(plan) if arena is None else arena
+    _net = (preset, net)
+    return net
 
 
 def pipeline_stages(preset: Preset, weights: NetworkWeights):
@@ -225,38 +217,39 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
     the camera branch, cam.conv1.kernel), rv_branch, rv_to_bev, fuse_head.
     Each stage reads the context dict and returns the entries it adds; the
     last one adds "outputs". Every grid-shaped tensor the stages write lives
-    in the process's arena (frame_arena), at the place frame_plan gives it,
-    so where and for how long each one lives is decided once per preset and
-    layer plan, not by the allocator. The network sees float32 copies of the
-    float64 camera and RV images and the uint8 0/1 BEV stack and map raster
-    as they are. The outputs are written into the plan's export, whose
-    segment of the arena passes to the caller with them (Arena.lend), so
-    they never share memory with what the arena writes later.
+    in the arena of the process's net (fusion_net), at the place its plan
+    gives it, so where and for how long each one lives is decided once per
+    net, not by the allocator. The network sees a float32 copy of the
+    camera image, the RV image rasterized in float32, and the uint8 0/1 BEV
+    stack and map raster as they are. The outputs are written into the
+    plan's export, whose segment of the arena passes to the caller with them
+    (Arena.lend), so they never share memory with what the arena writes
+    later.
 
     bev_branch ends by copying the BEV features into fuse.conv1's input
     (fuse_input_of); rv_to_bev projects the RV features straight into the
     rest of that input, which fuse_head reads.
     """
-    plan = layer_plan(preset, weights)
-    config = plan.config
-    arena = frame_arena(frame_plan(preset, plan))
+    net = fusion_net(preset, weights)
+    config, arena = net.config, net.arena
 
     def rasterize(ctx):
         arena.begin_frame()
         return rasterize_frame(ctx["bundle"], preset, arena)
 
     def bev_branch(ctx):
-        bev_feats = bev_branch_forward(ctx["lidar_stack"], ctx["map_raster"], weights, plan, arena)
-        return {"fuse_input": fuse_input_of(bev_feats, config, arena)}
+        bev_feats = bev_branch_forward(ctx["lidar_stack"], ctx["map_raster"], net)
+        return {"fuse_input": fuse_input_of(bev_feats, net)}
 
     def camera_net(ctx):
-        image = _float32(ctx["bundle"].camera_image, arena.view("cam.conv1.in"))
-        return {"cam_feats": camera_net_forward(image, weights, plan, arena)}
+        image = ctx["bundle"].camera_image
+        data = arena.view("cam.conv1.in")
+        data[...] = image.data
+        return {"cam_feats": camera_net_forward(FeatureMap(image.view, data, image.geometry), net)}
 
     def rv_branch(ctx):
-        rv_image = _float32(ctx["rv_image"], arena.view("rv.conv1.in"))
-        return {"rv_feats": rv_branch_forward(rv_image, ctx.get("cam_feats"), ctx["bundle"].sweeps[-1].points,
-                                              weights, plan, arena)}
+        return {"rv_feats": rv_branch_forward(ctx["rv_image"], ctx.get("cam_feats"), ctx["bundle"].sweeps[-1].points,
+                                              net)}
 
     def rv_to_bev(ctx):
         project_features(ctx["rv_feats"], ctx["bundle"].sweeps[-1].points, preset.grid,
@@ -264,18 +257,11 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
         return {}
 
     def fuse_head(ctx):
-        return {"outputs": fuse_and_head_forward(ctx["fuse_input"], weights, plan, arena)}
+        return {"outputs": fuse_and_head_forward(ctx["fuse_input"], net)}
 
-    stages = [("rasterize", rasterize), ("bev_branch", bev_branch)]
-    if config.use_camera:
-        stages.append(("camera_net", camera_net))
-    stages.extend([
-        ("rv_branch", rv_branch),
-        ("rv_to_bev", rv_to_bev),
-        ("fuse_head", fuse_head),
-    ])
-    return stages
-
+    stages = [("rasterize", rasterize), ("bev_branch", bev_branch), ("camera_net", camera_net),
+              ("rv_branch", rv_branch), ("rv_to_bev", rv_to_bev), ("fuse_head", fuse_head)]
+    return [(name, stage) for name, stage in stages if name != "camera_net" or config.use_camera]
 
 def forward_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights) -> CellOutputs:
     ctx = {"bundle": bundle}

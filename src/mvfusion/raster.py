@@ -148,13 +148,16 @@ def rasterize_map(map_geometry, grid: GridSpec, line_width: float = MAP_LINE_WID
 # ---------------------------------------------------------------------------
 
 def build_rv_image(sweep: Sweep, rv: RvSpec, out: np.ndarray | None = None) -> FeatureMap:
-    """4-channel float64 RV raster of the current sweep: (range, height, intensity, validity).
+    """4-channel RV raster of the current sweep: (range, height, intensity, validity).
 
     Pixels without a return are (-1, -1, -1, 0). When several points land in
     one cell the nearest range wins, ties broken by point index. out, when
-    given, is the (rows, cols, 4) float64 array written.
+    given, is the (rows, cols, 4) float64 or float32 array written, else the
+    raster is a new float64 array; a float32 one holds the float64
+    raster's values rounded to float32.
     """
-    data = output_array(out, (rv.rows, rv.cols, 4), np.float64)
+    dtype = np.float32 if out is not None and out.dtype == np.float32 else np.float64
+    data = output_array(out, (rv.rows, rv.cols, 4), dtype)
     data[...] = -1.0
     data[:, :, 3] = 0.0
     pts = sweep.points

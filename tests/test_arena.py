@@ -15,14 +15,14 @@ import pytest
 from mvfusion import network, pipeline
 from mvfusion.arena import ALIGN, Arena, Step, greedy_by_size, plan_arena
 from mvfusion.network import (
-    LayerPlan,
+    FusionNet,
     bev_branch_forward,
     camera_net_forward,
     fuse_and_head_forward,
     fuse_input_of,
     rv_branch_forward,
 )
-from mvfusion.pipeline import forward_frame, frame_plan, generate_bundles, layer_plan, make_weights, rasterize_frame
+from mvfusion.pipeline import forward_frame, generate_bundles, make_weights, rasterize_frame
 from mvfusion.presets import bev_stack_channels, get_preset
 from mvfusion.projection import project_features
 from mvfusion.views import FeatureMap
@@ -49,23 +49,29 @@ def desk_frames():
     return preset, bundles
 
 
+def unplanned_net(preset, weights):
+    """preset's net for the weights without an arena: each tensor a new array."""
+    config = replace(preset.fusion, use_camera="cam.conv1.kernel" in weights.blocks)
+    return FusionNet(config, bev_stack_channels(preset), weights)
+
+
 def unplanned_forward(bundle, preset, weights):
-    """The stages' branch calls on new arrays, with the float32 copies the stages make."""
-    plan = layer_plan(preset, weights)
-    config = plan.config
+    """The stages' branch calls on new arrays, with float32 copies of the
+    camera image and of the float64 RV image."""
+    net = unplanned_net(preset, weights)
+    config = net.config
     rasters = rasterize_frame(bundle, preset)
     points = bundle.sweeps[-1].points
     cam = None
     if config.use_camera:
         image = bundle.camera_image
-        cam = camera_net_forward(FeatureMap(image.view, image.data.astype(np.float32), image.geometry), weights, plan)
+        cam = camera_net_forward(FeatureMap(image.view, image.data.astype(np.float32), image.geometry), net)
     rv_image = rasters["rv_image"]
     rv_image = FeatureMap(rv_image.view, rv_image.data.astype(np.float32), rv_image.geometry)
-    rv = rv_branch_forward(rv_image, cam, points, weights, plan)
-    fuse_input = fuse_input_of(bev_branch_forward(rasters["lidar_stack"], rasters["map_raster"], weights, plan),
-                               config)
+    rv = rv_branch_forward(rv_image, cam, points, net)
+    fuse_input = fuse_input_of(bev_branch_forward(rasters["lidar_stack"], rasters["map_raster"], net), net)
     project_features(rv, points, preset.grid, out=fuse_input.data[:, :, config.bev_width:])
-    return fuse_and_head_forward(fuse_input, weights, plan)
+    return fuse_and_head_forward(fuse_input, net)
 
 
 @pytest.mark.parametrize("use_camera", [True, False])
@@ -114,10 +120,11 @@ def test_outputs_never_share_memory_with_the_arena(desk_frames):
     first = forward_frame(bundles[0], preset, weights)
     first_sha = sha(first)
     second = forward_frame(bundles[1], preset, weights)
-    arena = pipeline.frame_arena(frame_plan(preset, layer_plan(preset, weights)))
-    no_camera = forward_frame(bundles[1], preset, make_weights(preset, seed=0, use_camera=False))
+    arena = pipeline.fusion_net(preset, weights).arena
+    no_camera_weights = make_weights(preset, seed=0, use_camera=False)
+    no_camera = forward_frame(bundles[1], preset, no_camera_weights)
     assert sha(first) == first_sha
-    no_camera_arena = pipeline.frame_arena(frame_plan(preset, layer_plan(preset, make_weights(preset, 0, False))))
+    no_camera_arena = pipeline.fusion_net(preset, no_camera_weights).arena
     for outputs in (first, second, no_camera):
         for array in all_arrays(outputs):
             assert not held_by(arena, array) and not held_by(no_camera_arena, array)
@@ -128,8 +135,8 @@ def test_outputs_never_share_memory_with_the_arena(desk_frames):
 def test_the_lent_segment_is_taken_back_once_the_outputs_are_dropped(desk_frames):
     preset, bundles = desk_frames
     weights = make_weights(preset, seed=0)
-    forward_frame(bundles[0], preset, weights)  # the arena for this plan exists from here on
-    arena = pipeline.frame_arena(frame_plan(preset, layer_plan(preset, weights)))
+    forward_frame(bundles[0], preset, weights)  # the net and its arena exist from here on
+    arena = pipeline.fusion_net(preset, weights).arena
     kept = forward_frame(bundles[0], preset, weights)
     arena.begin_frame()
     segment = weakref.ref(arena.owned()[1])
@@ -144,7 +151,8 @@ def test_the_lent_segment_is_taken_back_once_the_outputs_are_dropped(desk_frames
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_tensors_live_at_one_step_never_share_a_byte(name, use_camera):
     preset = get_preset(name)
-    plan = frame_plan(preset, LayerPlan(replace(preset.fusion, use_camera=use_camera), bev_stack_channels(preset)))
+    net = unplanned_net(preset, make_weights(preset, 0, use_camera))
+    plan = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
     tensors = plan.tensors
     for t in tensors:
         assert t.offset % ALIGN == 0 and 0 <= t.offset and t.offset + t.nbytes <= plan.size
@@ -182,19 +190,20 @@ def test_scratch_takes_only_the_room_the_tensors_leave():
 
 def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
     preset = get_preset("atg4d")
-    plan = layer_plan(preset, make_weights(preset, 0))
-    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan)
+    net = unplanned_net(preset, make_weights(preset, 0))
+    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
     with_winograd = plan_arena(steps, export="outputs")
     shapes = {name: shape for step in steps for name, shape, _ in step.writes}
-    winograd = {step.name: shapes[step.reads[0]] for step in steps if step.name in plan.layers
-                and network.winograd_shape(*shapes[step.reads[0]], plan[step.name].kernel, plan[step.name].stride)}
+    layers = net.layers
+    winograd = {step.name: shapes[step.reads[0]] for step in steps if step.name in layers
+                and network.winograd_shape(*shapes[step.reads[0]], layers[step.name].kernel, layers[step.name].stride)}
     assert len(winograd) == 12  # 11 dense layers and bev.lidar1, whose sparse stack the occupied kernel takes
     for name, (h, w, _) in winograd.items():  # each gets room for the planes of its tile blocks
-        layer = plan[name]
+        layer = layers[name]
         blocks = network._winograd_blocks(h, w, layer.in_channels, layer.out_channels, 4,
                                           network._WINOGRAD_BLOCK_BYTES)
         need = network._winograd_elements(blocks, layer.in_channels, layer.out_channels) * 4
         assert with_winograd.tensor(f"{name}.work").nbytes >= need
     monkeypatch.setattr(network, "winograd_shape", lambda *args: False)  # no Winograd work
-    without = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan), export="outputs")
+    without = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
     assert with_winograd.size == without.size

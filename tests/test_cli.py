@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -186,7 +187,9 @@ def test_forward_rejects_non_finite_weights(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
     weights = make_weights(get_preset("desk"), seed=5)
-    weights.blocks["cam.conv1.kernel"][0, 0, 0, 0] = float("nan")
+    kernel = weights.blocks["cam.conv1.kernel"].copy()
+    kernel[0, 0, 0, 0] = float("nan")
+    weights = replace(weights, blocks={**weights.blocks, "cam.conv1.kernel": kernel})
     path = tmp_path / "nan.bin"
     save_weights(path, weights)
     capsys.readouterr()
@@ -204,10 +207,12 @@ def test_forward_rejects_weights_off_the_plan(tmp_path, capsys, block, fault):
     out = tmp_path / "run"
     run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
     weights = make_weights(get_preset("desk"), seed=5)
+    blocks = dict(weights.blocks)
     if block.endswith(".bias"):
-        del weights.blocks[block]
+        del blocks[block]
     else:
-        weights.blocks[block] = weights.blocks[block][:, :, :, 1:]
+        blocks[block] = blocks[block][:, :, :, 1:]
+    weights = replace(weights, blocks=blocks)
     path = tmp_path / "off_plan.bin"
     save_weights(path, weights)
     capsys.readouterr()

@@ -9,6 +9,7 @@ trailer so they reach the parser behind the checksum.
 """
 import re
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def block_files(tmp_path_factory):
     save_cell_outputs(root / "outputs.bin", forward_frame(bundles[0], preset, make_weights(preset, 0)))
     files[OUTPUTS_MAGIC] = (root / "outputs.bin").read_bytes()
     weights = make_weights(preset, 0)
-    weights.blocks = {k: v for k, v in list(weights.blocks.items())[:4]}  # a small file
+    weights = replace(weights, blocks=dict(list(weights.blocks.items())[:4]))  # a small file
     save_weights(root / "weights.bin", weights)
     files[WEIGHTS_MAGIC] = (root / "weights.bin").read_bytes()
     return root / "mutated.bin", files

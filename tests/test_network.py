@@ -11,8 +11,10 @@ from mvfusion import network
 from mvfusion.blockfile import BlockFileError
 from mvfusion.network import (
     CellOutputs,
+    ConvLayerSpec,
     FusionConfig,
-    LayerPlan,
+    FusionNet,
+    NetworkWeights,
     bev_branch_forward,
     camera_net_forward,
     conv2d_forward,
@@ -439,7 +441,7 @@ def test_winograd_matches_naive_oracle(monkeypatch, h, w, activation, chunk_byte
     rng = np.random.default_rng(h * 100 + w)
     data = rng.normal(size=(h, w, 3))
     kernel, bias = rng.normal(size=(3, 3, 3, 4)), rng.normal(size=4)
-    assert network.conv_kernel_of(data, (3, 3), (1, 1)) == network.WINOGRAD
+    assert network.conv_kernel_of(data, ConvLayerSpec("x", 3, 4)) == network.WINOGRAD
     got = conv2d_raw(data, kernel, bias, activation=activation)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - naive_conv2d(data, kernel, bias, (1, 1), relu=activation == "relu"))) < 1e-10
@@ -471,7 +473,7 @@ def test_winograd_uint8_input_equals_float32_bit_for_bit(monkeypatch):
     mask = rng.uniform(size=(14, 9, 5)) < 0.6  # dense: at most a quarter of the pixels are empty
     kernel, bias = rng.normal(size=(3, 3, 5, 4)), rng.normal(size=4)
     got = conv2d_raw(mask.astype(np.uint8), kernel, bias)
-    assert network.conv_kernel_of(mask, (3, 3), (1, 1)) == network.WINOGRAD
+    assert network.conv_kernel_of(mask, ConvLayerSpec("x", 5, 4)) == network.WINOGRAD
     assert got.dtype == np.float32
     assert np.array_equal(got, conv2d_raw(mask.astype(np.float32), kernel, bias))
 
@@ -558,10 +560,10 @@ def test_winograd_float32_error_is_no_worse_than_im2col(monkeypatch, seed):
     data = rng.random((128, 130, 64), dtype=np.float32)  # a Winograd shape
     kernel = rng.uniform(-0.1, 0.1, size=(3, 3, 64, 48)).astype(np.float32).astype(np.float64)
     bias = rng.normal(size=48).astype(np.float32).astype(np.float64)
-    assert network.conv_kernel_of(data, (3, 3), (1, 1)) == network.WINOGRAD
+    assert network.conv_kernel_of(data, ConvLayerSpec("x", 64, 48)) == network.WINOGRAD
     winograd = conv2d_raw(data, kernel, bias, activation="linear")
     monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 65)
-    assert network.conv_kernel_of(data, (3, 3), (1, 1)) == network.IM2COL
+    assert network.conv_kernel_of(data, ConvLayerSpec("x", 64, 48)) == network.IM2COL
     im2col = conv2d_raw(data, kernel, bias, activation="linear")
     exact = conv2d_raw(data.astype(np.float64), kernel, bias, activation="linear")
     scale = np.abs(exact).max()
@@ -573,14 +575,14 @@ def test_winograd_heap_temporaries_stay_within_the_chunk_bound():
     data = rng.random((256, 256, 64), dtype=np.float32)
     kernel = rng.uniform(-0.1, 0.1, size=(3, 3, 64, 96))
     bias = np.zeros(96)
-    transformed = network.winograd_kernel(kernel, np.float32)
+    planes = network.winograd_kernel(kernel, np.float32)
     out = np.empty((256, 256, 96), dtype=np.float32)
     conv = network.conv_work_bytes(network.ConvLayerSpec("x", 64, 96), 256, 256)
     peaks = []
     for work in (None, np.empty(conv, dtype=np.uint8)):
         tracemalloc.start()
         try:
-            conv2d_raw(data, kernel, bias, out=out, work=work, transformed=lambda dtype: transformed)
+            conv2d_raw(data, kernel, bias, out=out, work=work, planes=planes)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -600,12 +602,12 @@ def test_camera_net_shapes_both_presets():
     weights = init_network_weights(config, bev_in_channels=4, seed=0)
     nusc = CameraModel.from_fov(1600, 900, 70.0)
     img = FeatureMap("camera", np.zeros((900, 1600, 3), dtype=np.float32), CameraGeometry(nusc, 1))
-    out = camera_net_forward(img, weights, LayerPlan(config, 4))
+    out = camera_net_forward(img, FusionNet(config, 4, weights))
     assert out.data.shape == (113, 200, config.cam_out)
     assert out.geometry.pixel_stride == 8
     atg = CameraModel.from_fov(1920, 1200, 90.0, crop_top=438)
     img = FeatureMap("camera", np.zeros((762, 1920, 3), dtype=np.float32), CameraGeometry(atg, 1))
-    out = camera_net_forward(img, weights, LayerPlan(config, 4))
+    out = camera_net_forward(img, FusionNet(config, 4, weights))
     assert out.data.shape == (96, 240, config.cam_out)
 
 
@@ -614,7 +616,7 @@ def test_camera_net_zero_image_zero_bias_gives_zero():
     weights = init_network_weights(config, bev_in_channels=4, seed=1)
     cam = CameraModel.from_fov(64, 48, 90.0)
     img = FeatureMap("camera", np.zeros((48, 64, 3)), CameraGeometry(cam, 1))
-    out = camera_net_forward(img, weights, LayerPlan(config, 4))
+    out = camera_net_forward(img, FusionNet(config, 4, weights))
     assert not out.data.any()
 
 
@@ -631,11 +633,11 @@ def test_rv_branch_output_shape_and_camera_width_independence():
         "camera", rng.normal(size=(*grid_shape_of(CameraGeometry(cam, 8)), cfg_lc.cam_out)),
         CameraGeometry(cam, 8),
     )
-    out_lc = rv_branch_forward(rv_img, cam_feats, pts, w_lc, LayerPlan(cfg_lc, 4))
+    out_lc = rv_branch_forward(rv_img, cam_feats, pts, FusionNet(cfg_lc, 4, w_lc))
 
     cfg_l = tiny_config(use_camera=False)
     w_l = init_network_weights(cfg_l, bev_in_channels=4, seed=3)
-    out_l = rv_branch_forward(rv_img, None, pts, w_l, LayerPlan(cfg_l, 4))
+    out_l = rv_branch_forward(rv_img, None, pts, FusionNet(cfg_l, 4, w_l))
 
     assert out_lc.data.shape == (8, 64, cfg_lc.unet_width)
     assert out_l.data.shape == out_lc.data.shape
@@ -659,26 +661,26 @@ def test_rv_branch_invisible_camera_equals_zeroed_camera_path():
         np.mod(np.arctan2(y, x), 2 * math.pi), rng.integers(0, 8, size=n).astype(np.int64),
     )
     cam_feats = FeatureMap("camera", rng.normal(size=(*grid_shape_of(geom), cfg.cam_out)), geom)
-    plan = LayerPlan(cfg, 4)
-    out = rv_branch_forward(rv_img, cam_feats, pts, weights, plan)
+    net = FusionNet(cfg, 4, weights)
+    out = rv_branch_forward(rv_img, cam_feats, pts, net)
 
     # manual zeroed-camera path
-    x_ = conv2d_forward(rv_img, plan["rv.conv1"], weights)
-    x_ = conv2d_forward(x_, plan["rv.conv2"], weights)
+    x_ = conv2d_forward(rv_img, net.layers["rv.conv1"], net)
+    x_ = conv2d_forward(x_, net.layers["rv.conv2"], net)
     zeros = np.zeros((8, 64, cfg.cam_out))
     minus = np.full((8, 64, 1), -1.0)
     manual_in = FeatureMap("rv", np.concatenate([x_.data, zeros, minus], axis=2), rv)
-    enc1 = conv2d_forward(manual_in, plan["unet.enc1"], weights)
-    r = conv2d_forward(enc1, plan["unet.res1.conv1"], weights)
-    r = conv2d_forward(r, plan["unet.res1.conv2"], weights)
+    enc1 = conv2d_forward(manual_in, net.layers["unet.enc1"], net)
+    r = conv2d_forward(enc1, net.layers["unet.res1.conv1"], net)
+    r = conv2d_forward(r, net.layers["unet.res1.conv2"], net)
     level1 = FeatureMap("rv", np.maximum(enc1.data + r.data, 0.0), rv)
-    down = conv2d_forward(level1, plan["unet.down"], weights)
-    r2 = conv2d_forward(down, plan["unet.res2.conv1"], weights)
-    r2 = conv2d_forward(r2, plan["unet.res2.conv2"], weights)
+    down = conv2d_forward(level1, net.layers["unet.down"], net)
+    r2 = conv2d_forward(down, net.layers["unet.res2.conv1"], net)
+    r2 = conv2d_forward(r2, net.layers["unet.res2.conv2"], net)
     level2 = FeatureMap("rv", np.maximum(down.data + r2.data, 0.0), rv)
-    up = conv2d_forward(level2, plan["unet.up"], weights)
+    up = conv2d_forward(level2, net.layers["unet.up"], net)
     merged = FeatureMap("rv", np.concatenate([up.data[:, :64], level1.data], axis=2), rv)
-    want = conv2d_forward(merged, plan["unet.fuse"], weights)
+    want = conv2d_forward(merged, net.layers["unet.fuse"], net)
     assert np.array_equal(out.data, want.data)
 
 
@@ -689,9 +691,9 @@ def test_bev_branch_zero_map_equals_lidar_embedding():
     weights = init_network_weights(cfg, bev_in_channels=6, seed=9)
     lidar = FeatureMap("bev", rng.uniform(size=(g.rows, g.cols, 6)), g)
     zero_map = FeatureMap("bev", np.zeros((g.rows, g.cols, 7)), g)
-    plan = LayerPlan(cfg, 6)
-    out = bev_branch_forward(lidar, zero_map, weights, plan)
-    lid = conv2d_forward(conv2d_forward(lidar, plan["bev.lidar1"], weights), plan["bev.lidar2"], weights)
+    net = FusionNet(cfg, 6, weights)
+    out = bev_branch_forward(lidar, zero_map, net)
+    lid = conv2d_forward(conv2d_forward(lidar, net.layers["bev.lidar1"], net), net.layers["bev.lidar2"], net)
     assert np.array_equal(out.data, lid.data)
     assert out.data.shape == (g.rows, g.cols, cfg.bev_width)
 
@@ -706,8 +708,8 @@ def test_bev_branch_sum_node_additivity():
     deltas = []
     for seed in (1, 2):
         lidar = FeatureMap("bev", rng.uniform(size=(g.rows, g.cols, 6)), g)
-        with_map = bev_branch_forward(lidar, map_fm, weights, LayerPlan(cfg, 6))
-        without = bev_branch_forward(lidar, zero_map, weights, LayerPlan(cfg, 6))
+        with_map = bev_branch_forward(lidar, map_fm, FusionNet(cfg, 6, weights))
+        without = bev_branch_forward(lidar, zero_map, FusionNet(cfg, 6, weights))
         deltas.append(with_map.data - without.data)
     assert np.allclose(deltas[0], deltas[1], atol=1e-12)
 
@@ -719,7 +721,7 @@ def test_bev_branch_grid_mismatch_errors():
     lidar = FeatureMap("bev", np.zeros((g.rows, g.cols, 6)), g)
     bad_map = FeatureMap("bev", np.zeros((g.rows + 1, g.cols, 7)), g)
     with pytest.raises(ValueError):
-        bev_branch_forward(lidar, bad_map, weights, LayerPlan(cfg, 6))
+        bev_branch_forward(lidar, bad_map, FusionNet(cfg, 6, weights))
 
 
 def test_fuse_head_channel_bookkeeping():
@@ -747,7 +749,7 @@ def test_fuse_head_zero_features_probability_half():
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=2)
     zeros = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width + cfg.unet_width + 1)), g)
-    out = fuse_and_head_forward(zeros, weights, LayerPlan(cfg, 6))
+    out = fuse_and_head_forward(zeros, FusionNet(cfg, 6, weights))
     out.validate()
     for cls in cfg.classes:
         assert np.all(out.prob[cls] == 0.5)
@@ -763,8 +765,8 @@ def test_fuse_head_deterministic():
     features = rng.normal(size=(g.rows, g.cols, cfg.bev_width + cfg.unet_width))
     validity = rng.choice([-1.0, 1.0], size=(g.rows, g.cols, 1))
     fused = FeatureMap("bev", np.concatenate([features, validity], axis=2), g)
-    a = fuse_and_head_forward(fused, weights, LayerPlan(cfg, 6))
-    b = fuse_and_head_forward(fused, weights, LayerPlan(cfg, 6))
+    a = fuse_and_head_forward(fused, FusionNet(cfg, 6, weights))
+    b = fuse_and_head_forward(fused, FusionNet(cfg, 6, weights))
     for cls in cfg.classes:
         assert np.array_equal(a.prob[cls], b.prob[cls])
         assert np.array_equal(a.centers[cls], b.centers[cls])
@@ -787,6 +789,24 @@ def test_init_weights_deterministic_and_bounded():
         bound = math.sqrt(6.0 / (kh * kw * (layer.in_channels + layer.out_channels)))
         assert np.max(np.abs(k)) <= bound
         assert not a.bias(layer.name).any()
+
+
+def test_weights_are_read_only_copies():
+    weights = init_network_weights(tiny_config(), bev_in_channels=12, seed=7)
+    kernel = weights.kernel("bev.lidar1")
+    with pytest.raises(ValueError, match="read-only"):
+        kernel[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(kernel, 1.0, out=kernel)
+    with pytest.raises(TypeError):
+        weights.blocks["bev.lidar1.kernel"] = np.zeros_like(kernel)
+    with pytest.raises(AttributeError):
+        weights.blocks = {}
+    source = {"a.kernel": np.zeros((3, 3, 1, 1))}
+    copied = NetworkWeights(source)
+    source["a.kernel"][...] = 1.0  # the caller's arrays stay the caller's
+    source["a.bias"] = np.zeros(1)
+    assert list(copied.blocks) == ["a.kernel"] and not copied.kernel("a").any()
 
 
 def test_weights_file_roundtrip(tmp_path):
@@ -853,4 +873,4 @@ def test_conv2d_forward_layer_validation():
     g = small_grid()
     bad = FeatureMap("bev", np.zeros((g.rows, g.cols, 5)), g)
     with pytest.raises(ValueError):
-        conv2d_forward(bad, network_plan(cfg, 6)[-1], weights)
+        conv2d_forward(bad, network_plan(cfg, 6)[-1], FusionNet(cfg, 6, weights))

@@ -1,4 +1,6 @@
+import hashlib
 import io
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,8 @@ from mvfusion.blockfile import BlockFileError
 from mvfusion.bundle_io import write_frame_bundle
 from mvfusion.metrics import DetBox, decode_detections
 from mvfusion.network import (
+    FusionNet,
+    NetworkWeights,
     bev_branch_forward,
     camera_net_forward,
     fuse_and_head_forward,
@@ -23,7 +27,6 @@ from mvfusion.pipeline import (
     forward_frame,
     frame_times,
     generate_bundles,
-    layer_plan,
     load_cell_outputs,
     make_weights,
     rasterize_frame,
@@ -103,19 +106,25 @@ def test_forward_camera_ablation_same_lattice(desk_frame):
         assert out_l.prob[cls].shape == out_lc.prob[cls].shape
 
 
+def unplanned_net(preset, weights):
+    """preset's net for the weights without an arena: each tensor a new array."""
+    config = replace(preset.fusion, use_camera="cam.conv1.kernel" in weights.blocks)
+    return FusionNet(config, bev_stack_channels(preset), weights)
+
+
 def float64_forward(bundle, preset, weights):
     """The frame DAG's branch calls with every raster in float64."""
-    plan = layer_plan(preset, weights)
-    config = plan.config
+    net = unplanned_net(preset, weights)
+    config = net.config
     rasters = rasterize_frame(bundle, preset)
     lidar, map_raster = (FeatureMap(fm.view, fm.data.astype(np.float64), fm.geometry)
                          for fm in (rasters["lidar_stack"], rasters["map_raster"]))
     points = bundle.sweeps[-1].points
-    cam = camera_net_forward(bundle.camera_image, weights, plan)
-    rv = rv_branch_forward(rasters["rv_image"], cam, points, weights, plan)
-    fuse_input = fuse_input_of(bev_branch_forward(lidar, map_raster, weights, plan), config)
+    cam = camera_net_forward(bundle.camera_image, net)
+    rv = rv_branch_forward(rasters["rv_image"], cam, points, net)
+    fuse_input = fuse_input_of(bev_branch_forward(lidar, map_raster, net), net)
     project_features(rv, points, preset.grid, out=fuse_input.data[:, :, config.bev_width:])
-    return fuse_and_head_forward(fuse_input, weights, plan)
+    return fuse_and_head_forward(fuse_input, net)
 
 
 # Largest deviation from the float64 path measured on 40 desk frames (seeds
@@ -131,8 +140,8 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
     dtypes = {}
     conv2d_forward = network.conv2d_forward
 
-    def recording(fm, layer, weights, **kwargs):
-        out = conv2d_forward(fm, layer, weights, **kwargs)
+    def recording(fm, layer, net, **kwargs):
+        out = conv2d_forward(fm, layer, net, **kwargs)
         dtypes[layer.name] = out.data.dtype
         return out
 
@@ -161,10 +170,9 @@ def _kernels_run(bundle, preset, weights, monkeypatch):
     kernels = {}
     conv2d_forward = network.conv2d_forward
 
-    def recording(fm, layer, weights, **kwargs):
-        kernels[layer.name] = "transposed" if layer.transposed else network.conv_kernel_of(
-            fm.data, layer.kernel, layer.stride)
-        return conv2d_forward(fm, layer, weights, **kwargs)
+    def recording(fm, layer, net, **kwargs):
+        kernels[layer.name] = network.conv_kernel_of(fm.data, layer)
+        return conv2d_forward(fm, layer, net, **kwargs)
 
     monkeypatch.setattr(network, "conv2d_forward", recording)
     outputs = forward_frame(bundle, preset, weights)
@@ -174,11 +182,11 @@ def _kernels_run(bundle, preset, weights, monkeypatch):
 
 def _winograd_shaped(preset):
     """The layers whose planned input shape the Winograd rule takes when it is dense."""
-    plan = layer_plan(preset, make_weights(preset, seed=0))
-    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan)
+    net = unplanned_net(preset, make_weights(preset, seed=0))
+    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
     shapes = {name: shape for step in steps for name, shape, _ in step.writes}
-    return {step.name for step in steps if step.name in plan.layers
-            and network.winograd_shape(*shapes[step.reads[0]], plan[step.name].kernel, plan[step.name].stride)}
+    return {step.name for step in steps if step.name in net.layers and network.winograd_shape(
+        *shapes[step.reads[0]], net.layers[step.name].kernel, net.layers[step.name].stride)}
 
 
 def test_kernel_choice_of_every_desk_and_atg4d_layer(desk_frame, monkeypatch):
@@ -218,7 +226,8 @@ def test_desk_frame_with_winograd_forced_stays_inside_the_bounds(desk_frame, mon
 def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monkeypatch):
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0)
-    plan = pipeline.frame_plan(preset, layer_plan(preset, weights))
+    arena = pipeline.fusion_net(preset, weights).arena
+    plan = arena.plan
     fuse1, fuse2 = plan.steps.index("fuse.conv1"), plan.steps.index("fuse.conv2")
     # the BEV stack, the BEV features (the sum is held in bev.lidar2's
     # output) and rv_feats (unet.fuse's output) end before fuse.conv1, and
@@ -230,7 +239,6 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
     assert fuse_input.first < plan.steps.index("rv_to_bev") < fuse_input.last == fuse1 < fuse2
 
     # the forward pass writes the projection into that view and fuse.conv1 reads it
-    arena = pipeline.frame_arena(plan)
     project_fn, conv_fn = pipeline.project_features, network.conv2d_forward
     projected, fuse_in = [], []
 
@@ -240,10 +248,10 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
         projected.append(np.shares_memory(out, arena.view("fuse.conv1.in")))
         return feats, validity
 
-    def conv(fm, layer, weights, **kwargs):
+    def conv(fm, layer, net, **kwargs):
         if layer.name == "fuse.conv1":
             fuse_in.append(fm.data is arena.view("fuse.conv1.in"))
-        return conv_fn(fm, layer, weights, **kwargs)
+        return conv_fn(fm, layer, net, **kwargs)
 
     monkeypatch.setattr(pipeline, "project_features", project)
     monkeypatch.setattr(network, "conv2d_forward", conv)
@@ -259,25 +267,87 @@ def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch
     # unet.enc1.in), in the plan's step order
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0, use_camera=use_camera)
-    plan = layer_plan(preset, weights)
-    conv_steps = [s for s in pipeline.frame_steps(preset.grid, preset.rv, preset.camera, plan)
-                  if s.name in plan.layers]
+    net = pipeline.fusion_net(preset, weights)
+    conv_steps = [s for s in pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
+                  if s.name in net.layers]
     steps = {s.name: s for s in conv_steps}
-    arena = pipeline.frame_arena(pipeline.frame_plan(preset, plan))
+    arena = net.arena
     conv_fn = network.conv2d_forward
     calls = []
 
-    def conv(fm, layer, weights, out=None, **kwargs):
+    def conv(fm, layer, net, out=None, **kwargs):
         step = steps[layer.name]
         written = arena.view(step.writes[0][0])
         calls.append((layer.name, fm.data is arena.view(step.reads[0]),
                       out is not None and out.ctypes.data == written.ctypes.data and np.shares_memory(out, written)))
-        return conv_fn(fm, layer, weights, out=out, **kwargs)
+        return conv_fn(fm, layer, net, out=out, **kwargs)
 
     monkeypatch.setattr(network, "conv2d_forward", conv)
     forward_frame(bundle, preset, weights)
     assert any(s.name == "rv.conv2" and s.writes[0][0] == "unet.enc1.in" for s in conv_steps) == use_camera
     assert calls == [(s.name, True, True) for s in conv_steps]
+
+
+def sha(outputs) -> str:
+    return hashlib.sha256(outputs.pack().tobytes()).hexdigest()
+
+
+def test_frames_with_one_weights_object_build_the_net_once(desk_frame, monkeypatch):
+    # Work counted, not timed. With the Winograd rule opened to every dense
+    # 3x3 stride-1 input, each such layer's planes are made once, on the
+    # first frame, even where the occupied-pixel kernel then runs it.
+    preset, bundle = desk_frame
+    monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 1)
+    monkeypatch.setattr(network, "_WINOGRAD_MIN_PIXELS", 1)
+    monkeypatch.setattr(pipeline, "_net", None)
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append((fn.__name__, args))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(pipeline, "plan_arena", counted(pipeline.plan_arena))
+    monkeypatch.setattr(NetworkWeights, "validate_plan", counted(NetworkWeights.validate_plan))
+    monkeypatch.setattr(network, "winograd_kernel", counted(network.winograd_kernel))
+    weights = make_weights(preset, seed=0)
+    digests = {sha(forward_frame(bundle, preset, weights)) for _ in range(3)}
+    names = [name for name, _ in calls]
+    assert len(digests) == 1
+    assert names.count("plan_arena") == names.count("validate_plan") == 1
+    dense = [layer.name for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))
+             if layer.kernel == (3, 3) and layer.stride == (1, 1)]
+    transformed = [args[0] for name, args in calls if name == "winograd_kernel"]
+    assert len(transformed) == len(dense) == 20
+    assert {id(kernel) for kernel in transformed} == {id(weights.kernel(name)) for name in dense}
+
+
+def test_alternating_weights_share_one_arena_and_give_fresh_digests(desk_frame, monkeypatch):
+    preset, bundle = desk_frame
+    first, second = make_weights(preset, seed=0), make_weights(preset, seed=1)
+    fresh = []
+    for weights in (first, second):
+        monkeypatch.setattr(pipeline, "_net", None)  # no net and no arena, as in a new process
+        fresh.append(sha(forward_frame(bundle, preset, weights)))
+    assert fresh[0] != fresh[1]
+    arenas = []
+    for weights, want in zip((first, second, first, second), fresh * 2):
+        assert sha(forward_frame(bundle, preset, weights)) == want
+        arenas.append(pipeline.fusion_net(preset, weights).arena)
+    assert all(arena is arenas[0] for arena in arenas)
+
+
+def test_a_block_off_the_plan_fails_when_the_net_is_built(desk_frame, monkeypatch):
+    preset, bundle = desk_frame
+    weights = make_weights(preset, seed=0)
+    kernel = weights.blocks["fuse.head.kernel"]
+    bad = replace(weights, blocks={**weights.blocks, "fuse.head.kernel": kernel[:, :, 1:]})
+    convs = []
+    monkeypatch.setattr(network, "conv2d_forward", lambda fm, layer, *args, **kwargs: convs.append(layer.name))
+    with pytest.raises(ValueError, match=r"block fuse\.head\.kernel has shape \(3, 3, 63, 381\), the plan needs"):
+        forward_frame(bundle, preset, bad)
+    assert convs == []
 
 
 def test_cell_outputs_artifact_roundtrip(tmp_path, desk_frame):

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from mvfusion.network import network_plan
-from mvfusion.pipeline import frame_plan, layer_plan, make_weights
+from mvfusion.pipeline import fusion_net, make_weights
 from mvfusion.presets import bev_stack_channels, get_preset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,8 +44,8 @@ def test_run_demo_one_frame(tmp_path):
 
 
 def _plan_checks(records, preset):
-    """The plan's records: every tensor of pipeline.frame_plan, then the arena's size."""
-    plan = frame_plan(preset, layer_plan(preset, make_weights(preset, 0)))
+    """The plan's records: every tensor of the arena plan of pipeline.fusion_net, then the arena's size."""
+    plan = fusion_net(preset, make_weights(preset, 0)).arena.plan
     tensors = [r for r in records if r["kind"] == "tensor"]
     assert [(r["name"], r["bytes"], r["offset"], r["first"], r["last"]) for r in tensors] == [
         (t.name, t.nbytes, t.offset, plan.steps[t.first], plan.steps[t.last]) for t in plan.tensors]
