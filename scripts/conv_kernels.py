@@ -7,10 +7,12 @@ benchmark's seeded weights (seed 0, camera branch on). Each conv layer's
 call is timed first under every kernel that can run it, on its own input,
 writing into its own output and work:
 
-- im2col, for every layer that is not transposed;
+- im2col, for every layer;
 - winograd, for the 3x3 stride-(1, 1) layers;
-- occupied, for the stride-(1, 1) layers whose input has an empty pixel;
-- transposed, for the transposed layer, which only it runs.
+- occupied, for the stride-(1, 1) layers whose input has an empty pixel.
+
+The transposed unet.up runs as its (1, 3) stride-(1, 1) sub-pixel conv
+(network.sub_pixel_conv), so it is timed like any stride-1 layer.
 
 A kernel is forced by setting the rule's constants in network, so each
 time is that of a whole conv2d_raw call with that kernel chosen, the
@@ -20,9 +22,9 @@ row not all zero), the kernel the rule picks (network.conv_kernel_of) and
 the median CPU ms of --repeats calls under each eligible kernel ("-" where
 a kernel cannot run the layer):
 
-  | layer | input | occupied | rule | im2col ms | winograd ms | occupied ms | transposed ms |
-  |---|---|---|---|---|---|---|---|
-  | bev.lidar1 | 96x64x12 | 0.203 | occupied | 0.40 | 0.76 | 0.40 | - |
+  | layer | input | occupied | rule | im2col ms | winograd ms | occupied ms |
+  |---|---|---|---|---|---|---|
+  | bev.lidar1 | 96x64x12 | 0.203 | occupied | 0.40 | 0.76 | 0.40 |
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS,
 MKL_NUM_THREADS) is set, as in the benchmark.
@@ -45,7 +47,7 @@ import numpy as np
 from mvfusion import bundle_io, network, pipeline
 from mvfusion.presets import get_preset
 
-KERNELS = (network.IM2COL, network.WINOGRAD, network.OCCUPIED, "transposed")
+KERNELS = (network.IM2COL, network.WINOGRAD, network.OCCUPIED)
 
 # The rule's constants that force each kernel: the occupied-pixel kernel
 # takes a stride-1 input when its share is at least 1 and never when it is
@@ -54,7 +56,6 @@ _FORCED = {
     network.IM2COL: {"_OCCUPIED_SHARE": -1.0, "_WINOGRAD_MIN_CHANNELS": float("inf")},
     network.WINOGRAD: {"_OCCUPIED_SHARE": -1.0, "_WINOGRAD_MIN_CHANNELS": 0, "_WINOGRAD_MIN_PIXELS": 0},
     network.OCCUPIED: {"_OCCUPIED_SHARE": 1.0},
-    "transposed": {},
 }
 
 
@@ -77,8 +78,6 @@ def occupied_share(data: np.ndarray) -> float:
 
 
 def eligible(layer, share: float) -> list[str]:
-    if layer.transposed:
-        return ["transposed"]
     kernels = [network.IM2COL]
     if layer.kernel == (3, 3) and layer.stride == (1, 1):
         kernels.append(network.WINOGRAD)

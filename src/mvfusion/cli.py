@@ -50,7 +50,7 @@ from .pipeline import (
 )
 from .presets import bev_stack_channels, get_preset, preset_names
 from .projection import project_features
-from .raster import dump_featuremap_pgm
+from .raster import build_rv_image, dump_featuremap_pgm
 from .selfcheck import run_selfcheck
 
 
@@ -152,8 +152,6 @@ def cmd_project(args) -> int:
             _emit(path)
         for path in dump_featuremap_pgm(cam_rv_valid, base / "camera_to_rv_validity"):
             _emit(path)
-        from .raster import build_rv_image
-
         rv_image = build_rv_image(bundle.sweeps[-1], preset.rv)
         rv_bev, rv_bev_valid = project_features(rv_image, points, preset.grid)
         for path in dump_featuremap_pgm(rv_bev, base / "rv_to_bev"):

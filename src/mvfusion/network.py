@@ -11,7 +11,7 @@ Weights are seeded pseudo-random or loaded from a block file; there is no
 training here. Convolutions are plain cross-correlations with zero SAME
 padding, computed by one of three kernels chosen from the input's shape and
 occupancy alone, by a constant rule (conv_kernel_of), never tuned at run
-time:
+time (the transposed unet.up runs as its sub_pixel_conv):
 
 - occupied-pixel: a stride-(1, 1) input whose occupied pixels (channel rows
   that are not all zero) are at most _OCCUPIED_SHARE of the grid, such as
@@ -70,10 +70,9 @@ fuse.conv1's, and project_features writes the projection and its validity
 into the rest, so no concatenated copy of either exists. The kernels'
 temporaries stay on the heap under one working-set bound, arena.CHUNK_BYTES
 (its reason is given there): an im2col chunk's patch matrix, a band and
-its per-tap products in the occupied-pixel kernel, a row block's per-tap
-product in the transposed conv, and a tile block's planes in the Winograd
-kernel when it has no work. A kernel's largest temporary, which can be far
-larger (the occupied-pixel kernel's gathered input rows, an im2col patch
+its per-tap products in the occupied-pixel kernel, and a tile block's
+planes in the Winograd kernel when it has no work. A kernel's largest
+temporary, which can be far larger (the occupied-pixel kernel's gathered input rows, an im2col patch
 matrix of one or two output rows whose patches exceed the bound, or the
 Winograd planes of a larger tile block), goes into the work bytes the plan gives
 the layer (conv_work_bytes). The plan only gives work the room the frame's
@@ -82,7 +81,7 @@ tensors leave, so work never makes the arena larger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -103,7 +102,6 @@ LINEAR = "linear"
 # at 32 -> 64 channels, beyond 60% at 160 -> 32, and only below about 5% at
 # 7 -> 32.
 _OCCUPIED_SHARE = 0.25
-_SCAN_BYTES = 1 << 20  # occupancy-scan block: a dense input stops after about a share of its blocks
 
 # Dense stride-(1, 1) 3x3 inputs with at least this many channels and pixels
 # take the Winograd kernel, every other dense input im2col (winograd_shape).
@@ -122,7 +120,7 @@ _WINOGRAD_BLOCK_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class ConvLayerSpec:
-    """One convolution: 3x3 unless transposed, SAME padding, optional stride."""
+    """One convolution: 3x3 unless transposed (run as sub_pixel_conv), SAME padding, optional stride."""
 
     name: str
     in_channels: int
@@ -130,7 +128,7 @@ class ConvLayerSpec:
     stride: tuple[int, int] = (1, 1)
     kernel: tuple[int, int] = (3, 3)
     activation: str = RELU
-    transposed: bool = False  # horizontal-only 2x upsampling, kernel (1, kw)
+    transposed: bool = False  # horizontal-only 2x upsampling, kernel (1, 4)
 
 
 def conv_output_shape(h: int, w: int, stride: tuple[int, int]) -> tuple[int, int]:
@@ -174,9 +172,7 @@ def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
     one im2col chunk's patch matrix (_chunk_rows); at stride 1, the
     occupied-pixel kernel's gathered rows at the most occupied pixels it
     takes; and for a Winograd shape, the planes of a tile block of
-    _WINOGRAD_BLOCK_BYTES. A transposed layer uses none."""
-    if layer.transposed:
-        return 0
+    _WINOGRAD_BLOCK_BYTES."""
     itemsize = np.dtype(np.float32).itemsize
     oh, ow = conv_output_shape(h, w, layer.stride)
     row = ow * math.prod(layer.kernel) * layer.in_channels * itemsize  # one output row's patches
@@ -256,9 +252,9 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
 
 
 def conv_kernel_of(data: np.ndarray, layer: ConvLayerSpec) -> str:
-    """The kernel conv2d_forward runs for layer on data: "transposed" for
-    the transposed layer, else conv2d_raw's OCCUPIED, WINOGRAD or IM2COL."""
-    return "transposed" if layer.transposed else _choose_kernel(data, layer.kernel, layer.stride)[0]
+    """The kernel conv2d_forward runs for layer on data: conv2d_raw's
+    OCCUPIED, WINOGRAD or IM2COL."""
+    return _choose_kernel(data, layer.kernel, layer.stride)[0]
 
 
 def _choose_kernel(data: np.ndarray, kernel: tuple[int, int],
@@ -276,18 +272,19 @@ def _occupied_pixels(pixels: np.ndarray, limit: float) -> np.ndarray | None:
     """Indices of the occupied (not all-zero) rows of pixels, or None once
     there are more than limit of them.
 
-    The rows are scanned in blocks of about _SCAN_BYTES, so a dense input is
+    The rows are scanned in blocks of about CHUNK_BYTES, so a dense input is
     given up on after the first limit occupied rows, not read in full.
     """
     n, cin = pixels.shape
-    step = max(1, _SCAN_BYTES // max(cin * pixels.itemsize, 1))
+    step = max(1, CHUNK_BYTES // max(cin * pixels.itemsize, 1))
     found, count = [], 0
     for p0 in range(0, n, step):
         idx = np.flatnonzero(pixels[p0:p0 + step].any(axis=1))
         count += idx.size
         if count > limit:
             return None
-        found.append(idx + p0)
+        idx += p0
+        found.append(idx)
     return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
@@ -550,39 +547,6 @@ def _winograd_input_rows(data: np.ndarray, i0: int, i1: int, k: int, c0: int, c1
     return data[r:2 * i1 - 1 + k:2, c0:c1]
 
 
-def deconv2d_h_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                   activation: str = RELU, out: np.ndarray | None = None) -> np.ndarray:
-    """Transposed conv, kernel (1, kw), horizontal stride 2: width doubles.
-
-    Input column j reaches output column 2j + t - (kw - 2) // 2 through tap
-    t; every output element starts at zero and adds its taps in tap order.
-    Rows are done in blocks whose per-tap product fits CHUNK_BYTES. out is
-    as in conv2d_raw.
-    """
-    h, w, cin = data.shape
-    _, kw, kcin, cout = kernel.shape
-    if kcin != cin:
-        raise ValueError(f"kernel expects {kcin} input channels, data has {cin}")
-    dtype = _compute_dtype(data)
-    out = output_array(out, (h, 2 * w, cout), dtype)
-    bias = bias.astype(dtype, copy=False)
-    pad = (kw - 2) // 2
-    step = max(1, CHUNK_BYTES // max(w * cout * np.dtype(dtype).itemsize, 1))
-    for r0 in range(0, h, step):
-        block = out[r0:r0 + step]
-        block[...] = 0
-        for t in range(kw):
-            tap = data[r0:r0 + step] @ kernel[0, t].astype(dtype, copy=False)
-            j0 = max(0, -((t - pad) // 2))  # input columns j0..j1-1 land inside the output
-            j1 = min(w, w - (t - pad) // 2)
-            if j1 > j0:
-                c0 = 2 * j0 + t - pad
-                block[:, c0:c0 + 2 * (j1 - j0) - 1:2] += tap[:, j0:j1]
-        block += bias
-        _activate_inplace(block, activation)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -748,6 +712,25 @@ def init_network_weights(config: FusionConfig, bev_in_channels: int, seed: int) 
     return NetworkWeights(blocks, seed=seed)
 
 
+def sub_pixel_conv(layer: ConvLayerSpec, kernel: np.ndarray,
+                   bias: np.ndarray) -> tuple[ConvLayerSpec, np.ndarray, np.ndarray]:
+    """The stride-1 conv a transposed layer runs (sub-pixel convolution, Shi
+    et al., CVPR 2016): its spec, kernel and bias, copies and zeros only.
+
+    Tap t of the (1, 4, cin, cout) kernel K sends input column j to output
+    column 2j + t - 1, so column 2m is x[m - 1] K3 + x[m] K1 and 2m + 1 is
+    x[m] K2 + x[m + 1] K0: a (1, 3) SAME conv with 2 cout outputs, [K3, K1,
+    0] then [0, K2, K0], whose (h, w, 2 cout) output read as (h, 2w, cout)
+    is the transposed conv's."""
+    _, _, cin, cout = kernel.shape
+    sub = np.zeros((1, 3, cin, 2 * cout), dtype=kernel.dtype)
+    sub[0, :2, :, :cout] = kernel[0, 3::-2]  # K3, K1
+    sub[0, 1:, :, cout:] = kernel[0, 2::-2]  # K2, K0
+    both = np.concatenate([bias, bias])
+    sub.flags.writeable = both.flags.writeable = False
+    return replace(layer, out_channels=2 * cout, kernel=(1, 3), stride=(1, 1), transposed=False), sub, both
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
@@ -758,20 +741,19 @@ def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, net: FusionNet,
     out and work as in conv2d_raw."""
     if fm.channels != layer.in_channels:
         raise ValueError(f"{layer.name}: expected {layer.in_channels} channels, got {fm.channels}")
-    kernel, bias = net.weights.kernel(layer.name), net.weights.bias(layer.name)
-    if layer.transposed:
-        data = deconv2d_h_raw(fm.data, kernel, bias, layer.activation, out=out)
-    else:
-        data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work,
-                          planes=net.planes(layer, fm.data))
+    kernel, bias = net.params[layer.name]
+    data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work,
+                      planes=net.planes(layer, fm.data))
     return FeatureMap(fm.view, data, fm.geometry)
 
 
 class FusionNet:
     """The network of one configuration and one set of weights: the config,
     the layers by name, the weights, checked against the layers once when
-    the net is built, the float32 Winograd planes of its layers, and the
-    arena of the frame path, which pipeline.fusion_net plans for a preset.
+    the net is built, the kernel and bias each layer runs (params: its
+    stored blocks, or the transposed unet.up's sub_pixel_conv), the float32
+    Winograd planes of its layers, and the arena of the frame path, which
+    pipeline.fusion_net plans for a preset.
 
     With an arena, every tensor the branch functions produce is written into
     its planned view: a conv into the view named after its layer, with the
@@ -783,9 +765,17 @@ class FusionNet:
     def __init__(self, config: FusionConfig, bev_in_channels: int, weights: NetworkWeights):
         self.config = config
         self.bev_in_channels = bev_in_channels
-        self.layers = {layer.name: layer for layer in network_plan(config, bev_in_channels)}
-        weights.validate_plan(self.layers.values())
+        plan = network_plan(config, bev_in_channels)
+        weights.validate_plan(plan)
         self.weights = weights
+        self.layers: dict[str, ConvLayerSpec] = {}
+        self.params: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for layer in plan:
+            kernel, bias = weights.kernel(layer.name), weights.bias(layer.name)
+            if layer.transposed:
+                layer, kernel, bias = sub_pixel_conv(layer, kernel, bias)
+            self.layers[layer.name] = layer
+            self.params[layer.name] = kernel, bias
         self.arena: Arena | None = None
         self._planes: dict[str, np.ndarray] = {}
 
@@ -797,7 +787,7 @@ class FusionNet:
         if _compute_dtype(data) != np.float32 or not winograd_shape(h, w, cin, layer.kernel, layer.stride):
             return None
         if layer.name not in self._planes:
-            self._planes[layer.name] = winograd_kernel(self.weights.kernel(layer.name), np.float32)
+            self._planes[layer.name] = winograd_kernel(self.params[layer.name][0], np.float32)
         return self._planes[layer.name]
 
     def conv(self, fm: FeatureMap, name: str, out: np.ndarray | None = None) -> FeatureMap:
@@ -852,10 +842,11 @@ def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None, 
     level1 = _residual_relu(enc1, net.conv(net.conv(enc1, "unet.res1.conv1"), "unet.res1.conv2"))
     down = net.conv(level1, "unet.down")
     level2 = _residual_relu(down, net.conv(net.conv(down, "unet.res2.conv1"), "unet.res2.conv2"))
-    up = net.conv(level2, "unet.up")
-    merged = net.buffer("unet.fuse.in", (level1.height, level1.width, up.channels + level1.channels),
+    up = net.conv(level2, "unet.up").data
+    up = up.reshape(up.shape[0], 2 * up.shape[1], -1)  # the pixel shuffle: (h, w, 2u) read as (h, 2w, u)
+    merged = net.buffer("unet.fuse.in", (level1.height, level1.width, up.shape[2] + level1.channels),
                         level1.data.dtype)
-    np.concatenate([up.data[:, :level1.width], level1.data], axis=2, out=merged)  # ceil-width rounding crop
+    np.concatenate([up[:, :level1.width], level1.data], axis=2, out=merged)  # ceil-width rounding crop
     return net.conv(FeatureMap(RV, merged, rv), "unet.fuse")
 
 

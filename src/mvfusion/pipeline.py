@@ -128,7 +128,7 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet)
     def conv(name: str, src: str, in_shape: tuple[int, int, int], dst=None) -> tuple[int, int, int]:
         layer = net.layers[name]
         h, w, _ = in_shape
-        oh, ow = (h, 2 * w) if layer.transposed else conv_output_shape(h, w, layer.stride)
+        oh, ow = conv_output_shape(h, w, layer.stride)
         shape = (oh, ow, layer.out_channels)
         steps.append(Step(name, (dst or (name, shape, f32),), (src,), conv_work_bytes(layer, h, w)))
         return shape
@@ -168,8 +168,8 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet)
     level2 = conv("unet.down", "unet.enc1", level1)
     conv("unet.res2.conv2", "unet.res2.conv1", conv("unet.res2.conv1", "unet.down", level2))
     steps.append(Step("unet.res2", (("unet.down", level2, f32),), ("unet.down", "unet.res2.conv2")))
-    up = conv("unet.up", "unet.down", level2)
-    merged = (*level1[:2], up[2] + level1[2])
+    conv("unet.up", "unet.down", level2)
+    merged = (*level1[:2], net.layers["unet.fuse"].in_channels)
     steps.append(Step("unet.fuse.in", (("unet.fuse.in", merged, f32),), ("unet.up", "unet.enc1")))
     conv("unet.fuse", "unet.fuse.in", merged)
 
@@ -262,6 +262,7 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
     stages = [("rasterize", rasterize), ("bev_branch", bev_branch), ("camera_net", camera_net),
               ("rv_branch", rv_branch), ("rv_to_bev", rv_to_bev), ("fuse_head", fuse_head)]
     return [(name, stage) for name, stage in stages if name != "camera_net" or config.use_camera]
+
 
 def forward_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights) -> CellOutputs:
     ctx = {"bundle": bundle}

@@ -11,7 +11,8 @@ The two binary rasters, the BEV occupancy stack and the map raster, hold
 uint8 0/1: a quarter of float32's bytes (the atg4d stack is 89.5 MiB, not
 358 MiB). The network computes a non-float input in float32, casting only
 the rows a convolution reads, which is exact for 0/1. The RV image holds
-real values and stays float64.
+real values: the frame path rasterizes it in float32, straight into the
+network's input (build_rv_image with out=), and without out= it is float64.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,6 @@ from mvfusion.network import (
     conv2d_forward,
     conv2d_raw,
     conv_output_shape,
-    deconv2d_h_raw,
     fuse_and_head_forward,
     init_network_weights,
     load_weights,
@@ -174,7 +174,7 @@ def test_blocked_occupancy_scan_keeps_the_kernel_choice(monkeypatch, extra, take
     kernel_fn = network._conv2d_occupied
     monkeypatch.setattr(network, "_conv2d_occupied", lambda *a: calls.append(1) or kernel_fn(*a))
     h, w, cin = 16, 12, 3
-    monkeypatch.setattr(network, "_SCAN_BYTES", pixels_per_block * cin * 8)
+    monkeypatch.setattr(network, "CHUNK_BYTES", pixels_per_block * cin * 8)
     rng = np.random.default_rng(4)
     n = int(network._OCCUPIED_SHARE * h * w) + extra
     data = np.zeros((h * w, cin))
@@ -184,6 +184,24 @@ def test_blocked_occupancy_scan_keeps_the_kernel_choice(monkeypatch, extra, take
     got = conv2d_raw(data, kernel, bias)
     assert bool(calls) == takes_occupied
     assert np.max(np.abs(got - naive_conv2d(data, kernel, bias, (1, 1), relu=True))) < 1e-12
+
+
+def test_occupied_pixels_do_not_depend_on_the_scan_block(monkeypatch):
+    rng = np.random.default_rng(6)
+    h, w, cin = 16, 12, 3
+    pixels = np.where(rng.uniform(size=(h * w, 1)) < 0.3, rng.uniform(0.5, 1.0, size=(h * w, cin)), 0.0)
+    want = np.flatnonzero(pixels.any(axis=1))
+    count = len(want)
+    row, whole = w * cin * pixels.itemsize, pixels.nbytes
+    for limit in (count - 1, count, count + 1):
+        found = []
+        for block_bytes in (row, network.CHUNK_BYTES, whole):
+            monkeypatch.setattr(network, "CHUNK_BYTES", block_bytes)
+            found.append(network._occupied_pixels(pixels, limit))
+        if limit < count:
+            assert found == [None, None, None]
+        else:
+            assert all(np.array_equal(got, want) for got in found)
 
 
 def _whole_input_padding_im2col(data, kernel, bias, stride):
@@ -362,20 +380,40 @@ def test_conv_output_shape_ceiling():
     assert out.shape == (5, 4, 1)
 
 
-def test_deconv_doubles_width():
+def _transposed_scatter(data, kernel, bias, activation):
+    """The literal horizontal stride-2 transposed conv: out[2j + t - 1] += x[j] @ K[t]."""
+    h, w, _ = data.shape
+    out = np.zeros((h, 2 * w, kernel.shape[3]))
+    for j in range(w):
+        for t in range(kernel.shape[1]):
+            if 0 <= 2 * j + t - 1 < 2 * w:
+                out[:, 2 * j + t - 1] += data[:, j] @ kernel[0, t]
+    out += bias
+    return np.maximum(out, 0.0) if activation == network.RELU else out
+
+
+def test_deconv_doubles_width(monkeypatch):
     rng = np.random.default_rng(5)
-    data = rng.normal(size=(4, 6, 2))
-    kernel = rng.normal(size=(1, 4, 2, 3))
-    out = deconv2d_h_raw(data, kernel, np.zeros(3), activation="linear")
-    assert out.shape == (4, 12, 3)
-    # scatter semantics: out[o] = sum_{2j + t - 1 = o} in[j] k[t]
-    o = 5
-    expect = np.zeros(3)
-    for j in range(6):
-        for t in range(4):
-            if 2 * j + t - 1 == o:
-                expect += data[0, j] @ kernel[0, t]
-    assert np.allclose(out[0, o], expect, atol=1e-12)
+    cfg = tiny_config()
+    plan = network.network_plan
+    stored = init_network_weights(cfg, 4, seed=3)
+    bias = rng.normal(size=cfg.unet_width)
+    weights = NetworkWeights({**stored.blocks, "unet.up.bias": bias})
+    kernel = weights.kernel("unet.up")
+    for activation in (network.RELU, network.LINEAR):
+        monkeypatch.setattr(network, "network_plan", lambda *a: [
+            replace(layer, activation=activation) if layer.transposed else layer for layer in plan(*a)])
+        net = FusionNet(cfg, 4, weights)
+        layer = net.layers["unet.up"]
+        assert (layer.kernel, layer.stride, layer.out_channels) == ((1, 3), (1, 1), 2 * cfg.unet_width)
+        for w in (5, 6, 1):
+            data = rng.normal(size=(3, w, 2 * cfg.unet_width))
+            out = conv2d_forward(FeatureMap("rv", data), layer, net).data
+            assert out.shape == (3, w, 2 * cfg.unet_width)
+            got = out.reshape(3, 2 * w, cfg.unet_width)  # the pixel shuffle
+            want = _transposed_scatter(data, kernel, bias, activation)
+            assert np.max(np.abs(got - want)) < 1e-12
+    assert np.array_equal(weights.kernel("unet.up"), stored.kernel("unet.up"))  # derived, the block untouched
 
 
 @pytest.mark.parametrize("path", ["occupied", "im2col-1", "im2col-2", "deconv"])
@@ -386,20 +424,22 @@ def test_out_channel_slice_equals_the_allocating_call(path, dtype):
     if path == "occupied":
         data *= rng.uniform(size=(13, 11, 1)) < 0.15
     bias = rng.normal(size=5)
-    if path == "deconv":
-        kernel = rng.normal(size=(1, 4, 6, 5))
-        run = lambda **kw: deconv2d_h_raw(data, kernel, bias, **kw)  # noqa: E731
+    if path == "deconv":  # the net's transposed unet.up, run as its sub-pixel conv
+        cfg = tiny_config(unet_width=3)  # unet.up: 6 -> 6 channels as a sub-pixel conv
+        net = FusionNet(cfg, 4, init_network_weights(cfg, 4, seed=2))
+        run = lambda **kw: conv2d_forward(FeatureMap("rv", data), net.layers["unet.up"], net, **kw).data  # noqa: E731
     else:
         kernel, stride = rng.normal(size=(3, 3, 6, 5)), (2, 2) if path == "im2col-2" else (1, 1)
         run = lambda **kw: conv2d_raw(data, kernel, bias, stride=stride, **kw)  # noqa: E731
     with mock.patch.object(network, "_conv2d_occupied", wraps=network._conv2d_occupied) as occupied:
         want = run()
-        buffer = np.full((*want.shape[:2], 2 + 5 + 3), np.nan, dtype=dtype)
-        out = buffer[:, :, 2:7]
+        cout = want.shape[2]
+        buffer = np.full((*want.shape[:2], 2 + cout + 3), np.nan, dtype=dtype)
+        out = buffer[:, :, 2:2 + cout]
         assert run(out=out) is out
     assert occupied.call_count == (2 if path == "occupied" else 0)
     assert np.array_equal(out, want)
-    assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 7:]).all()
+    assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 2 + cout:]).all()
 
 
 def test_out_of_another_shape_or_spacing_raises():
@@ -678,8 +718,8 @@ def test_rv_branch_invisible_camera_equals_zeroed_camera_path():
     r2 = conv2d_forward(down, net.layers["unet.res2.conv1"], net)
     r2 = conv2d_forward(r2, net.layers["unet.res2.conv2"], net)
     level2 = FeatureMap("rv", np.maximum(down.data + r2.data, 0.0), rv)
-    up = conv2d_forward(level2, net.layers["unet.up"], net)
-    merged = FeatureMap("rv", np.concatenate([up.data[:, :64], level1.data], axis=2), rv)
+    up = conv2d_forward(level2, net.layers["unet.up"], net).data.reshape(8, 64, cfg.unet_width)
+    merged = FeatureMap("rv", np.concatenate([up, level1.data], axis=2), rv)
     want = conv2d_forward(merged, net.layers["unet.fuse"], net)
     assert np.array_equal(out.data, want.data)
 

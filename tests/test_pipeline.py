@@ -193,8 +193,8 @@ def test_kernel_choice_of_every_desk_and_atg4d_layer(desk_frame, monkeypatch):
     preset, bundle = desk_frame
     _, kernels = _kernels_run(bundle, preset, make_weights(preset, seed=0), monkeypatch)
     sparse = {"bev.lidar1", "bev.map1", "bev.map2"}  # 19%, 11% and 19% of their pixels occupied
-    assert kernels == {layer.name: "occupied" if layer.name in sparse else "transposed" if layer.transposed
-                       else "im2col" for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))}
+    assert kernels == {layer.name: "occupied" if layer.name in sparse else "im2col"
+                       for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))}
     assert not _winograd_shaped(preset)  # desk's widest layers have at most 8192 pixels
     # atg4d: the rule on the planned shapes. bev.lidar1's 160-channel stack has
     # about 15% of its pixels occupied, so the occupied-pixel kernel takes it

@@ -85,8 +85,8 @@ def test_stage_memory_times_frames():
 def test_conv_kernels_times_every_layer_under_its_eligible_kernels():
     out = _run_script("scripts/conv_kernels.py", "--preset", "desk", "--seed", "1", "--repeats", "1")
     header, rule, *rows = out.strip().splitlines()
-    assert header == "| layer | input | occupied | rule | im2col ms | winograd ms | occupied ms | transposed ms |"
-    assert rule == "|---" * 8 + "|"
+    assert header == "| layer | input | occupied | rule | im2col ms | winograd ms | occupied ms |"
+    assert rule == "|---" * 7 + "|"
     preset = get_preset("desk")
     plan = {layer.name: layer for layer in network_plan(preset.fusion, bev_stack_channels(preset))}
     cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
@@ -94,7 +94,7 @@ def test_conv_kernels_times_every_layer_under_its_eligible_kernels():
     for name, shape, occupied, kernel, *times in cells:
         layer = plan[name]
         assert int(shape.split("x")[2]) == layer.in_channels and 0.0 < float(occupied) <= 1.0
-        timed = [k for k, t in zip(("im2col", "winograd", "occupied", "transposed"), times) if t != "-"]
+        timed = [k for k, t in zip(("im2col", "winograd", "occupied"), times) if t != "-"]
         assert kernel in timed and all(float(t) >= 0.0 for t in times if t != "-")
         assert ("winograd" in timed) == (layer.kernel == (3, 3) and layer.stride == (1, 1))
         assert kernel != "winograd"  # no desk layer has a Winograd shape
