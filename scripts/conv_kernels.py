@@ -16,11 +16,13 @@ The transposed unet.up runs as its (1, 3) stride-(1, 1) sub-pixel conv
 
 A kernel is forced by setting the rule's constants in network, so each
 time is that of a whole conv2d_raw call with that kernel chosen, the
-occupancy scan included. Prints one Markdown table row per layer, in call
-order: the input shape, the share of its pixels that are occupied (channel
-row not all zero), the kernel the rule picks (network.conv_kernel_of) and
-the median CPU ms of --repeats calls under each eligible kernel ("-" where
-a kernel cannot run the layer):
+occupancy scan included. A forced Winograd call gets the layer's float32
+planes: the net's own (FusionNet.planes), or, for a layer the net holds
+none for, planes made once before the timed calls. Prints one Markdown
+table row per layer, in call order: the input shape, the share of its
+pixels that are occupied (channel row not all zero), the kernel the rule
+picks (network.conv_kernel_of) and the median CPU ms of --repeats calls
+under each eligible kernel ("-" where a kernel cannot run the layer):
 
   | layer | input | occupied | rule | im2col ms | winograd ms | occupied ms |
   |---|---|---|---|---|---|---|
@@ -51,10 +53,10 @@ KERNELS = (network.IM2COL, network.WINOGRAD, network.OCCUPIED)
 
 # The rule's constants that force each kernel: the occupied-pixel kernel
 # takes a stride-1 input when its share is at least 1 and never when it is
-# negative; Winograd takes every dense 3x3 stride-1 input at 0 and 0.
+# negative; Winograd takes every dense 3x3 stride-1 input at 0 channels.
 _FORCED = {
     network.IM2COL: {"_OCCUPIED_SHARE": -1.0, "_WINOGRAD_MIN_CHANNELS": float("inf")},
-    network.WINOGRAD: {"_OCCUPIED_SHARE": -1.0, "_WINOGRAD_MIN_CHANNELS": 0, "_WINOGRAD_MIN_PIXELS": 0},
+    network.WINOGRAD: {"_OCCUPIED_SHARE": -1.0, "_WINOGRAD_MIN_CHANNELS": 0},
     network.OCCUPIED: {"_OCCUPIED_SHARE": 1.0},
 }
 
@@ -96,13 +98,19 @@ def layer_rows(preset, path, weights, repeats: int) -> list[dict]:
         rule = network.conv_kernel_of(fm.data, layer)
         row = {"layer": layer.name, "input": "x".join(map(str, fm.data.shape)), "occupied": share, "rule": rule,
                "ms": {}}
+        kernel_block, bias = net.params[layer.name]
         for kernel in eligible(layer, share):
+            planes = None
+            if kernel == network.WINOGRAD:
+                planes = net.planes.get(layer.name)
+                if planes is None:
+                    planes = network.winograd_kernel(kernel_block, np.float32)
             with forced(kernel):
-                conv_fn(fm, layer, net, out=out, work=work)  # first call: builds the Winograd planes
                 samples = []
                 for _ in range(repeats):
                     start = time.process_time()
-                    conv_fn(fm, layer, net, out=out, work=work)
+                    network.conv2d_raw(fm.data, kernel_block, bias, layer.stride, layer.activation, out=out,
+                                       work=work, planes=planes)
                     samples.append((time.process_time() - start) * 1e3)
             row["ms"][kernel] = float(np.median(samples))
         rows.append(row)

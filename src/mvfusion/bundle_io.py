@@ -228,18 +228,21 @@ def _parse_sweep_header(header: str) -> tuple[float, float, float, float, int]:
     return t, tx, ty, yaw, _parse_int(parts[4], "sweep point count")
 
 
-def _parse_sweep(header: tuple, data: bytes, offset: int) -> Sweep:
-    """The sweep whose point records start at data[offset], read in place."""
+def _parse_sweep(header: tuple, data: bytes, offset: int, beams: int) -> Sweep:
+    """The sweep whose point records start at data[offset], read in place;
+    every point must lie in a cell of an RV image of beams rows."""
     t, tx, ty, yaw, n = header
     rec = np.frombuffer(data, dtype="<f4", count=n * _POINT_FIELDS, offset=offset).reshape(n, _POINT_FIELDS)
     if not np.isfinite(rec).all():
         raise BundleFormatError(f"sweep at t={t!r}: non-finite point values")
     laser = rec[:, 6]
-    if not ((laser >= 0) & (laser < 2**31) & (laser == np.floor(laser))).all():
-        raise BundleFormatError(f"sweep at t={t!r}: laser ids must be non-negative integers")
+    if not ((laser >= 0) & (laser < beams) & (laser == np.floor(laser))).all():
+        raise BundleFormatError(f"sweep at t={t!r}: laser ids must be integers in [0, {beams})")
     # one float64 array per column, each below numpy's 4 MiB threshold for
     # huge-page advice on an atg4d sweep, which a single (6, n) block is not
     x, y, z, r, e, theta = (rec[:, i].astype(np.float64) for i in range(6))
+    if n and not (theta.min() >= 0.0 and theta.max() < 2.0 * math.pi):
+        raise BundleFormatError(f"sweep at t={t!r}: azimuths must lie in [0, 2 pi)")
     return Sweep(t, PointArray(x, y, z, r, e, theta, laser.astype(np.int64)), Pose2(tx, ty, yaw))
 
 
@@ -324,6 +327,10 @@ def _parse_bundle(data: bytes, body_len: int, camera: CameraModel | None,
     preset = expect("preset")
     if expected_preset is not None and preset != expected_preset:
         raise PresetMismatchError(f"bundle preset {preset!r}, expected {expected_preset!r}")
+    try:
+        named = get_preset(preset)
+    except ValueError as exc:
+        raise BundleFormatError(str(exc)) from None
     timestamp = _parse_float(expect("timestamp"), "timestamp")
     horizon = _parse_int(expect("horizon"), "horizon")
     map_lines = section("map")
@@ -340,16 +347,12 @@ def _parse_bundle(data: bytes, body_len: int, camera: CameraModel | None,
         size = header[4] * _POINT_FIELDS * 4
         if offset + size > body_len:
             raise BundleFormatError("truncated sweep payload")
-        sweeps.append(_parse_sweep(header, data, offset))
+        sweeps.append(_parse_sweep(header, data, offset, named.sensor.beams))
         offset += size
     if offset + image_bytes != body_len:
         raise BundleFormatError(f"image payload is {body_len - offset} bytes, the manifest says {image_bytes}")
     image = _decode_ppm(data, offset, body_len)
-    if camera is None:
-        try:
-            camera = get_preset(preset).camera
-        except ValueError as exc:
-            raise BundleFormatError(str(exc)) from None
+    camera = named.camera if camera is None else camera
     if image.shape[:2] != (camera.cropped_height, camera.width):
         raise BundleFormatError(f"camera image is {image.shape[:2]}, the preset camera gives "
                                 f"{(camera.cropped_height, camera.width)}")

@@ -21,17 +21,18 @@ time (the transposed unet.up runs as its sub_pixel_conv):
   the shifted cells. This is ordinary sparse convolution (SECOND), not the
   submanifold kind: every output cell equals the dense conv's, up to
   summation order.
-- Winograd F(2x2, 3x3) (Lavin & Gray, CVPR 2016) for a dense 3x3 stride-(1,
-  1) input of at least _WINOGRAD_MIN_CHANNELS channels and
-  _WINOGRAD_MIN_PIXELS pixels (winograd_shape): on atg4d, unet.enc1, the
+- Winograd F(2x2, 3x3) (Lavin & Gray, CVPR 2016) for a dense input of a
+  3x3 stride-(1, 1) layer of at least _WINOGRAD_MIN_CHANNELS input
+  channels, whatever its size (winograd_shape): on atg4d, unet.enc1, the
   unet residual convs, unet.fuse, fuse.conv2, fuse.conv4-6 and fuse.head;
-  no desk layer. Each 2x2 output tile costs 16 products over the channels
-  instead of 36. Its input and output transforms only add and subtract;
-  the kernel transform G g G^T is summed in float64 and cast, once per
-  layer of a FusionNet (FusionNet.planes). In float32 its
-  error against float64 is no larger than im2col's (3-5e-7 relative,
-  against 5-6e-7), but its bits differ from im2col's; in float64 it agrees
-  with the literal conv to rounding (below 1e-10 in the tests).
+  on desk, the unet.res2 convs, unet.fuse, fuse.conv4-6 and fuse.head.
+  Each 2x2 output tile costs 16 products over the channels instead of 36.
+  Its input and output transforms only add and subtract; the kernel
+  transform G g G^T is summed in float64 and cast, once per layer when a
+  FusionNet is built (FusionNet.planes). In float32 its error against
+  float64 is no larger than im2col's (3-5e-7 relative, against 5-6e-7),
+  but its bits differ from im2col's; in float64 it agrees with the
+  literal conv to rounding (below 1e-10 in the tests).
 - im2col + matmul for every other input, chunked over output rows to bound
   memory. Each chunk zero-pads only the input rows it reads, so no padded
   copy of the whole input exists, and the matmul writes straight into the
@@ -103,15 +104,14 @@ LINEAR = "linear"
 # 7 -> 32.
 _OCCUPIED_SHARE = 0.25
 
-# Dense stride-(1, 1) 3x3 inputs with at least this many channels and pixels
-# take the Winograd kernel, every other dense input im2col (winograd_shape).
-# Measured per layer on one core (README.md, "Convolution kernels"): the 11
-# atg4d layers it picks run 16-36% faster; the narrower ones run slower
-# (cam.conv3, 16 channels: 27 -> 41 ms; cam.conv5, 32: 18.6 -> 21.8) or tie
-# (rv.conv2, 32). The desk layers, at most 8192 pixels, stay on im2col,
-# which keeps desk outputs bit for bit.
+# Dense inputs of 3x3 stride-(1, 1) layers of at least this many input
+# channels, whatever their size, take the Winograd kernel, every other dense
+# input im2col (winograd_shape). Measured per layer on one core (README.md,
+# "Convolution kernels"): the 11 atg4d layers it picks run 16-36% faster,
+# 4 of the 7 desk ones 5-35% (fuse.conv4-6, 24x16 pixels, lose 0.02-0.06 ms);
+# narrower layers run slower (cam.conv3, 16 channels: 27 -> 41 ms;
+# cam.conv5, 32: 18.6 -> 21.8) or tie (rv.conv2, 32).
 _WINOGRAD_MIN_CHANNELS = 64
-_WINOGRAD_MIN_PIXELS = 16384
 # A tile block's planes when the layer's work has room. 4 MiB fits in the
 # work every atg4d Winograd layer has for its other kernels; 8 MiB blocks
 # ran an atg4d frame about 4% faster, but raised its peak RSS by 18 MB.
@@ -157,13 +157,12 @@ def _pixel_rows(out: np.ndarray) -> np.ndarray:
         raise ValueError("out must be an array whose pixels are evenly spaced, such as a channel slice") from None
 
 
-def winograd_shape(h: int, w: int, cin: int, kernel: tuple[int, int], stride: tuple[int, int]) -> bool:
-    """Whether a dense (h, w, cin) input of a conv of this kernel size and
-    stride takes the Winograd kernel rather than im2col: a constant rule
-    keyed by shape, never tuned at run time, since the kernel decides the
-    output bits."""
-    return (tuple(kernel) == (3, 3) and tuple(stride) == (1, 1)
-            and cin >= _WINOGRAD_MIN_CHANNELS and h * w >= _WINOGRAD_MIN_PIXELS)
+def winograd_shape(cin: int, kernel: tuple[int, int], stride: tuple[int, int]) -> bool:
+    """Whether a dense input of cin channels to a conv of this kernel size
+    and stride takes the Winograd kernel rather than im2col, whatever its
+    height and width: a constant rule keyed by the layer's shape, never
+    tuned at run time, since the kernel decides the output bits."""
+    return tuple(kernel) == (3, 3) and tuple(stride) == (1, 1) and cin >= _WINOGRAD_MIN_CHANNELS
 
 
 def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
@@ -178,7 +177,7 @@ def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
     row = ow * math.prod(layer.kernel) * layer.in_channels * itemsize  # one output row's patches
     occupied = int(_OCCUPIED_SHARE * h * w) * layer.in_channels * itemsize if layer.stride == (1, 1) else 0
     winograd = 0
-    if winograd_shape(h, w, layer.in_channels, layer.kernel, layer.stride):
+    if winograd_shape(layer.in_channels, layer.kernel, layer.stride):
         blocks = _winograd_blocks(h, w, layer.in_channels, layer.out_channels, itemsize, _WINOGRAD_BLOCK_BYTES)
         winograd = _winograd_elements(blocks, layer.in_channels, layer.out_channels) * itemsize
     return max(_chunk_rows(oh, row) * row, occupied, winograd)
@@ -227,8 +226,8 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     matrix or a Winograd tile block's planes, used when it fits
     (conv_work_bytes sizes it); else that is allocated. planes, when
     given, is the kernel's Winograd transform in the compute dtype, kept by
-    the caller (FusionNet.planes); else the Winograd kernel makes it
-    (winograd_kernel).
+    the caller (FusionNet.planes, float32); else the Winograd kernel makes
+    it (winograd_kernel).
     """
     h, w, cin = data.shape
     kh, kw, kcin, cout = kernel.shape
@@ -265,7 +264,7 @@ def _choose_kernel(data: np.ndarray, kernel: tuple[int, int],
         occupied = _occupied_pixels(data.reshape(h * w, cin), _OCCUPIED_SHARE * h * w)
         if occupied is not None:
             return OCCUPIED, occupied
-    return (WINOGRAD if winograd_shape(h, w, cin, kernel, stride) else IM2COL), None
+    return (WINOGRAD if winograd_shape(cin, kernel, stride) else IM2COL), None
 
 
 def _occupied_pixels(pixels: np.ndarray, limit: float) -> np.ndarray | None:
@@ -738,12 +737,12 @@ def sub_pixel_conv(layer: ConvLayerSpec, kernel: np.ndarray,
 def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, net: FusionNet,
                    out: np.ndarray | None = None, work: np.ndarray | None = None) -> FeatureMap:
     """Apply one of net's layers to a feature map (geometry carried through);
-    out and work as in conv2d_raw."""
+    out and work as in conv2d_raw; net's float32 planes only for a float32 computation."""
     if fm.channels != layer.in_channels:
         raise ValueError(f"{layer.name}: expected {layer.in_channels} channels, got {fm.channels}")
     kernel, bias = net.params[layer.name]
-    data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work,
-                      planes=net.planes(layer, fm.data))
+    planes = net.planes.get(layer.name) if _compute_dtype(fm.data) == np.float32 else None
+    data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work, planes=planes)
     return FeatureMap(fm.view, data, fm.geometry)
 
 
@@ -752,8 +751,9 @@ class FusionNet:
     the layers by name, the weights, checked against the layers once when
     the net is built, the kernel and bias each layer runs (params: its
     stored blocks, or the transposed unet.up's sub_pixel_conv), the float32
-    Winograd planes of its layers, and the arena of the frame path, which
-    pipeline.fusion_net plans for a preset.
+    planes of its Winograd layers (planes), made here, and the arena of the
+    frame path, which pipeline.fusion_net plans for a preset. Only the arena
+    changes with a frame.
 
     With an arena, every tensor the branch functions produce is written into
     its planned view: a conv into the view named after its layer, with the
@@ -770,25 +770,18 @@ class FusionNet:
         self.weights = weights
         self.layers: dict[str, ConvLayerSpec] = {}
         self.params: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        planes = {}
         for layer in plan:
             kernel, bias = weights.kernel(layer.name), weights.bias(layer.name)
             if layer.transposed:
                 layer, kernel, bias = sub_pixel_conv(layer, kernel, bias)
             self.layers[layer.name] = layer
             self.params[layer.name] = kernel, bias
+            if winograd_shape(layer.in_channels, layer.kernel, layer.stride):
+                planes[layer.name] = winograd_kernel(kernel, np.float32)
+                planes[layer.name].flags.writeable = False
+        self.planes: Mapping[str, np.ndarray] = MappingProxyType(planes)
         self.arena: Arena | None = None
-        self._planes: dict[str, np.ndarray] = {}
-
-    def planes(self, layer: ConvLayerSpec, data: np.ndarray) -> np.ndarray | None:
-        """The layer's float32 Winograd planes (winograd_kernel) when data is
-        an input of a Winograd shape computed in float32, made on the first
-        such input and kept; else None."""
-        h, w, cin = data.shape
-        if _compute_dtype(data) != np.float32 or not winograd_shape(h, w, cin, layer.kernel, layer.stride):
-            return None
-        if layer.name not in self._planes:
-            self._planes[layer.name] = winograd_kernel(self.params[layer.name][0], np.float32)
-        return self._planes[layer.name]
 
     def conv(self, fm: FeatureMap, name: str, out: np.ndarray | None = None) -> FeatureMap:
         """conv2d_forward of the layer called name into out, by default the

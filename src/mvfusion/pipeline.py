@@ -303,8 +303,8 @@ def benchmark_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights
     return {**medians, "total": float(np.median(totals))}
 
 
-def fit_frame(bundle: FrameBundle, preset: Preset, steps: int = 500, output_stride: int = 1, seed: int = 0):
-    targets = encode_targets(bundle.labels, preset.grid, output_stride, preset.horizon)
+def fit_frame(bundle: FrameBundle, preset: Preset, steps: int = 500, seed: int = 0):
+    targets = encode_targets(bundle.labels, preset.grid, 1, preset.horizon)  # output stride 1: every grid cell
     return fit_outputs(targets, steps=steps, learning_rate=0.2, seed=seed), targets
 
 

@@ -227,6 +227,8 @@ def rv_cells_of(laser: np.ndarray, azimuth: np.ndarray, rv: RvSpec) -> tuple[np.
     """RV cells of LiDAR returns: laser ID is the row, azimuth in [0, 2*pi) bins the column."""
     if laser.size and (laser.min() < 0 or laser.max() >= rv.rows):
         raise ValueError("laser ID outside RV rows")
+    if azimuth.size and (azimuth.min() < 0.0 or azimuth.max() >= 2.0 * math.pi):
+        raise ValueError("azimuth outside [0, 2*pi)")
     cols = np.minimum((azimuth / (2.0 * math.pi) * rv.cols).astype(np.int64), rv.cols - 1)
     return laser.astype(np.int64), cols
 

@@ -196,7 +196,8 @@ def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
     shapes = {name: shape for step in steps for name, shape, _ in step.writes}
     layers = net.layers
     winograd = {step.name: shapes[step.reads[0]] for step in steps if step.name in layers
-                and network.winograd_shape(*shapes[step.reads[0]], layers[step.name].kernel, layers[step.name].stride)}
+                and network.winograd_shape(layers[step.name].in_channels, layers[step.name].kernel,
+                                           layers[step.name].stride)}
     assert len(winograd) == 12  # 11 dense layers and bev.lidar1, whose sparse stack the occupied kernel takes
     for name, (h, w, _) in winograd.items():  # each gets room for the planes of its tile blocks
         layer = layers[name]

@@ -6,8 +6,10 @@ import zlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mvfusion.bundle_io import BundleFormatError, read_frame_bundle
 from mvfusion.cli import main
 from mvfusion.network import save_weights
 from mvfusion.pipeline import make_weights
@@ -181,6 +183,26 @@ def test_eval_rejects_a_bundle_with_a_bad_ppm_header(tmp_path, capsys):
     assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "PPM" in err
+
+
+@pytest.mark.parametrize("field,value,message", [(5, -1.0, "azimuths"), (5, 7.0, "azimuths"),
+                                                (6, 40.0, "laser ids")])  # desk has 16 beams
+def test_raster_rejects_a_point_that_no_rv_cell_holds(tmp_path, capsys, field, value, message):
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "1000", "--out", str(out))
+    path = out / "bundle_000.bin"
+    body = bytearray(path.read_bytes()[:-len("crc32 00000000\n")])
+    payload = body.index(b"\nend\n") + len(b"\nend\n")
+    counts = [int(line.split()[-1]) for line in body[:payload].decode().splitlines() if line.startswith("sweep ")]
+    at = payload + 7 * 4 * sum(counts[:-1]) + 4 * field  # a field of the last sweep's first record
+    body[at:at + 4] = np.array(value, dtype="<f4").tobytes()
+    path.write_bytes(bytes(body) + b"crc32 %08x\n" % (zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(BundleFormatError, match=message):
+        read_frame_bundle(path)
+    capsys.readouterr()
+    assert run_cli("raster", "--preset", "desk", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: sweep at t=") and message in err
 
 
 def test_forward_rejects_non_finite_weights(tmp_path, capsys):

@@ -467,7 +467,6 @@ def test_occupied_rows_gathered_into_work_give_the_same_output(work_rows):
 def _force_winograd(monkeypatch):
     """Every dense stride-1 3x3 input takes the Winograd kernel."""
     monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 1)
-    monkeypatch.setattr(network, "_WINOGRAD_MIN_PIXELS", 1)
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (1, 7), (7, 1), (1, 2), (2, 3), (3, 2), (4, 4), (5, 6), (9, 8), (8, 9),
@@ -505,6 +504,26 @@ def test_winograd_channel_slice_and_work_match_naive_oracle(monkeypatch, work_by
     assert np.isnan(buffer[:, :, :2]).all() and np.isnan(buffer[:, :, 7:]).all()
     if work is not None:  # the planes went into work exactly when it was larger than the heap bound
         assert (work != 0xFF).any() == (work_bytes > network.CHUNK_BYTES)
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (3, 5), (9, 8)])
+def test_a_float64_input_never_takes_the_nets_float32_planes(h, w):
+    # the net holds float32 planes for its Winograd layers; a float64 input
+    # through such a layer computes in float64, a float32 one uses the planes
+    cfg = tiny_config(unet_width=32)  # unet.fuse: 64 -> 32 channels, a Winograd layer
+    net = FusionNet(cfg, 4, init_network_weights(cfg, 4, seed=4))
+    layer = net.layers["unet.fuse"]
+    assert net.planes["unet.fuse"].dtype == np.float32
+    kernel, bias = net.params["unet.fuse"]
+    data = np.random.default_rng(h * 10 + w).normal(size=(h, w, 64))
+    assert network.conv_kernel_of(data, layer) == network.WINOGRAD
+    with mock.patch.object(network, "conv2d_raw", wraps=network.conv2d_raw) as raw:
+        got = conv2d_forward(FeatureMap("rv", data), layer, net).data
+        conv2d_forward(FeatureMap("rv", data.astype(np.float32)), layer, net)
+    assert raw.call_args_list[0].kwargs["planes"] is None
+    assert raw.call_args_list[1].kwargs["planes"] is net.planes["unet.fuse"]
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - naive_conv2d(data, kernel, bias, (1, 1), relu=True))) < 1e-10
 
 
 def test_winograd_uint8_input_equals_float32_bit_for_bit(monkeypatch):

@@ -181,22 +181,24 @@ def _kernels_run(bundle, preset, weights, monkeypatch):
 
 
 def _winograd_shaped(preset):
-    """The layers whose planned input shape the Winograd rule takes when it is dense."""
+    """The layers whose dense inputs the Winograd rule takes: exactly those the net holds planes for."""
     net = unplanned_net(preset, make_weights(preset, seed=0))
-    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
-    shapes = {name: shape for step in steps for name, shape, _ in step.writes}
-    return {step.name for step in steps if step.name in net.layers and network.winograd_shape(
-        *shapes[step.reads[0]], net.layers[step.name].kernel, net.layers[step.name].stride)}
+    shaped = {name for name, layer in net.layers.items()
+              if network.winograd_shape(layer.in_channels, layer.kernel, layer.stride)}
+    assert set(net.planes) == shaped
+    return shaped
 
 
 def test_kernel_choice_of_every_desk_and_atg4d_layer(desk_frame, monkeypatch):
     preset, bundle = desk_frame
     _, kernels = _kernels_run(bundle, preset, make_weights(preset, seed=0), monkeypatch)
     sparse = {"bev.lidar1", "bev.map1", "bev.map2"}  # 19%, 11% and 19% of their pixels occupied
-    assert kernels == {layer.name: "occupied" if layer.name in sparse else "im2col"
-                       for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))}
-    assert not _winograd_shaped(preset)  # desk's widest layers have at most 8192 pixels
-    # atg4d: the rule on the planned shapes. bev.lidar1's 160-channel stack has
+    wide = {"unet.res2.conv1", "unet.res2.conv2", "unet.fuse", "fuse.conv4", "fuse.conv5", "fuse.conv6",
+            "fuse.head"}  # dense 3x3 stride-1 layers of at least 64 input channels
+    assert kernels == {layer.name: "occupied" if layer.name in sparse else "winograd" if layer.name in wide
+                       else "im2col" for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))}
+    assert _winograd_shaped(preset) == wide
+    # atg4d: the rule on its layers. bev.lidar1's 160-channel stack has
     # about 15% of its pixels occupied, so the occupied-pixel kernel takes it
     # first (README.md, "Convolution kernels").
     assert _winograd_shaped(get_preset("atg4d")) == {
@@ -209,7 +211,6 @@ def test_desk_frame_with_winograd_forced_stays_inside_the_bounds(desk_frame, mon
     weights = make_weights(preset, seed=0)
     reference = forward_frame(bundle, preset, weights)
     monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 1)
-    monkeypatch.setattr(network, "_WINOGRAD_MIN_PIXELS", 1)
     outputs, kernels = _kernels_run(bundle, preset, weights, monkeypatch)
     assert [name for name, kernel in kernels.items() if kernel == "winograd"] == [
         "bev.lidar2", "cam.conv1", "cam.conv3", "cam.conv5", "rv.conv1", "rv.conv2", "unet.enc1",
@@ -294,11 +295,11 @@ def sha(outputs) -> str:
 
 def test_frames_with_one_weights_object_build_the_net_once(desk_frame, monkeypatch):
     # Work counted, not timed. With the Winograd rule opened to every dense
-    # 3x3 stride-1 input, each such layer's planes are made once, on the
-    # first frame, even where the occupied-pixel kernel then runs it.
+    # 3x3 stride-1 layer, building the net makes each such layer's planes
+    # once, even where the occupied-pixel kernel then runs it, and the
+    # frames after that make none.
     preset, bundle = desk_frame
     monkeypatch.setattr(network, "_WINOGRAD_MIN_CHANNELS", 1)
-    monkeypatch.setattr(network, "_WINOGRAD_MIN_PIXELS", 1)
     monkeypatch.setattr(pipeline, "_net", None)
     calls = []
 
@@ -312,14 +313,17 @@ def test_frames_with_one_weights_object_build_the_net_once(desk_frame, monkeypat
     monkeypatch.setattr(NetworkWeights, "validate_plan", counted(NetworkWeights.validate_plan))
     monkeypatch.setattr(network, "winograd_kernel", counted(network.winograd_kernel))
     weights = make_weights(preset, seed=0)
+    net = pipeline.fusion_net(preset, weights)
+    transformed = [args[0] for name, args in calls if name == "winograd_kernel"]
     digests = {sha(forward_frame(bundle, preset, weights)) for _ in range(3)}
     names = [name for name, _ in calls]
     assert len(digests) == 1
+    assert pipeline.fusion_net(preset, weights) is net
     assert names.count("plan_arena") == names.count("validate_plan") == 1
+    assert names.count("winograd_kernel") == len(transformed)  # none in the three forward passes
     dense = [layer.name for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))
              if layer.kernel == (3, 3) and layer.stride == (1, 1)]
-    transformed = [args[0] for name, args in calls if name == "winograd_kernel"]
-    assert len(transformed) == len(dense) == 20
+    assert len(transformed) == len(dense) == len(net.planes) == 20
     assert {id(kernel) for kernel in transformed} == {id(weights.kernel(name)) for name in dense}
 
 
@@ -377,7 +381,7 @@ def test_load_cell_outputs_rejects_non_finite(tmp_path, desk_frame, field):
 
 def test_fit_eval_roundtrip_single_frame(desk_frame):
     preset, bundle = desk_frame
-    result, targets = fit_frame(bundle, preset, steps=300, output_stride=1, seed=0)
+    result, targets = fit_frame(bundle, preset, steps=300, seed=0)
     dets = decode_detections(result.outputs, score_floor=0.5)
     report = evaluate_bundles([(dets, list(bundle.labels.labels))], preset)
     for cls in ("vehicle", "pedestrian", "bicyclist"):

@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mvfusion.network import network_plan
+from mvfusion.network import network_plan, winograd_shape
 from mvfusion.pipeline import fusion_net, make_weights
 from mvfusion.presets import bev_stack_channels, get_preset
 
@@ -97,7 +97,8 @@ def test_conv_kernels_times_every_layer_under_its_eligible_kernels():
         timed = [k for k, t in zip(("im2col", "winograd", "occupied"), times) if t != "-"]
         assert kernel in timed and all(float(t) >= 0.0 for t in times if t != "-")
         assert ("winograd" in timed) == (layer.kernel == (3, 3) and layer.stride == (1, 1))
-        assert kernel != "winograd"  # no desk layer has a Winograd shape
+        # the rule picks Winograd for exactly the layers of a Winograd shape
+        assert (kernel == "winograd") == winograd_shape(layer.in_channels, layer.kernel, layer.stride)
 
 
 def test_frame_digests_agree_from_run_to_run():

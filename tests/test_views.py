@@ -16,6 +16,7 @@ from mvfusion.views import (
     bev_cells_of,
     camera_pixels_of,
     cell_count,
+    rv_cells_of,
 )
 
 
@@ -81,6 +82,17 @@ def test_rv_cell_mapping():
     assert rv_cell_of(_Pt(3, 2 * math.pi - 1e-9), rv) == CellIndex(3, 2047)
     with pytest.raises(ValueError):
         rv_cell_of(_Pt(64, 0.0), rv)
+
+
+@pytest.mark.parametrize("laser,azimuth,message", [(64, 0.0, "laser"), (-1, 0.0, "laser"),
+                                                   (3, -1e-9, "azimuth"), (3, 2 * math.pi, "azimuth")])
+def test_rv_cells_reject_a_return_outside_the_rv_image(laser, azimuth, message):
+    rv = RvSpec(rows=64, cols=2048)
+    lasers, azimuths = np.array([0, laser]), np.array([math.pi, azimuth])
+    with pytest.raises(ValueError, match=message):
+        rv_cells_of(lasers, azimuths, rv)
+    rows, cols = rv_cells_of(np.array([0, 63]), np.array([0.0, 2 * math.pi - 1e-9]), rv)
+    assert rows.tolist() == [0, 63] and cols.tolist() == [0, 2047]
 
 
 def test_rvspec_elevation_validation():
