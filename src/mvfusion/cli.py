@@ -51,7 +51,24 @@ from .pipeline import (
 from .presets import bev_stack_channels, get_preset, preset_names
 from .projection import project_features
 from .raster import build_rv_image, dump_featuremap_pgm
+from .scene import CLASSES
 from .selfcheck import run_selfcheck
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: a value that convert gives and ok accepts (NaN never is), else a usage error."""
+    def parse(text: str):
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "at least 1")
+_NOT_NEGATIVE = _checked(int, lambda n: n >= 0, "at least 0")
+_IN_UNIT = _checked(float, lambda x: 0.0 <= x <= 1.0, "a finite number in [0, 1]")
+_IN_OPEN_UNIT = _checked(float, lambda x: 0.0 < x <= 1.0, "a finite number in (0, 1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,13 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--preset", default="desk", choices=preset_names())
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--frames", type=int, default=1)
+        p.add_argument("--frames", type=_AT_LEAST_ONE, default=1)
         p.add_argument("--no-camera", action="store_true", help="drop the camera sub-branch")
         p.add_argument("--out", default="out", help="artifact directory")
         p.add_argument("--weights", default=None, help="weights file (default: seeded init)")
-        p.add_argument("--score-floor", type=float, default=0.5)
-        p.add_argument("--nms-iou", type=float, default=0.3)
-        p.add_argument("--recall-target", type=float, default=0.8)
+        p.add_argument("--score-floor", type=_IN_UNIT, default=0.5)
+        p.add_argument("--nms-iou", type=_IN_UNIT, default=0.3)
+        p.add_argument("--recall-target", type=_IN_OPEN_UNIT, default=0.8)
         return p
 
     common(sub.add_parser("gen", help="generate scenes and frame bundles"))
@@ -78,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("project", help="cross-view feature projection demos"))
     common(sub.add_parser("forward", help="seeded-weight network inference"))
     fit = common(sub.add_parser("fit", help="fit outputs directly to the labels"))
-    fit.add_argument("--steps", type=int, default=400)
+    fit.add_argument("--steps", type=_NOT_NEGATIVE, default=400)
     common(sub.add_parser("eval", help="decode outputs and write the metrics report"))
     bench = common(sub.add_parser("bench", help="per-stage and whole-frame CPU-time latency table"))
     bench.add_argument("--repeats", type=int, default=20)
@@ -201,6 +218,10 @@ def cmd_eval(args) -> int:
         if not opath.exists():
             raise FileNotFoundError(f"{opath} missing; run `forward` or `fit` first")
         outputs = load_cell_outputs(opath)
+        if outputs.classes != CLASSES or outputs.horizon != preset.horizon:
+            raise BlockFileError(f"{opath}: outputs of classes {','.join(outputs.classes)} and horizon "
+                                 f"{outputs.horizon}; preset {preset.name} has {','.join(CLASSES)} and horizon "
+                                 f"{preset.horizon}")
         dets = decode_detections(outputs, score_floor=args.score_floor, nms_iou=args.nms_iou)
         frames.append((dets, list(bundle.labels.labels)))
     report = evaluate_bundles(frames, preset, recall_target=args.recall_target)

@@ -15,12 +15,11 @@ time (the transposed unet.up runs as its sub_pixel_conv):
 
 - occupied-pixel: a stride-(1, 1) input whose occupied pixels (channel rows
   that are not all zero) are at most _OCCUPIED_SHARE of the grid, such as
-  the BEV LiDAR stack and map raster. The occupied rows are gathered once;
-  the output is made in bands of rows that fit CHUNK_BYTES, and for each
-  band each tap multiplies the occupied rows that reach it and adds into
-  the shifted cells. This is ordinary sparse convolution (SECOND), not the
-  submanifold kind: every output cell equals the dense conv's, up to
-  summation order.
+  the BEV LiDAR stack and map raster. The output is made in bands of rows;
+  each band gathers the occupied rows its taps reach, and each tap
+  multiplies those rows and adds into the shifted cells. This is ordinary
+  sparse convolution (SECOND), not the submanifold kind: every output cell
+  equals the dense conv's, up to summation order.
 - Winograd F(2x2, 3x3) (Lavin & Gray, CVPR 2016) for a dense input of a
   3x3 stride-(1, 1) layer of at least _WINOGRAD_MIN_CHANNELS input
   channels, whatever its size (winograd_shape): on atg4d, unet.enc1, the
@@ -68,23 +67,22 @@ The two inputs that join a view's own features with projected ones,
 unet.enc1's and fuse.conv1's, are built at full width: rv.conv2 writes the
 leading channels of unet.enc1's, fuse_input_of copies the BEV features into
 fuse.conv1's, and project_features writes the projection and its validity
-into the rest, so no concatenated copy of either exists. The kernels'
-temporaries stay on the heap under one working-set bound, arena.CHUNK_BYTES
-(its reason is given there): an im2col chunk's patch matrix, a band and
-its per-tap products in the occupied-pixel kernel, and a tile block's
-planes in the Winograd kernel when it has no work. A kernel's largest
-temporary, which can be far larger (the occupied-pixel kernel's gathered input rows, an im2col patch
-matrix of one or two output rows whose patches exceed the bound, or the
-Winograd planes of a larger tile block), goes into the work bytes the plan gives
-the layer (conv_work_bytes). The plan only gives work the room the frame's
-tensors leave, so work never makes the arena larger.
+into the rest, so no concatenated copy of either exists. Every kernel works
+in blocks of one size (_block_bytes): an im2col chunk's patch matrix, a
+Winograd tile block's planes, or an occupied-pixel band with the rows it
+reaches. The block is the layer's work when that holds at least
+arena.CHUNK_BYTES (its reason is given there), else CHUNK_BYTES on the
+heap. The plan asks CONV_WORK_BYTES of work for every conv and gives it
+only the room the frame's tensors leave, so work never makes the arena
+larger. Only what cannot be cut smaller outgrows the block, on the heap:
+one im2col row's patches, three Winograd tiles or a one-row band.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -112,10 +110,12 @@ _OCCUPIED_SHARE = 0.25
 # narrower layers run slower (cam.conv3, 16 channels: 27 -> 41 ms;
 # cam.conv5, 32: 18.6 -> 21.8) or tie (rv.conv2, 32).
 _WINOGRAD_MIN_CHANNELS = 64
-# A tile block's planes when the layer's work has room. 4 MiB fits in the
-# work every atg4d Winograd layer has for its other kernels; 8 MiB blocks
-# ran an atg4d frame about 4% faster, but raised its peak RSS by 18 MB.
-_WINOGRAD_BLOCK_BYTES = 4 << 20
+# The work the frame plan asks for every conv (pipeline.frame_steps), and so
+# the block every kernel works in when the plan has room for it
+# (_block_bytes). 8 MiB Winograd blocks ran an atg4d frame about 4% faster,
+# but raised its peak RSS by 18 MB; 4 MiB still holds fuse.conv1's two
+# im2col rows (2.9 MB) and unet.down's one (2.36 MB).
+CONV_WORK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -165,41 +165,15 @@ def winograd_shape(cin: int, kernel: tuple[int, int], stride: tuple[int, int]) -
     return tuple(kernel) == (3, 3) and tuple(stride) == (1, 1) and cin >= _WINOGRAD_MIN_CHANNELS
 
 
-def conv_work_bytes(layer: ConvLayerSpec, h: int, w: int) -> int:
-    """Bytes of scratch conv2d_raw can use on an (h, w) input of the layer
-    computed in float32 (its work), the largest of what its kernels can use:
-    one im2col chunk's patch matrix (_chunk_rows); at stride 1, the
-    occupied-pixel kernel's gathered rows at the most occupied pixels it
-    takes; and for a Winograd shape, the planes of a tile block of
-    _WINOGRAD_BLOCK_BYTES."""
-    itemsize = np.dtype(np.float32).itemsize
-    oh, ow = conv_output_shape(h, w, layer.stride)
-    row = ow * math.prod(layer.kernel) * layer.in_channels * itemsize  # one output row's patches
-    occupied = int(_OCCUPIED_SHARE * h * w) * layer.in_channels * itemsize if layer.stride == (1, 1) else 0
-    winograd = 0
-    if winograd_shape(layer.in_channels, layer.kernel, layer.stride):
-        blocks = _winograd_blocks(h, w, layer.in_channels, layer.out_channels, itemsize, _WINOGRAD_BLOCK_BYTES)
-        winograd = _winograd_elements(blocks, layer.in_channels, layer.out_channels) * itemsize
-    return max(_chunk_rows(oh, row) * row, occupied, winograd)
+def _block_bytes(work: np.ndarray | None) -> int:
+    """The bytes a conv kernel works in at a time (its block): work's when at least CHUNK_BYTES, else CHUNK_BYTES."""
+    return CHUNK_BYTES if work is None or work.nbytes < CHUNK_BYTES else work.nbytes
 
 
-def _chunk_rows(oh: int, bytes_per_row: int) -> int:
-    """Output rows per im2col chunk: as many as fit CHUNK_BYTES, at least one,
-    and two when only one fits. Those two exceed the bound, so they need the
-    layer's work, which conv_work_bytes plans for them: on atg4d, fuse.conv1
-    (1.45 MB of patches a row) ran 7% faster with two rows per matmul than
-    with one, while a second row gained nothing for unet.down (2.36 MB a
-    row), whose row alone exceeds the bound."""
-    rows = CHUNK_BYTES // max(bytes_per_row, 1)
-    return min(oh, 2 if rows == 1 else max(rows, 1))
-
-
-def _work_view(work: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray | None:
-    """The first bytes of work as an array of shape and dtype, or None when work is too small."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if work is None or work.nbytes < nbytes:
-        return None
-    return work[:nbytes].view(dtype).reshape(shape)
+def _scratch(work: np.ndarray | None, n: int, dtype) -> np.ndarray:
+    """n elements of dtype: the leading bytes of work when it holds them, else a new array."""
+    nbytes = n * np.dtype(dtype).itemsize
+    return np.empty(n, dtype=dtype) if work is None or work.nbytes < nbytes else work[:nbytes].view(dtype)
 
 
 OCCUPIED, WINOGRAD, IM2COL = "occupied", "winograd", "im2col"
@@ -221,13 +195,12 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     out, when given, receives the result and is returned: an (oh, ow, cout)
     array of the compute dtype whose pixels are evenly spaced (a channel
     slice of a wider array qualifies); every element is written. work, when
-    given, is a uint8 buffer for the kernel's largest temporary, the
-    occupied-pixel kernel's gathered input rows, an im2col chunk's patch
-    matrix or a Winograd tile block's planes, used when it fits
-    (conv_work_bytes sizes it); else that is allocated. planes, when
-    given, is the kernel's Winograd transform in the compute dtype, kept by
-    the caller (FusionNet.planes, float32); else the Winograd kernel makes
-    it (winograd_kernel).
+    given, is a uint8 buffer the kernel works in when it holds at least
+    CHUNK_BYTES, its blocks then growing to its size (_block_bytes); else
+    they are CHUNK_BYTES on the heap. planes, when given, is the kernel's
+    Winograd transform in the compute dtype, kept by the caller
+    (FusionNet.planes, float32); else the Winograd kernel makes it
+    (winograd_kernel).
     """
     h, w, cin = data.shape
     kh, kw, kcin, cout = kernel.shape
@@ -287,17 +260,21 @@ def _occupied_pixels(pixels: np.ndarray, limit: float) -> np.ndarray | None:
     return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
-def _gathered_rows(pixels: np.ndarray, order: np.ndarray, dtype, work: np.ndarray | None) -> np.ndarray:
-    """pixels[order] cast to dtype, in work when it is large enough, gathered
-    in blocks of at most CHUNK_BYTES."""
-    n, cin = len(order), pixels.shape[1]
-    rows = _work_view(work, (n, cin), dtype)
-    if rows is None:
-        rows = np.empty((n, cin), dtype=dtype)
-    step = max(1, CHUNK_BYTES // max(cin * np.dtype(dtype).itemsize, 1))
-    for b0 in range(0, n, step):
-        rows[b0:b0 + step] = pixels[order[b0:b0 + step]]
-    return rows
+def _occupied_bands(first: np.ndarray, kh: int, row: int, pixel: int, block: int) -> list[int]:
+    """Bounds of the occupied-pixel kernel's output bands: as many rows as
+    fit block elements, at least one, a band costing row elements a row and
+    pixel elements for each occupied pixel its taps reach, with a neighbour
+    on each side. first[y] is the first occupied pixel at or after input row
+    y - top, as in _conv2d_occupied."""
+    h = len(first) - kh
+    y = np.arange(h + 1)
+    fill = y * row + first[y + kh - 1] * pixel  # the cost of the band [0, y), less its neighbours
+    bounds = [0]
+    while bounds[-1] < h:
+        y0 = bounds[-1]
+        limit = block + y0 * row + (first[y0] - 2) * pixel
+        bounds.append(max(y0 + 1, int(np.searchsorted(fill, limit, side="right")) - 1))
+    return bounds
 
 
 def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, int],
@@ -308,47 +285,54 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     cout) rows.
 
     Ordinary sparse convolution: every output cell, including the ones next
-    to an occupied pixel, equals the dense conv's. The occupied rows are
-    gathered once, in pixel order, and cast to the kernel's dtype (exact for
-    the uint8 0/1 rasters). The output is made in bands of rows, each summed
-    in a zeroed heap buffer of at most CHUNK_BYTES that is padded by the
-    kernel's reach on the left and right, so a tap never shifts a pixel off
-    it. For each band and kernel row dy, the occupied pixels whose row
+    to an occupied pixel, equals the dense conv's. The output is made in
+    bands of rows, cut by how many occupied pixels each reaches so that a
+    band's scratch fits the kernel's block (_block_bytes) wherever the
+    pixels cluster: the band, zeroed and padded by the kernel's reach on
+    the left and right so a tap never shifts a pixel off it; the occupied
+    rows its taps reach, gathered in pixel order and cast to the kernel's
+    dtype (exact for the uint8 0/1 rasters); and one tap's product and the
+    cells it adds to. For each kernel row dy, the occupied pixels whose row
     reaches the band are one run of the gathered rows (searchsorted on
     their pixel index); each tap (dy, dx) multiplies the run by its (cin,
     cout) slice and adds the product into the shifted cells. Bias and
     activation are applied as the band is copied into out, while it is in
     cache. Indices within one tap are unique and every cell adds its taps
-    in (dy, dx) order, so the sums do not depend on the band height.
+    in (dy, dx) order, so the sums do not depend on the bands.
     """
     h, w = grid
-    kh, kw, _, cout = kernel.shape
+    kh, kw, cin, cout = kernel.shape
     top, left = (kh - 1) // 2, (kw - 1) // 2
     pad = kw - 1 - left  # the band's padding columns on the left; left on the right
     wide = w + kw - 1
     n = len(occupied)
     iy, ix = np.divmod(occupied, w)
     base = iy * wide + ix  # each pixel's cell in a padded band starting at its own row
-    rows = _gathered_rows(pixels, occupied, kernel.dtype, work)
-    band_rows = max(1, CHUNK_BYTES // (wide * cout * kernel.itemsize))
-    buffer = np.empty((min(band_rows, h) * wide, cout), dtype=kernel.dtype)
-    for y0 in range(0, h, band_rows):
-        y1 = min(y0 + band_rows, h)
-        band = buffer[:(y1 - y0) * wide]
+    first = np.searchsorted(occupied, np.arange(-top, h + kh - top) * w)  # see _occupied_bands
+    bounds = _occupied_bands(first, kh, wide * cout, cin + 2 * cout, _block_bytes(work) // kernel.itemsize)
+    for y0, y1 in zip(bounds, bounds[1:]):
+        # numpy runs a one-row product as a matrix-vector call, which rounds
+        # differently from the same row in a larger product, so a run of one
+        # row is multiplied together with a neighbour: one is gathered on
+        # each side
+        g0, g1 = max(first[y0] - 1, 0), min(first[y1 + kh - 1] + 1, n)
+        cells_in_band, m = (y1 - y0) * wide * cout, g1 - g0
+        flat = _scratch(work, cells_in_band + m * (cin + 2 * cout), kernel.dtype)
+        band = flat[:cells_in_band].reshape(-1, cout)
+        rows = flat[cells_in_band:cells_in_band + m * cin].reshape(m, cin)
+        products = flat[cells_in_band + m * cin:].reshape(2, m, cout)
         band[...] = 0
+        rows[...] = pixels[occupied[g0:g1]]
         for dy in range(kh):
-            a, b = np.searchsorted(occupied, [(y0 + dy - top) * w, (y1 + dy - top) * w])
+            a, b = first[y0 + dy], first[y1 + dy]
             if a == b:
                 continue
-            # numpy runs a one-row product as a matrix-vector call, which
-            # rounds differently from the same row in a larger product, so a
-            # run of one row is multiplied together with a neighbour
             p0 = a if b - a > 1 else max(0, min(a, n - 2))
             p1 = max(b, min(p0 + 2, n))
             for dx in range(kw):
-                tap = (rows[p0:p1] @ kernel[dy, dx])[a - p0:b - p0]
+                tap = np.matmul(rows[p0 - g0:p1 - g0], kernel[dy, dx], out=products[0, :p1 - p0])[a - p0:b - p0]
                 cells = base[a:b] + ((top - dy - y0) * wide + left - dx + pad)
-                acc = band.take(cells, axis=0)  # take + setitem: faster than a fancy +=
+                acc = band.take(cells, axis=0, out=products[1, :b - a], mode="clip")  # take + setitem: faster than +=
                 acc += tap
                 band[cells] = acc
         y = np.reshape(out[y0 * w:y1 * w], (y1 - y0, w, cout), copy=False)
@@ -361,20 +345,19 @@ def _conv2d_im2col(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray, strid
     """SAME conv plus bias and activation via im2col + matmul, chunked over
     output rows, written into out's (oh * ow, cout) rows.
 
-    Each chunk zero-pads only the input rows it reads, so no padded copy of
-    the whole input exists; its patch matrix goes into work when that fits;
-    the matmul writes straight into the output, and bias and activation are
-    applied to the chunk while it is in cache.
+    A chunk is as many output rows as their patch matrix fits the kernel's
+    block (_block_bytes), at least one. Each chunk zero-pads only the input
+    rows it reads, so no padded copy of the whole input exists; the matmul
+    writes straight into the output, and bias and activation are applied
+    to the chunk while it is in cache.
     """
     h, w, cin = data.shape
     kh, kw, _, cout = kernel.shape
     oh, ow = conv_output_shape(h, w, stride)
     wmat = kernel.reshape(kh * kw * cin, cout)
     row = ow * kh * kw * cin  # one output row's patches
-    chunk = _chunk_rows(oh, row * kernel.itemsize)
-    patches = _work_view(work, (chunk * row,), kernel.dtype)
-    if patches is None and chunk * row * kernel.itemsize > CHUNK_BYTES:  # no work for the two rows: one
-        chunk = 1
+    chunk = min(oh, max(1, _block_bytes(work) // (row * kernel.itemsize)))
+    patches = _scratch(work, chunk * row, kernel.dtype)
     for r0 in range(0, oh, chunk):
         r1 = min(r0 + chunk, oh)
         block = out[r0 * ow:r1 * ow]
@@ -384,10 +367,10 @@ def _conv2d_im2col(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray, strid
 
 
 def _im2col_rows(data: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
-                 r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+                 r0: int, r1: int, out: np.ndarray) -> np.ndarray:
     """Patch matrix ((r1 - r0) * ow, kh * kw * cin) of output rows r0..r1-1, in
-    the kernel's dtype, built from a zero-padded copy of just the input rows
-    they read; in the leading elements of the flat array out when given."""
+    the kernel's dtype, in the leading elements of the flat array out, built
+    from a zero-padded copy of just the input rows they read."""
     h, w, cin = data.shape
     kh, kw = kernel.shape[:2]
     sh, sw = stride
@@ -401,8 +384,6 @@ def _im2col_rows(data: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
     rows[src0 - y0:src1 - y0, left:left + w] = data[src0:src1]
     win = np.lib.stride_tricks.sliding_window_view(rows, (kh, kw), axis=(0, 1))
     patches = win[::sh, ::sw].transpose(0, 1, 3, 4, 2)  # (rows, ow, kh, kw, cin)
-    if out is None:
-        return np.ascontiguousarray(patches).reshape(-1, kh * kw * cin)
     matrix = out[:patches.size].reshape(patches.shape)
     matrix[...] = patches
     return matrix.reshape(-1, kh * kw * cin)
@@ -484,19 +465,14 @@ def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray
       out's stride-2 view of it instead took four strided passes over out.
     Padding rows and columns enter as zeros and are never stored: rows
     outside the input are a broadcast zero, the row-pass rows' columns
-    outside it are zeroed. The planes go into work when it holds them,
-    else into one heap buffer; with work of more than CHUNK_BYTES the
-    blocks grow up to _WINOGRAD_BLOCK_BYTES, else they fit CHUNK_BYTES.
+    outside it are zeroed. The blocks' planes fit the kernel's block
+    (_block_bytes) and go into work when it holds them, else into one heap
+    buffer.
     """
     h, w, cin = data.shape
     cout, dtype = transformed.shape[2], transformed.dtype
-    room = 0 if work is None else work.nbytes
-    budget = min(room, _WINOGRAD_BLOCK_BYTES) if room > CHUNK_BYTES else CHUNK_BYTES
-    blocks = _winograd_blocks(h, w, cin, cout, dtype.itemsize, budget)
-    need = _winograd_elements(blocks, cin, cout)
-    flat = _work_view(work, (need,), dtype)
-    if flat is None:
-        flat = np.empty(need, dtype=dtype)
+    blocks = _winograd_blocks(h, w, cin, cout, dtype.itemsize, _block_bytes(work))
+    flat = _scratch(work, _winograd_elements(blocks, cin, cout), dtype)
     zero = np.zeros((), dtype=dtype)
     for t0, t1, s0, s1 in blocks:
         nt, ns = t1 - t0, s1 - s0
@@ -615,9 +591,12 @@ def load_weights(path) -> NetworkWeights:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Channel widths and head layout; everything desk-scale by default."""
+    """Channel widths and head layout; everything desk-scale by default. The
+    classes and the output stride are the same for every preset."""
 
-    classes: tuple[str, ...] = CLASSES
+    classes: ClassVar[tuple[str, ...]] = CLASSES
+    output_stride: ClassVar[int] = 4  # the head's two stride-2 convs
+
     horizon: int = 30
     use_camera: bool = True
     rv_width: int = 32
@@ -626,11 +605,6 @@ class FusionConfig:
     bev_embed_width: int = 32
     bev_width: int = 64
     head_widths: tuple[int, ...] = (64, 64, 128, 128, 128, 128)
-    output_stride: int = 4
-
-    def __post_init__(self):
-        if self.output_stride not in (1, 2, 4, 8):
-            raise ValueError("output_stride must be one of 1, 2, 4, 8")
 
     @property
     def cam_out(self) -> int:
@@ -651,11 +625,9 @@ class FusionConfig:
         return len(self.classes) * self.per_class_channels
 
     def head_strides(self) -> list[tuple[int, int]]:
-        n_stride2 = int(math.log2(self.output_stride))
-        strides = []
-        for i in range(len(self.head_widths)):
-            strides.append((2, 2) if i < n_stride2 * 2 and i % 2 == 0 else (1, 1))
-        return strides
+        """Stride 2 on every other head conv from the first, until they reach output_stride."""
+        halvings = int(math.log2(self.output_stride))
+        return [(2, 2) if i % 2 == 0 and i < 2 * halvings else (1, 1) for i in range(len(self.head_widths))]
 
 
 def network_plan(config: FusionConfig, bev_in_channels: int) -> list[ConvLayerSpec]:

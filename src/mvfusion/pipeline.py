@@ -26,13 +26,13 @@ from .bundle_io import FrameBundle
 from .losses import encode_targets, fit_outputs
 from .metrics import MetricsReport, decode_detections, evaluate_frames
 from .network import (
+    CONV_WORK_BYTES,
     CellOutputs,
     FusionNet,
     NetworkWeights,
     bev_branch_forward,
     camera_net_forward,
     conv_output_shape,
-    conv_work_bytes,
     fuse_and_head_forward,
     fuse_input_of,
     init_network_weights,
@@ -48,6 +48,8 @@ FRAME_SPACING = 0.5  # seconds between generated frame bundles
 
 
 def frame_times(preset: Preset, frames: int) -> list[float]:
+    if frames < 1:
+        raise ValueError(f"frames must be at least 1, got {frames}")
     t0 = (preset.sweep_count - 1) * preset.sweep_period
     return [t0 + i * FRAME_SPACING for i in range(frames)]
 
@@ -115,8 +117,8 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet)
     float32, the RV image as rv.conv1's input. Every conv writes the tensor
     named after its layer, except rv.conv2 when the camera branch runs: it
     writes the leading channels of "unet.enc1.in". Each conv asks for the
-    work bytes its kernels can use (conv_work_bytes). The residual sums
-    write their block input in place, and bev.lidar2's output ends up
+    same work, CONV_WORK_BYTES: the block its kernel works in. The residual
+    sums write their block input in place, and bev.lidar2's output ends up
     holding the BEV features. The last step writes "outputs", the cell
     outputs in float64, which the plan lends to the caller
     (ArenaPlan.export).
@@ -130,7 +132,7 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet)
         h, w, _ = in_shape
         oh, ow = conv_output_shape(h, w, layer.stride)
         shape = (oh, ow, layer.out_channels)
-        steps.append(Step(name, (dst or (name, shape, f32),), (src,), conv_work_bytes(layer, h, w)))
+        steps.append(Step(name, (dst or (name, shape, f32),), (src,), CONV_WORK_BYTES))
         return shape
 
     rows, cols = grid.rows, grid.cols

@@ -201,10 +201,22 @@ def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
     assert len(winograd) == 12  # 11 dense layers and bev.lidar1, whose sparse stack the occupied kernel takes
     for name, (h, w, _) in winograd.items():  # each gets room for the planes of its tile blocks
         layer = layers[name]
-        blocks = network._winograd_blocks(h, w, layer.in_channels, layer.out_channels, 4,
-                                          network._WINOGRAD_BLOCK_BYTES)
+        blocks = network._winograd_blocks(h, w, layer.in_channels, layer.out_channels, 4, network.CONV_WORK_BYTES)
         need = network._winograd_elements(blocks, layer.in_channels, layer.out_channels) * 4
         assert with_winograd.tensor(f"{name}.work").nbytes >= need
     monkeypatch.setattr(network, "winograd_shape", lambda *args: False)  # no Winograd work
     without = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
     assert with_winograd.size == without.size
+
+
+@pytest.mark.parametrize("name,size", [("desk", 5_791_744), ("atg4d", 454_682_176)])
+@pytest.mark.parametrize("use_camera", [True, False])
+def test_every_conv_asks_the_same_work_and_none_gets_more(name, size, use_camera):
+    preset = get_preset(name)
+    net = unplanned_net(preset, make_weights(preset, 0, use_camera))
+    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
+    assert {step.name: step.work for step in steps if step.work} == dict.fromkeys(net.layers, network.CONV_WORK_BYTES)
+    plan = plan_arena(steps, export="outputs")
+    assert plan.size == size  # the frame's tensors set it, as when each conv asked for what its kernels could use
+    works = [t.nbytes for t in plan.tensors if t.name.endswith(".work")]
+    assert works and max(works) <= network.CONV_WORK_BYTES

@@ -135,6 +135,32 @@ def test_eval_rejects_probabilities_outside_the_unit_interval(tmp_path, capsys):
     assert not (out / "metrics.txt").exists()
 
 
+@pytest.mark.parametrize("change", ["renamed class", "horizon 5"])
+def test_eval_rejects_outputs_that_do_not_match_the_preset(tmp_path, capsys, change):
+    from mvfusion.network import CellOutputs
+    from mvfusion.pipeline import load_cell_outputs, save_cell_outputs
+
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    run_cli("forward", "--preset", "desk", "--seed", "5", "--out", str(out))
+    o = load_cell_outputs(out / "outputs_000.bin")
+    if change == "renamed class":
+        rename = {"vehicle": "car"}
+        o = CellOutputs(o.grid, o.horizon, tuple(rename.get(c, c) for c in o.classes),
+                        *({rename.get(c, c): v for c, v in d.items()} for d in (o.prob, o.size, o.centers, o.headings)))
+    else:
+        assert o.horizon > 5
+        o = CellOutputs(o.grid, 5, o.classes, o.prob, o.size, {c: v[:, :, :6] for c, v in o.centers.items()},
+                        {c: v[:, :, :6] for c, v in o.headings.items()})
+    save_cell_outputs(out / "outputs_000.bin", o)
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'outputs_000.bin'}: outputs of classes ")
+    assert ("car,pedestrian" in err) if change == "renamed class" else ("horizon 5;" in err)
+    assert not (out / "metrics.txt").exists()
+
+
 @pytest.mark.parametrize("section", ["map", "labels"])
 def test_eval_rejects_bundle_count_overrun(tmp_path, capsys, section):
     out = tmp_path / "run"
@@ -280,6 +306,38 @@ def test_unknown_preset_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("gen", "--preset", "kitti")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("gen", "--frames", "0"), "--frames"),
+    (("gen", "--frames", "-2"), "--frames"),
+    (("fit", "--steps", "-3"), "--steps"),
+    (("eval", "--recall-target", "1.5"), "--recall-target"),
+    (("eval", "--recall-target", "-0.5"), "--recall-target"),
+    (("eval", "--recall-target", "0"), "--recall-target"),
+    (("eval", "--score-floor", "nan"), "--score-floor"),
+    (("eval", "--score-floor", "1.01"), "--score-floor"),
+    (("eval", "--nms-iou", "-1"), "--nms-iou"),
+    (("eval", "--nms-iou", "inf"), "--nms-iou"),
+])
+def test_bad_numbers_are_rejected_before_any_work(tmp_path, capsys, argv, flag):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"mvfusion {argv[0]}: error: argument {flag}: {argv[2]} is not ")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_fewer_than_one_frame_is_a_value_error():
+    from mvfusion.pipeline import frame_times, scene_config_for
+
+    preset = get_preset("desk")
+    assert len(frame_times(preset, 1)) == 1
+    for frames in (0, -1):
+        with pytest.raises(ValueError, match="frames must be at least 1"):
+            scene_config_for(preset, 0, frames)
 
 
 def test_console_entry_point_runs():

@@ -50,7 +50,6 @@ def tiny_config(**kw):
         bev_embed_width=4,
         bev_width=8,
         head_widths=(8, 8, 8, 8, 8, 8),
-        output_stride=4,
     )
     args.update(kw)
     return FusionConfig(**args)
@@ -333,7 +332,6 @@ def test_occupied_kernel_temporaries_stay_within_the_chunk_bound(monkeypatch):
     data *= rng.random((256, 256, 1), dtype=np.float32) < 0.1
     kernel = rng.uniform(-0.1, 0.1, size=(3, 3, 128, 128)).astype(np.float32)
     bias = np.zeros(128, dtype=np.float32)
-    rows_nbytes = np.count_nonzero(data.any(axis=2)) * 128 * data.itemsize
     tracemalloc.start()
     try:
         out = conv2d_raw(data, kernel, bias)
@@ -341,9 +339,10 @@ def test_occupied_kernel_temporaries_stay_within_the_chunk_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     assert calls
-    # A tap's product and its gathered output rows over all 6.5k occupied
-    # pixels (3.4 MB each) break the bound; 1 MiB blocks of them do not.
-    assert peak < out.nbytes + rows_nbytes + 4 * network.CHUNK_BYTES
+    # The 6.5k occupied rows gathered at once, or a tap's product and its
+    # output rows over all of them (3.4 MB each), break the bound whatever
+    # the occupancy; bands of 1 MiB with the rows they reach do not.
+    assert peak < out.nbytes + 4 * network.CHUNK_BYTES
 
 
 @settings(max_examples=80, deadline=None)
@@ -451,17 +450,37 @@ def test_out_of_another_shape_or_spacing_raises():
         conv2d_raw(data, kernel, bias, out=uneven)
 
 
-@pytest.mark.parametrize("work_rows", [0, 5, 10_000])  # too small for the occupied rows, or room for all
-def test_occupied_rows_gathered_into_work_give_the_same_output(work_rows):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_occupied_bands_cut_by_occupancy_give_the_same_output(monkeypatch, dtype):
     rng = np.random.default_rng(37)
-    data = (rng.uniform(size=(23, 19, 4)) < 0.04).astype(np.uint8)  # binary: computed in float32
-    kernel, bias = rng.normal(size=(3, 3, 4, 6)), rng.normal(size=6)
-    work = np.full(work_rows * 4 * 4, 0xFF, dtype=np.uint8)
-    with mock.patch.object(network, "_conv2d_occupied", wraps=network._conv2d_occupied) as occupied:
-        assert np.array_equal(conv2d_raw(data, kernel, bias, work=work), conv2d_raw(data, kernel, bias))
-    assert occupied.call_count == 2
-    # the rows went into work exactly when they fit
-    assert (work != 0xFF).any() == (work_rows >= np.count_nonzero(data.any(axis=2)) > 0)
+    h, w, cin, cout = 40, 23, 4, 6
+    mask = rng.uniform(size=(h, w)) < 0.03
+    mask[20:26, 5:15] = True  # a cluster: every pixel of six rows' ten columns, against ~3% elsewhere
+    mask[7:14] = False
+    mask[10, 11] = True  # alone: the one-row band of row 10 reaches this one occupied row only
+    assert mask[9:12].sum() == 1 and mask.sum() <= network._OCCUPIED_SHARE * h * w
+    data = (rng.normal(size=(h, w, cin)) * mask[:, :, None]).astype(dtype)
+    kernel, bias = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+    itemsize = np.dtype(dtype).itemsize
+    row, pixel = (w + 2) * cout, cin + 2 * cout  # elements of a band row, and of each occupied row it reaches
+    reach = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])  # occupied pixels above each row
+    cost = lambda y0, y1: (y1 - y0) * row + (reach[min(y1 + 1, h)] - reach[max(y0 - 1, 0)] + 2) * pixel  # noqa: E731
+    monkeypatch.setattr(network, "CHUNK_BYTES", row * itemsize)  # work from one empty band row up is the block
+    cuts = []
+    cut = network._occupied_bands
+    monkeypatch.setattr(network, "_occupied_bands", lambda *a: cuts.append(cut(*a)) or cuts[-1])
+    want = _unblocked_occupied_conv(data, kernel, bias)
+    several = 6 * row + 20 * pixel
+    for elements in (row, several, cost(0, h)):  # blocks of one band row, several rows, the whole grid
+        work = np.full(elements * itemsize, 0xFF, dtype=np.uint8)
+        assert np.array_equal(conv2d_raw(data, kernel, bias, work=work), want)
+        assert (work != 0xFF).any() == (elements > row)  # every band of the one-row blocks outgrows them
+    one, bands, whole = cuts
+    assert one == list(range(h + 1)) and whole == [0, h]
+    spans = list(zip(bands, bands[1:]))
+    assert all(cost(y0, y1) <= several or y1 - y0 == 1 for y0, y1 in spans)
+    # the bands are shorter where the pixels cluster
+    assert max(y1 - y0 for y0, y1 in spans if y0 < 26 and y1 > 20) < min(y1 - y0 for y0, y1 in spans[:2])
 
 
 def _force_winograd(monkeypatch):
@@ -599,15 +618,14 @@ def test_winograd_work_holds_the_output_tiles_apart_from_the_products(monkeypatc
     # tiles (4 per tile, 381 wide) outgrow the transformed input (16 per
     # tile, 64 wide) whose elements they take, so the work must count them
     _force_winograd(monkeypatch)
-    layer = network.ConvLayerSpec("fuse.head", 64, 381, activation="linear")
     h, w = 24, 16
-    blocks = network._winograd_blocks(h, w, 64, 381, 4, network._WINOGRAD_BLOCK_BYTES)
+    blocks = network._winograd_blocks(h, w, 64, 381, 4, network.CONV_WORK_BYTES)
     assert network._winograd_elements(blocks, 64, 381) == 12 * 8 * (4 * 381 + 16 * 381) + 12 * 18 * 64
     rng = np.random.default_rng(47)
     data = rng.normal(size=(h, w, 64)).astype(np.float32)
     kernel = rng.normal(size=(3, 3, 64, 381)).astype(np.float32).astype(np.float64)
     bias = rng.normal(size=381)
-    work = np.full(network.conv_work_bytes(layer, h, w), 0xFF, dtype=np.uint8)
+    work = np.full(network.CONV_WORK_BYTES, 0xFF, dtype=np.uint8)
     got = conv2d_raw(data, kernel, bias, activation="linear", work=work)
     assert (work != 0xFF).any()  # the planes went into work
     assert np.array_equal(got, _quadrant_winograd(data, kernel, bias, "linear"))
@@ -636,9 +654,8 @@ def test_winograd_heap_temporaries_stay_within_the_chunk_bound():
     bias = np.zeros(96)
     planes = network.winograd_kernel(kernel, np.float32)
     out = np.empty((256, 256, 96), dtype=np.float32)
-    conv = network.conv_work_bytes(network.ConvLayerSpec("x", 64, 96), 256, 256)
     peaks = []
-    for work in (None, np.empty(conv, dtype=np.uint8)):
+    for work in (None, np.empty(network.CONV_WORK_BYTES, dtype=np.uint8)):
         tracemalloc.start()
         try:
             conv2d_raw(data, kernel, bias, out=out, work=work, planes=planes)
