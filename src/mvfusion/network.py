@@ -332,7 +332,9 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
             for dx in range(kw):
                 tap = np.matmul(rows[p0 - g0:p1 - g0], kernel[dy, dx], out=products[0, :p1 - p0])[a - p0:b - p0]
                 cells = base[a:b] + ((top - dy - y0) * wide + left - dx + pad)
-                acc = band.take(cells, axis=0, out=products[1, :b - a], mode="clip")  # take + setitem: faster than +=
+                # take + setitem: faster than a fancy +=; mode="clip" lets take
+                # write straight into out (every cell lies inside the band)
+                acc = band.take(cells, axis=0, out=products[1, :b - a], mode="clip")
                 acc += tap
                 band[cells] = acc
         y = np.reshape(out[y0 * w:y1 * w], (y1 - y0, w, cout), copy=False)
