@@ -450,6 +450,23 @@ def test_out_of_another_shape_or_spacing_raises():
         conv2d_raw(data, kernel, bias, out=uneven)
 
 
+@pytest.mark.parametrize("work_rows", [0, 5, 10_000])  # too small for the band's scratch, or room for it
+def test_occupied_rows_gathered_into_work_give_the_same_output(work_rows):
+    rng = np.random.default_rng(37)
+    data = (rng.uniform(size=(23, 19, 4)) < 0.04).astype(np.uint8)  # binary: computed in float32
+    kernel, bias = rng.normal(size=(3, 3, 4, 6)), rng.normal(size=6)
+    work = np.full(work_rows * 4 * 4, 0xFF, dtype=np.uint8)
+    with mock.patch.object(network, "_conv2d_occupied", wraps=network._conv2d_occupied) as occupied:
+        assert np.array_equal(conv2d_raw(data, kernel, bias, work=work), conv2d_raw(data, kernel, bias))
+    assert occupied.call_count == 2
+    # the grid is one band: its padded rows and the gathered occupied rows
+    # with their two products went into work exactly when they fit
+    h, w, cin = data.shape
+    n = np.count_nonzero(data.any(axis=2))
+    scratch_bytes = (h * (w + 2) * 6 + n * (cin + 2 * 6)) * 4
+    assert (work != 0xFF).any() == (work.nbytes >= scratch_bytes)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_occupied_bands_cut_by_occupancy_give_the_same_output(monkeypatch, dtype):
     rng = np.random.default_rng(37)
