@@ -13,6 +13,9 @@ writing into its own output and work:
 
 The transposed unet.up runs as its (1, 3) stride-(1, 1) sub-pixel conv
 (network.sub_pixel_conv), so it is timed like any stride-1 layer.
+fuse.conv1 is timed as its dense part only, the 64-channel stride-2 conv
+over the BEV features (network.split_conv): its projected part, over the
+cells points hit, runs outside conv2d_raw and is not timed here.
 
 A kernel is forced by setting the rule's constants in network, so each
 time is that of a whole conv2d_raw call with that kernel chosen, the

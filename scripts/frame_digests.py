@@ -7,12 +7,15 @@ Runs the benchmark's frames through the pipeline with its seeded weights
 of atg4d scene 0, as atg4d-frame takes them. Each frame is generated,
 written as a bundle, read back and run through pipeline.forward_frame,
 and one line is printed per frame: the preset, the scene seed, the
-frame's reference time and the SHA-256 of CellOutputs.pack():
+frame's reference time, the SHA-256 of CellOutputs.pack() and the SHA-256
+of its decoded cells (metrics.decode_detections at its defaults), the
+sorted "class row col" lines of its detections:
 
-  desk 1000 0.900 3f2a...
+  desk 1000 0.900 3f2a... 9c41...
 
 Two commits give the same outputs on these frames exactly when they print
-the same lines. BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or
+the same lines, and the same detections, cell for cell, when the fifth
+fields agree. BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or
 OMP_NUM_THREADS, MKL_NUM_THREADS) is set, since its thread count may
 change the bits of a product.
 
@@ -31,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 from mvfusion import bundle_io, pipeline
+from mvfusion.metrics import decode_detections
 from mvfusion.presets import get_preset
 from mvfusion.scene import build_scene
 
@@ -55,7 +59,9 @@ def digest_lines(preset_name: str, seeds, n: int, path: Path):
     for seed, scene, t in itertools.islice(frames(preset, seeds), n):
         bundle_io.write_frame_bundle(path, pipeline.generate_bundle(preset, scene, t))
         outputs = pipeline.forward_frame(bundle_io.read_frame_bundle(path, preset.name), preset, weights)
-        yield f"{preset.name} {seed} {t:.3f} {hashlib.sha256(outputs.pack().tobytes()).hexdigest()}"
+        cells = "".join(sorted(f"{d.cls} {d.cell[0]} {d.cell[1]}\n" for d in decode_detections(outputs)))
+        yield (f"{preset.name} {seed} {t:.3f} {hashlib.sha256(outputs.pack().tobytes()).hexdigest()} "
+               f"{hashlib.sha256(cells.encode()).hexdigest()}")
 
 
 def main(argv=None) -> None:

@@ -6,18 +6,19 @@ Generates the first frame of scene seed --seed on --preset and writes it as
 a bundle, with the benchmark's seeded weights (seed 0, camera branch on).
 First prints the arena plan of the frame's net (pipeline.fusion_net): one
 JSON line per tensor with its bytes, offset and live range (the names of
-its first and last steps), then the arena's size:
+its first and last steps), then the arena's size (the examples here are
+atg4d, scene seed 0):
 
-  {"kind": "tensor", "name": "bev.lidar1", "bytes": 75040000, "offset": 93800000, "first": "bev.lidar1", "last": "bev.lidar2"}
-  {"kind": "arena", "mib": 433.6, "tensors": 60}
+  {"kind": "tensor", "name": "bev.lidar1", "bytes": 75040000, "offset": 302505024, "first": "bev.lidar1", "last": "bev.lidar2"}
+  {"kind": "arena", "mib": 360.1, "tensors": 61}
 
 Then, by default, reads the bundle back and runs the pipeline stages one
 by one under tracemalloc, printing one JSON line per conv layer and per
 stage, in the order they end, then one for the whole frame:
 
-  {"kind": "layer", "name": "bev.lidar1", "stage": "bev_branch", "peak_mib": 435.6}
-  {"kind": "stage", "name": "bev_branch", "peak_mib": 435.6}
-  {"kind": "frame", "name": "forward", "peak_mib": 445.1, "baseline_mib": 96.2}
+  {"kind": "layer", "name": "bev.lidar1", "stage": "bev_branch", "peak_mib": 375.4}
+  {"kind": "stage", "name": "bev_branch", "peak_mib": 377.5}
+  {"kind": "frame", "name": "forward", "peak_mib": 384.4, "baseline_mib": 96.2}
 
 A peak is the most memory held at once while the layer or stage ran, in
 MiB above the baseline taken right after the bundle read, so it counts what
@@ -30,9 +31,9 @@ With --frames N, instead reads the bundle and runs forward_frame N times in
 this process, printing one JSON line per frame with the user and system
 CPU ms and the minor page faults of that read + forward, and the process's
 peak RSS (ru_maxrss) after it. The first frame allocates the arena and
-pays its page faults; later frames reuse it:
+pays its page faults; later frames reuse it (a 2-core VM, one BLAS thread):
 
-  {"kind": "round", "frame": 1, "user_ms": 1451.0, "sys_ms": 4.0, "minor_faults": 312, "maxrss_mb": 737.9}
+  {"kind": "round", "frame": 1, "user_ms": 3234.3, "sys_ms": 124.3, "minor_faults": 7149, "maxrss_mb": 546.3}
 
     PYTHONPATH=src python3 scripts/stage_memory.py --preset atg4d --seed 0
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/stage_memory.py --preset atg4d --frames 5

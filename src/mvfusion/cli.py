@@ -35,7 +35,7 @@ from .bundle_io import (
 )
 from .losses import total_loss
 from .metrics import decode_detections
-from .network import load_weights, network_plan, save_weights
+from .network import FusionConfig, load_weights, network_plan, save_weights
 from .pipeline import (
     benchmark_frame,
     evaluate_bundles,
@@ -53,6 +53,7 @@ from .projection import project_features
 from .raster import build_rv_image, dump_featuremap_pgm
 from .scene import CLASSES
 from .selfcheck import run_selfcheck
+from .views import OutputGrid
 
 
 def _checked(convert, ok, what: str):
@@ -212,6 +213,8 @@ def cmd_eval(args) -> int:
     preset = get_preset(args.preset)
     out = Path(args.out)
     bundles = _load_bundles(args, preset)
+    # forward's outputs lie on the head's lattice, fit's on every grid cell
+    grids = [OutputGrid.from_grid(preset.grid, stride) for stride in (FusionConfig.output_stride, 1)]
     frames = []
     for i, bundle in enumerate(bundles):
         opath = out / f"outputs_{i:03d}.bin"
@@ -222,6 +225,9 @@ def cmd_eval(args) -> int:
             raise BlockFileError(f"{opath}: outputs of classes {','.join(outputs.classes)} and horizon "
                                  f"{outputs.horizon}; preset {preset.name} has {','.join(CLASSES)} and horizon "
                                  f"{preset.horizon}")
+        if outputs.grid not in grids:
+            raise BlockFileError(f"{opath}: outputs on {outputs.grid}; preset {preset.name} puts forward outputs on "
+                                 f"{grids[0]} and fit outputs on {grids[1]}")
         dets = decode_detections(outputs, score_floor=args.score_floor, nms_iou=args.nms_iou)
         frames.append((dets, list(bundle.labels.labels)))
     report = evaluate_bundles(frames, preset, recall_target=args.recall_target)

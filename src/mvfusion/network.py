@@ -11,7 +11,8 @@ Weights are seeded pseudo-random or loaded from a block file; there is no
 training here. Convolutions are plain cross-correlations with zero SAME
 padding, computed by one of three kernels chosen from the input's shape and
 occupancy alone, by a constant rule (conv_kernel_of), never tuned at run
-time (the transposed unet.up runs as its sub_pixel_conv):
+time (the transposed unet.up runs as its sub_pixel_conv, fuse.conv1 as
+its split_conv's parts):
 
 - occupied-pixel: a stride-(1, 1) input whose occupied pixels (channel rows
   that are not all zero) are at most _OCCUPIED_SHARE of the grid, such as
@@ -19,7 +20,8 @@ time (the transposed unet.up runs as its sub_pixel_conv):
   each band gathers the occupied rows its taps reach, and each tap
   multiplies those rows and adds into the shifted cells. This is ordinary
   sparse convolution (SECOND), not the submanifold kind: every output cell
-  equals the dense conv's, up to summation order.
+  equals the dense conv's, up to summation order. fuse.conv1's projected
+  part runs it with stride 2 over the cells points hit (split_conv).
 - Winograd F(2x2, 3x3) (Lavin & Gray, CVPR 2016) for a dense input of a
   3x3 stride-(1, 1) layer of at least _WINOGRAD_MIN_CHANNELS input
   channels, whatever its size (winograd_shape): on atg4d, unet.enc1, the
@@ -63,11 +65,13 @@ float32 images. A frame then allocates none of them, and a process reuses
 the same pages frame after frame instead of mapping, zero-filling and
 unmapping fresh ones; a net without an arena gives each tensor a new array.
 Residual sums, their ReLU and the BEV LiDAR + map sum are done in place.
-The two inputs that join a view's own features with projected ones,
-unet.enc1's and fuse.conv1's, are built at full width: rv.conv2 writes the
-leading channels of unet.enc1's, fuse_input_of copies the BEV features into
-fuse.conv1's, and project_features writes the projection and its validity
-into the rest, so no concatenated copy of either exists. Every kernel works
+Two layers join a view's own features with projected ones. unet.enc1's
+input is built at full width: rv.conv2 writes its leading channels and
+project_features the projection and its validity into the rest.
+fuse.conv1's is never built: the layer is split by linearity over its
+input channels (split_conv), its dense part run on the BEV features where
+bev.lidar2 left them and its projected part only at the cells points hit
+(fuse_conv1_forward), so no joined copy of either input exists. Every kernel works
 in blocks of one size (_block_bytes): an im2col chunk's patch matrix, a
 Winograd tile block's planes, or an occupied-pixel band with the rows it
 reaches. The block is the layer's work when that holds at least
@@ -82,7 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,8 +117,8 @@ _WINOGRAD_MIN_CHANNELS = 64
 # The work the frame plan asks for every conv (pipeline.frame_steps), and so
 # the block every kernel works in when the plan has room for it
 # (_block_bytes). 8 MiB Winograd blocks ran an atg4d frame about 4% faster,
-# but raised its peak RSS by 18 MB; 4 MiB still holds fuse.conv1's two
-# im2col rows (2.9 MB) and unet.down's one (2.36 MB).
+# but raised its peak RSS by 18 MB; 4 MiB still holds unet.down's im2col
+# row (2.36 MB) and five of fuse.conv1's dense part (0.72 MB each).
 CONV_WORK_BYTES = 4 << 20
 
 
@@ -260,85 +264,129 @@ def _occupied_pixels(pixels: np.ndarray, limit: float) -> np.ndarray | None:
     return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
-def _occupied_bands(first: np.ndarray, kh: int, row: int, pixel: int, block: int) -> list[int]:
+def _same_pad(n: int, k: int, s: int) -> int:
+    """SAME zero padding before the first of n inputs along an axis of k taps and stride s."""
+    return max((-(-n // s) - 1) * s + k - n, 0) // 2
+
+
+def _axis_taps(n: int, k: int, s: int) -> list[list[tuple[int, int]]]:
+    """For each input parity p < s along an axis of n inputs, k taps and
+    stride s, the taps (d, e) that read inputs p + s j: tap d sends input
+    p + s j to output j - e."""
+    before = _same_pad(n, k, s)
+    return [[(d, (d - before - p) // s) for d in range(k) if (d - before - p) % s == 0] for p in range(s)]
+
+
+class _Parity(NamedTuple):
+    """One parity class of _conv2d_occupied's input, the pixels (p + sh i,
+    q + sw j), and the taps that read it."""
+
+    occupied: np.ndarray  # the class's occupied pixels, ascending
+    base: np.ndarray  # each one's cell i * wide + j in a band starting at its row i
+    first: np.ndarray  # first[k]: the first of them in row i = k + rows[0][1] or after
+    rows: list[tuple[int, int]]  # the row taps (d, e) that read row parity p (_axis_taps)
+    cols: list[tuple[int, int]]  # the column taps that read column parity q
+    reach: int  # rows[-1][1] - rows[0][1]: a band [y0, y1) reads first[y0] up to first[y1 + reach]
+
+
+def _occupied_bands(lo: np.ndarray, hi: np.ndarray, row: int, pixel: int, block: int,
+                    neighbours: int) -> list[int]:
     """Bounds of the occupied-pixel kernel's output bands: as many rows as
     fit block elements, at least one, a band costing row elements a row and
-    pixel elements for each occupied pixel its taps reach, with a neighbour
-    on each side. first[y] is the first occupied pixel at or after input row
-    y - top, as in _conv2d_occupied."""
-    h = len(first) - kh
+    pixel elements for each occupied pixel its taps reach and for each of
+    the neighbours gathered with them. The band [y0, y1) reaches hi[y1] -
+    lo[y0] pixels, as in _conv2d_occupied."""
+    h = len(lo) - 1
     y = np.arange(h + 1)
-    fill = y * row + first[y + kh - 1] * pixel  # the cost of the band [0, y), less its neighbours
+    fill = y * row + hi * pixel  # the cost of the band [0, y), less its neighbours
     bounds = [0]
     while bounds[-1] < h:
         y0 = bounds[-1]
-        limit = block + y0 * row + (first[y0] - 2) * pixel
+        limit = block + y0 * row + (lo[y0] - neighbours) * pixel
         bounds.append(max(y0 + 1, int(np.searchsorted(fill, limit, side="right")) - 1))
     return bounds
 
 
 def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, int],
-                     kernel: np.ndarray, bias: np.ndarray, activation: str, out: np.ndarray,
-                     work: np.ndarray | None) -> None:
-    """Stride-1 SAME conv plus bias and activation of the (h * w, cin) pixel
-    rows, summed over the occupied ones only, written into out's (h * w,
-    cout) rows.
+                     kernel: np.ndarray, bias: np.ndarray | None, activation: str, out: np.ndarray,
+                     work: np.ndarray | None, stride: tuple[int, int] = (1, 1)) -> None:
+    """SAME conv plus bias and activation of the (h * w, cin) pixel rows,
+    summed over the occupied ones only, written into out's (oh * ow, cout)
+    rows; with bias None, the sums are added to what out holds instead.
 
     Ordinary sparse convolution: every output cell, including the ones next
     to an occupied pixel, equals the dense conv's. The output is made in
     bands of rows, cut by how many occupied pixels each reaches so that a
     band's scratch fits the kernel's block (_block_bytes) wherever the
-    pixels cluster: the band, zeroed and padded by the kernel's reach on
-    the left and right so a tap never shifts a pixel off it; the occupied
-    rows its taps reach, gathered in pixel order and cast to the kernel's
-    dtype (exact for the uint8 0/1 rasters); and one tap's product and the
-    cells it adds to. For each kernel row dy, the occupied pixels whose row
-    reaches the band are one run of the gathered rows (searchsorted on
-    their pixel index); each tap (dy, dx) multiplies the run by its (cin,
-    cout) slice and adds the product into the shifted cells. Bias and
-    activation are applied as the band is copied into out, while it is in
-    cache. Indices within one tap are unique and every cell adds its taps
-    in (dy, dx) order, so the sums do not depend on the bands.
+    pixels cluster: the band, zeroed and padded on the left and right so a
+    tap never shifts a pixel off it; the occupied rows its taps reach,
+    gathered in pixel order and cast to the kernel's dtype (exact for the
+    uint8 0/1 rasters); and one tap's product and the cells it adds to.
+    With a stride, the occupied pixels fall into parity classes (_Parity),
+    each read by its own taps as a stride-1 input of every sh-th row and
+    sw-th column; a stride-1 input is one class read by every tap. For each
+    class and row tap, the pixels whose row reaches the band are one run of
+    the class's gathered rows (searchsorted on their pixel index); each tap
+    multiplies the run by its (cin, cout) slice and adds the product into
+    the shifted cells. Bias (or out) and activation are applied as the band
+    is copied into out, while it is in cache. Indices within one tap are
+    unique and every cell adds its taps in class, then (dy, dx) order, so
+    the sums do not depend on the bands.
     """
     h, w = grid
     kh, kw, cin, cout = kernel.shape
-    top, left = (kh - 1) // 2, (kw - 1) // 2
-    pad = kw - 1 - left  # the band's padding columns on the left; left on the right
-    wide = w + kw - 1
-    n = len(occupied)
+    sh, sw = stride
+    oh, ow = conv_output_shape(h, w, stride)
+    left = _same_pad(w, kw, sw)
+    pad = -((left - kw + 1) // sw)  # the band's padding columns on the left
+    wide = pad + (w - 1 + left) // sw + 1
     iy, ix = np.divmod(occupied, w)
-    base = iy * wide + ix  # each pixel's cell in a padded band starting at its own row
-    first = np.searchsorted(occupied, np.arange(-top, h + kh - top) * w)  # see _occupied_bands
-    bounds = _occupied_bands(first, kh, wide * cout, cin + 2 * cout, _block_bytes(work) // kernel.itemsize)
+    classes = []
+    for p, row_taps in enumerate(_axis_taps(h, kh, sh)):
+        for q, col_taps in enumerate(_axis_taps(w, kw, sw)):
+            if not row_taps or not col_taps:
+                continue
+            mine = (iy % sh == p) & (ix % sw == q)
+            e0, reach = row_taps[0][1], row_taps[-1][1] - row_taps[0][1]
+            first = np.searchsorted(occupied[mine], (np.arange(e0, e0 + oh + reach + 1) * sh + p) * w)
+            classes.append(_Parity(occupied[mine], iy[mine] // sh * wide + ix[mine] // sw, first, row_taps,
+                                   col_taps, reach))
+    lo = sum(c.first[:oh + 1] for c in classes)
+    hi = sum(c.first[c.reach:] for c in classes)  # see _occupied_bands
+    bounds = _occupied_bands(lo, hi, wide * cout, cin + 2 * cout, _block_bytes(work) // kernel.itemsize,
+                             2 * len(classes))
     for y0, y1 in zip(bounds, bounds[1:]):
         # numpy runs a one-row product as a matrix-vector call, which rounds
         # differently from the same row in a larger product, so a run of one
         # row is multiplied together with a neighbour: one is gathered on
         # each side
-        g0, g1 = max(first[y0] - 1, 0), min(first[y1 + kh - 1] + 1, n)
-        cells_in_band, m = (y1 - y0) * wide * cout, g1 - g0
+        spans = [(max(c.first[y0] - 1, 0), min(c.first[y1 + c.reach] + 1, len(c.occupied))) for c in classes]
+        cells_in_band, m = (y1 - y0) * wide * cout, sum(g1 - g0 for g0, g1 in spans)
         flat = _scratch(work, cells_in_band + m * (cin + 2 * cout), kernel.dtype)
         band = flat[:cells_in_band].reshape(-1, cout)
-        rows = flat[cells_in_band:cells_in_band + m * cin].reshape(m, cin)
+        gathered = flat[cells_in_band:cells_in_band + m * cin].reshape(m, cin)
         products = flat[cells_in_band + m * cin:].reshape(2, m, cout)
         band[...] = 0
-        rows[...] = pixels[occupied[g0:g1]]
-        for dy in range(kh):
-            a, b = first[y0 + dy], first[y1 + dy]
-            if a == b:
-                continue
-            p0 = a if b - a > 1 else max(0, min(a, n - 2))
-            p1 = max(b, min(p0 + 2, n))
-            for dx in range(kw):
-                tap = np.matmul(rows[p0 - g0:p1 - g0], kernel[dy, dx], out=products[0, :p1 - p0])[a - p0:b - p0]
-                cells = base[a:b] + ((top - dy - y0) * wide + left - dx + pad)
-                # take + setitem: faster than a fancy +=; mode="clip" lets take
-                # write straight into out (every cell lies inside the band)
-                acc = band.take(cells, axis=0, out=products[1, :b - a], mode="clip")
-                acc += tap
-                band[cells] = acc
-        y = np.reshape(out[y0 * w:y1 * w], (y1 - y0, w, cout), copy=False)
-        np.add(band.reshape(y1 - y0, wide, cout)[:, pad:pad + w], bias, out=y)
+        for c, (g0, g1) in zip(classes, spans):
+            n, e0 = len(c.occupied), c.rows[0][1]
+            rows, gathered = gathered[:g1 - g0], gathered[g1 - g0:]
+            rows[...] = pixels[c.occupied[g0:g1]]
+            for dy, ey in c.rows:
+                a, b = c.first[y0 + ey - e0], c.first[y1 + ey - e0]
+                if a == b:
+                    continue
+                p0 = a if b - a > 1 else max(0, min(a, n - 2))
+                p1 = max(b, min(p0 + 2, n))
+                for dx, ex in c.cols:
+                    tap = np.matmul(rows[p0 - g0:p1 - g0], kernel[dy, dx], out=products[0, :p1 - p0])[a - p0:b - p0]
+                    cells = c.base[a:b] + (-(ey + y0) * wide - ex + pad)
+                    # take + setitem: faster than a fancy +=; mode="clip" lets take
+                    # write straight into out (every cell lies inside the band)
+                    acc = band.take(cells, axis=0, out=products[1, :b - a], mode="clip")
+                    acc += tap
+                    band[cells] = acc
+        y = np.reshape(out[y0 * ow:y1 * ow], (y1 - y0, ow, cout), copy=False)
+        np.add(band.reshape(y1 - y0, wide, cout)[:, pad:pad + ow], y if bias is None else bias, out=y)
         _activate_inplace(y, activation)
 
 
@@ -704,6 +752,40 @@ def sub_pixel_conv(layer: ConvLayerSpec, kernel: np.ndarray,
     return replace(layer, out_channels=2 * cout, kernel=(1, 3), stride=(1, 1), transposed=False), sub, both
 
 
+class ProjectedPart(NamedTuple):
+    """The part of a conv split by linearity (split_conv) that reads the
+    projected features and their validity."""
+
+    kernel: np.ndarray  # (kh, kw, c + 1, cout): K_r, then 2 K_v, for the hit cells' rows (r, +1)
+    validity: np.ndarray  # (kh, kw, cout): K_v, for the windows that reach the zero padding
+    activation: str
+
+
+def split_conv(layer: ConvLayerSpec, kernel: np.ndarray, bias: np.ndarray,
+               channels: int) -> tuple[ConvLayerSpec, np.ndarray, np.ndarray, ProjectedPart]:
+    """fuse.conv1 split by linearity over its input channels [a; r; v]: the
+    features a in the first channels, then projected features r and their
+    validity v, +1 at the cells points hit and -1 with r = 0 elsewhere
+    (project_features). conv(K, [a; r; v]) = conv(K_a, a) + conv(K_r, r) +
+    conv(K_v, v), and v = -1 + 2 [hit] inside the grid, 0 on its zero
+    padding, so the layer is:
+    - the dense part: conv(K_a, a) with bias b - sum_t K_v[t], summed in
+      float64, and no activation; its spec, kernel and bias are returned;
+    - the taps of K_v that a window puts on the zero padding, added back
+      (_add_padding_taps);
+    - conv([K_r; 2 K_v], [r; +1]) over the hit cells only (ProjectedPart),
+      then the layer's activation."""
+    projected = kernel[:, :, channels:].copy()
+    projected[:, :, -1] *= 2
+    validity = kernel[:, :, -1].copy()
+    folded = bias - validity.astype(np.float64).sum(axis=(0, 1))
+    dense = kernel[:, :, :channels].copy()
+    for arr in (projected, validity, folded, dense):
+        arr.flags.writeable = False
+    spec = replace(layer, in_channels=channels, activation=LINEAR)
+    return spec, dense, folded, ProjectedPart(projected, validity, layer.activation)
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
@@ -724,16 +806,17 @@ class FusionNet:
     """The network of one configuration and one set of weights: the config,
     the layers by name, the weights, checked against the layers once when
     the net is built, the kernel and bias each layer runs (params: its
-    stored blocks, or the transposed unet.up's sub_pixel_conv), the float32
-    planes of its Winograd layers (planes), made here, and the arena of the
-    frame path, which pipeline.fusion_net plans for a preset. Only the arena
-    changes with a frame.
+    stored blocks, the transposed unet.up's sub_pixel_conv, or the dense
+    part of fuse.conv1's split_conv, whose projected part is projected), the
+    float32 planes of its Winograd layers (planes), made here, and the arena
+    of the frame path, which pipeline.fusion_net plans for a preset. Only
+    the arena changes with a frame.
 
     With an arena, every tensor the branch functions produce is written into
     its planned view: a conv into the view named after its layer, with the
     layer's "<name>.work" bytes as its work, and the joined inputs into
-    "unet.enc1.in", "unet.fuse.in" and "fuse.conv1.in". Without one (the
-    default), each is a new array.
+    "unet.enc1.in" and "unet.fuse.in". Without one (the default), each is a
+    new array.
     """
 
     def __init__(self, config: FusionConfig, bev_in_channels: int, weights: NetworkWeights):
@@ -749,6 +832,8 @@ class FusionNet:
             kernel, bias = weights.kernel(layer.name), weights.bias(layer.name)
             if layer.transposed:
                 layer, kernel, bias = sub_pixel_conv(layer, kernel, bias)
+            if layer.name == "fuse.conv1":
+                layer, kernel, bias, self.projected = split_conv(layer, kernel, bias, config.bev_width)
             self.layers[layer.name] = layer
             self.params[layer.name] = kernel, bias
             if winograd_shape(layer.in_channels, layer.kernel, layer.stride):
@@ -760,10 +845,13 @@ class FusionNet:
     def conv(self, fm: FeatureMap, name: str, out: np.ndarray | None = None) -> FeatureMap:
         """conv2d_forward of the layer called name into out, by default the
         arena's view of the layer's output."""
-        work = None if self.arena is None else self.arena.find(f"{name}.work")
         if out is None and self.arena is not None:
             out = self.arena.view(name)
-        return conv2d_forward(fm, self.layers[name], self, out=out, work=work)
+        return conv2d_forward(fm, self.layers[name], self, out=out, work=self.work(name))
+
+    def work(self, name: str) -> np.ndarray | None:
+        """The arena's work bytes of the layer called name, if it has any."""
+        return None if self.arena is None else self.arena.find(f"{name}.work")
 
     def buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """The arena's view called name, checked against shape and dtype, or a new array."""
@@ -815,27 +903,6 @@ def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None, 
                         level1.data.dtype)
     np.concatenate([up[:, :level1.width], level1.data], axis=2, out=merged)  # ceil-width rounding crop
     return net.conv(FeatureMap(RV, merged, rv), "unet.fuse")
-
-
-def fuse_input_of(bev_features: FeatureMap, net: FusionNet) -> FeatureMap:
-    """fuse.conv1's input with the BEV branch's features in its leading
-    bev_width channels.
-
-    The unet_width + 1 channels after them are left unwritten for the RV->BEV
-    projection: project_features(rv_features, points, grid,
-    out=fuse_input.data[:, :, config.bev_width:]) fills them with the
-    projected RV features and their validity. The BEV features are copied
-    in: had bev.map2 written these channels and bev.lidar2's output been
-    added to them, bev.lidar2's output, bev.map1's and this input would be
-    live at once: on atg4d, an arena about 72 MiB larger.
-    """
-    config = net.config
-    if bev_features.channels != config.bev_width or not isinstance(bev_features.geometry, GridSpec):
-        raise ValueError(f"bev features must have {config.bev_width} channels and carry a GridSpec")
-    shape = (bev_features.height, bev_features.width, config.bev_width + config.unet_width + 1)
-    data = net.buffer("fuse.conv1.in", shape, bev_features.data.dtype)
-    data[:, :, :config.bev_width] = bev_features.data
-    return FeatureMap(BEV, data, bev_features.geometry)
 
 
 def _residual_relu(x: FeatureMap, residual: FeatureMap) -> FeatureMap:
@@ -953,23 +1020,74 @@ def _blocks(flat: np.ndarray):
     return take
 
 
-def fuse_and_head_forward(fuse_input: FeatureMap, net: FusionNet) -> CellOutputs:
-    """Reduce stride over the fused BEV input, emit cells.
+def _add_padding_taps(out: np.ndarray, validity: np.ndarray, grid: tuple[int, int],
+                      stride: tuple[int, int]) -> None:
+    """Adds to each (oh, ow, cout) output cell of a SAME conv over an (h, w)
+    grid the taps of validity (kh, kw, cout) that its window puts on the zero
+    padding, summed in float64 and cast: split_conv's bias subtracts every
+    tap, as if the padding held validity -1 too. Only the edge rows and
+    columns have such taps."""
+    kh, kw = validity.shape[:2]
+    inside = []
+    for n, k, s in zip(grid, (kh, kw), stride):
+        at = np.arange(-(-n // s))[:, None] * s - _same_pad(n, k, s) + np.arange(k)
+        inside.append((at >= 0) & (at < n))
+    rows, cols = inside
+    taps = validity.astype(np.float64, copy=False)
 
-    fuse_input is fuse.conv1's input: the BEV features, the projected RV
-    features and their validity along the channels, as built by
-    fuse_input_of and project_features. With an arena, the cell outputs
-    are written into its export, which lend hands over with its segment, so
-    they never share memory with the arena's later frames.
+    def outside(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        off = ~(rows[r][:, None, :, None] & cols[c][None, :, None, :])
+        return np.einsum("yxab,abc->yxc", off.astype(np.float64), taps).astype(out.dtype)
+
+    edge_rows, inner_rows = np.flatnonzero(~rows.all(axis=1)), np.flatnonzero(rows.all(axis=1))
+    edge_cols = np.flatnonzero(~cols.all(axis=1))
+    out[edge_rows] += outside(edge_rows, np.arange(len(cols)))
+    out[inner_rows[:, None], edge_cols] += outside(inner_rows, edge_cols)
+
+
+def fuse_conv1_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet) -> FeatureMap:
+    """fuse.conv1 on the BEV features joined with the RV->BEV projection,
+    without joining them: split_conv's parts, summed into the layer's
+    output, then its activation.
+
+    projected is project_features' (rows, cols, unet_width + 1) array: the
+    projected features, zero at the cells no point hits, and their validity.
+    The dense part runs as net's fuse.conv1 (conv2d_forward) on the BEV
+    features; the projected part is the occupied-pixel kernel, strided, over
+    the hit cells (validity +1), adding into the output and applying the
+    activation as it goes.
     """
-    grid = fuse_input.geometry
-    if not isinstance(grid, GridSpec):
-        raise ValueError("the fuse input must carry a GridSpec")
     config = net.config
-    x = fuse_input
-    for i in range(len(config.head_widths)):
+    if bev_features.channels != config.bev_width or not isinstance(bev_features.geometry, GridSpec):
+        raise ValueError(f"bev features must have {config.bev_width} channels and carry a GridSpec")
+    shape = (bev_features.height, bev_features.width, config.unet_width + 1)
+    if projected.data.shape != shape:
+        raise ValueError(f"the projection must be {shape}, got {projected.data.shape}")
+    x = net.conv(bev_features, "fuse.conv1")
+    layer, part = net.layers["fuse.conv1"], net.projected
+    grid = shape[:2]
+    _add_padding_taps(x.data, part.validity, grid, layer.stride)
+    pixels = _pixel_rows(projected.data)
+    hits = np.flatnonzero(pixels[:, -1] > 0)
+    _conv2d_occupied(pixels, hits, grid, part.kernel.astype(x.data.dtype, copy=False), None, part.activation,
+                     _pixel_rows(x.data), net.work("fuse.conv1"), layer.stride)
+    return x
+
+
+def fuse_and_head_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet) -> CellOutputs:
+    """Reduce stride over the BEV features and the projected RV features, emit cells.
+
+    bev_features are the BEV branch's; projected is the RV->BEV projection
+    with its validity, as project_features writes it. fuse.conv1 reads both
+    (fuse_conv1_forward). With an arena, the cell outputs are written into
+    its export, which lend hands over with its segment, so they never share
+    memory with the arena's later frames.
+    """
+    config = net.config
+    x = fuse_conv1_forward(bev_features, projected, net)
+    for i in range(1, len(config.head_widths)):
         x = net.conv(x, f"fuse.conv{i + 1}")
     raw = net.conv(x, "fuse.head")
-    out_grid = OutputGrid.from_grid(grid, config.output_stride)
+    out_grid = OutputGrid.from_grid(bev_features.geometry, config.output_stride)
     return CellOutputs.unpack(raw.data, out_grid, config.horizon, config.classes, logits=True,
                               out=None if net.arena is None else net.arena.lend())

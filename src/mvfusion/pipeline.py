@@ -34,7 +34,6 @@ from .network import (
     camera_net_forward,
     conv_output_shape,
     fuse_and_head_forward,
-    fuse_input_of,
     init_network_weights,
     rv_branch_forward,
 )
@@ -42,7 +41,7 @@ from .presets import Preset, bev_stack_channels
 from .projection import project_features
 from .raster import build_rv_image, rasterize_map, stack_history_bev
 from .scene import LABEL_RATE_HZ, Scene, SceneConfig, build_scene, render_camera, scene_labels, simulate_sweep
-from .views import CameraModel, FeatureMap, GridSpec, OutputGrid, RvSpec
+from .views import BEV, CameraModel, FeatureMap, GridSpec, OutputGrid, RvSpec
 
 FRAME_SPACING = 0.5  # seconds between generated frame bundles
 
@@ -119,20 +118,22 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet)
     writes the leading channels of "unet.enc1.in". Each conv asks for the
     same work, CONV_WORK_BYTES: the block its kernel works in. The residual
     sums write their block input in place, and bev.lidar2's output ends up
-    holding the BEV features. The last step writes "outputs", the cell
-    outputs in float64, which the plan lends to the caller
-    (ArenaPlan.export).
+    holding the BEV features. The RV->BEV projection writes "rv_to_bev",
+    the projected features and their validity, and fuse.conv1 reads it and
+    bev.lidar2's output (network.fuse_conv1_forward), so the BEV features
+    live until then. The last step writes "outputs", the cell outputs in
+    float64, which the plan lends to the caller (ArenaPlan.export).
     """
     config = net.config
     f32 = "float32"
     steps: list[Step] = []
 
-    def conv(name: str, src: str, in_shape: tuple[int, int, int], dst=None) -> tuple[int, int, int]:
+    def conv(name: str, src: str, in_shape: tuple[int, int, int], dst=None, reads=()) -> tuple[int, int, int]:
         layer = net.layers[name]
         h, w, _ = in_shape
         oh, ow = conv_output_shape(h, w, layer.stride)
         shape = (oh, ow, layer.out_channels)
-        steps.append(Step(name, (dst or (name, shape, f32),), (src,), CONV_WORK_BYTES))
+        steps.append(Step(name, (dst or (name, shape, f32),), (src, *reads), CONV_WORK_BYTES))
         return shape
 
     rows, cols = grid.rows, grid.cols
@@ -143,9 +144,7 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet)
 
     lid = conv("bev.lidar2", "bev.lidar1", conv("bev.lidar1", "lidar_stack", bev_in))
     conv("bev.map2", "bev.map1", conv("bev.map1", "map_raster", (rows, cols, 7)))
-    fuse_in = ("fuse.conv1.in", (rows, cols, config.bev_width + config.unet_width + 1), f32)
-    steps += [Step("bev.sum", (("bev.lidar2", lid, f32),), ("bev.lidar2", "bev.map2")),
-              Step("fuse.conv1.in", (fuse_in,), ("bev.lidar2",))]
+    steps.append(Step("bev.sum", (("bev.lidar2", lid, f32),), ("bev.lidar2", "bev.map2")))
 
     if config.use_camera:
         shape = (camera.cropped_height, camera.width, 3)
@@ -175,12 +174,11 @@ def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet)
     steps.append(Step("unet.fuse.in", (("unet.fuse.in", merged, f32),), ("unet.up", "unet.enc1")))
     conv("unet.fuse", "unet.fuse.in", merged)
 
-    steps.append(Step("rv_to_bev", (fuse_in,), ("unet.fuse",)))
-    shape, src = fuse_in[1], "fuse.conv1.in"
-    for i in range(len(config.head_widths)):
-        shape = conv(f"fuse.conv{i + 1}", src, shape)
-        src = f"fuse.conv{i + 1}"
-    head = conv("fuse.head", src, shape)
+    steps.append(Step("rv_to_bev", (("rv_to_bev", (rows, cols, config.unet_width + 1), f32),), ("unet.fuse",)))
+    shape = conv("fuse.conv1", "bev.lidar2", lid, reads=("rv_to_bev",))
+    for i in range(1, len(config.head_widths)):
+        shape = conv(f"fuse.conv{i + 1}", f"fuse.conv{i}", shape)
+    head = conv("fuse.head", f"fuse.conv{len(config.head_widths)}", shape)
     steps.append(Step("outputs", (("outputs", (math.prod(head),), "float64"),), ("fuse.head",)))
     return steps
 
@@ -228,9 +226,10 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
     (Arena.lend), so they never share memory with what the arena writes
     later.
 
-    bev_branch ends by copying the BEV features into fuse.conv1's input
-    (fuse_input_of); rv_to_bev projects the RV features straight into the
-    rest of that input, which fuse_head reads.
+    bev_branch leaves the BEV features in bev.lidar2's output; rv_to_bev
+    projects the RV features into their own tensor; fuse_head reads both,
+    fuse.conv1 split by linearity so that they are never joined
+    (network.fuse_conv1_forward).
     """
     net = fusion_net(preset, weights)
     config, arena = net.config, net.arena
@@ -240,8 +239,7 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
         return rasterize_frame(ctx["bundle"], preset, arena)
 
     def bev_branch(ctx):
-        bev_feats = bev_branch_forward(ctx["lidar_stack"], ctx["map_raster"], net)
-        return {"fuse_input": fuse_input_of(bev_feats, net)}
+        return {"bev_feats": bev_branch_forward(ctx["lidar_stack"], ctx["map_raster"], net)}
 
     def camera_net(ctx):
         image = ctx["bundle"].camera_image
@@ -254,12 +252,14 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
                                               net)}
 
     def rv_to_bev(ctx):
-        project_features(ctx["rv_feats"], ctx["bundle"].sweeps[-1].points, preset.grid,
-                         out=ctx["fuse_input"].data[:, :, config.bev_width:])
-        return {}
+        rv_feats = ctx["rv_feats"]
+        out = net.buffer("rv_to_bev", (preset.grid.rows, preset.grid.cols, rv_feats.channels + 1),
+                         rv_feats.data.dtype)
+        project_features(rv_feats, ctx["bundle"].sweeps[-1].points, preset.grid, out=out)
+        return {"projected": FeatureMap(BEV, out, preset.grid)}
 
     def fuse_head(ctx):
-        return {"outputs": fuse_and_head_forward(ctx["fuse_input"], net)}
+        return {"outputs": fuse_and_head_forward(ctx["bev_feats"], ctx["projected"], net)}
 
     stages = [("rasterize", rasterize), ("bev_branch", bev_branch), ("camera_net", camera_net),
               ("rv_branch", rv_branch), ("rv_to_bev", rv_to_bev), ("fuse_head", fuse_head)]

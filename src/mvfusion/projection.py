@@ -133,9 +133,10 @@ def project_features(
     sr, sc, s_ok = cells_for(source.geometry, xyz, laser, azimuth)
     keep = t_ok & s_ok
 
+    background = np.zeros(channels + 1, dtype=dtype)  # the row of a cell no point hits
+    background[-1] = -1.0
+    out[...] = background
     features, validity = out[:, :, :channels], out[:, :, channels:]
-    features[...] = 0.0
-    validity[...] = -1.0
     if keep.any():
         target = (tr * cols_t + tc)[keep]
         src = (sr * source.width + sc)[keep]

@@ -19,7 +19,6 @@ from mvfusion.network import (
     bev_branch_forward,
     camera_net_forward,
     fuse_and_head_forward,
-    fuse_input_of,
     rv_branch_forward,
 )
 from mvfusion.pipeline import forward_frame, generate_bundles, make_weights, rasterize_frame
@@ -69,9 +68,10 @@ def unplanned_forward(bundle, preset, weights):
     rv_image = rasters["rv_image"]
     rv_image = FeatureMap(rv_image.view, rv_image.data.astype(np.float32), rv_image.geometry)
     rv = rv_branch_forward(rv_image, cam, points, net)
-    fuse_input = fuse_input_of(bev_branch_forward(rasters["lidar_stack"], rasters["map_raster"], net), net)
-    project_features(rv, points, preset.grid, out=fuse_input.data[:, :, config.bev_width:])
-    return fuse_and_head_forward(fuse_input, net)
+    projected = np.empty((preset.grid.rows, preset.grid.cols, config.unet_width + 1), dtype=np.float32)
+    project_features(rv, points, preset.grid, out=projected)
+    return fuse_and_head_forward(bev_branch_forward(rasters["lidar_stack"], rasters["map_raster"], net),
+                                 FeatureMap("bev", projected, preset.grid), net)
 
 
 @pytest.mark.parametrize("use_camera", [True, False])
@@ -209,7 +209,7 @@ def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
     assert with_winograd.size == without.size
 
 
-@pytest.mark.parametrize("name,size", [("desk", 5_791_744), ("atg4d", 454_682_176)])
+@pytest.mark.parametrize("name,size", [("desk", 4_980_736), ("atg4d", 377_545_024)])
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_every_conv_asks_the_same_work_and_none_gets_more(name, size, use_camera):
     preset = get_preset(name)
@@ -220,3 +220,16 @@ def test_every_conv_asks_the_same_work_and_none_gets_more(name, size, use_camera
     assert plan.size == size  # the frame's tensors set it, as when each conv asked for what its kernels could use
     works = [t.nbytes for t in plan.tensors if t.name.endswith(".work")]
     assert works and max(works) <= network.CONV_WORK_BYTES
+
+
+@pytest.mark.parametrize("use_camera", [True, False])
+def test_the_atg4d_plan_holds_no_joined_fuse_input(use_camera):
+    # fuse.conv1 reads the BEV features and the projection apart (split by
+    # linearity), so the frame's largest moment is the BEV branch's, not a
+    # copy of the BEV features into a 129-channel input
+    preset = get_preset("atg4d")
+    net = unplanned_net(preset, make_weights(preset, 0, use_camera))
+    plan = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
+    assert "fuse.conv1.in" not in {t.name for t in plan.tensors}
+    assert plan.tensor("rv_to_bev").shape == (preset.grid.rows, preset.grid.cols, net.config.unet_width + 1)
+    assert plan.size <= 360.1 * 2**20

@@ -161,6 +161,38 @@ def test_eval_rejects_outputs_that_do_not_match_the_preset(tmp_path, capsys, cha
     assert not (out / "metrics.txt").exists()
 
 
+def test_eval_rejects_outputs_off_the_preset_grid(tmp_path, capsys):
+    from mvfusion.pipeline import load_cell_outputs, save_cell_outputs
+
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    run_cli("forward", "--preset", "desk", "--seed", "5", "--out", str(out))
+    o = load_cell_outputs(out / "outputs_000.bin")
+    assert o.grid.x_min == -16.0
+    o.grid = replace(o.grid, x_min=24.0)  # boxes decoded 40 m off
+    save_cell_outputs(out / "outputs_000.bin", o)
+    capsys.readouterr()
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'outputs_000.bin'}: outputs on OutputGrid(") and "x_min=24.0" in err
+    assert not (out / "metrics.txt").exists()
+
+
+@pytest.mark.parametrize("producer", [("forward",), ("fit", "--steps", "5")])
+def test_eval_accepts_forward_and_fit_outputs_on_their_grids(tmp_path, capsys, producer):
+    from mvfusion.pipeline import load_cell_outputs
+    from mvfusion.views import OutputGrid
+
+    out = tmp_path / "run"
+    run_cli("gen", "--preset", "desk", "--seed", "5", "--out", str(out))
+    assert run_cli(*producer, "--preset", "desk", "--seed", "5", "--out", str(out)) == 0
+    stride = 4 if producer[0] == "forward" else 1
+    grid = get_preset("desk").grid
+    assert load_cell_outputs(out / "outputs_000.bin").grid == OutputGrid.from_grid(grid, stride)
+    assert run_cli("eval", "--preset", "desk", "--out", str(out)) == 0
+    assert (out / "metrics.txt").exists()
+
+
 @pytest.mark.parametrize("section", ["map", "labels"])
 def test_eval_rejects_bundle_count_overrun(tmp_path, capsys, section):
     out = tmp_path / "run"

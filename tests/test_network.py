@@ -22,6 +22,7 @@ from mvfusion.network import (
     conv2d_raw,
     conv_output_shape,
     fuse_and_head_forward,
+    fuse_conv1_forward,
     init_network_weights,
     load_weights,
     network_plan,
@@ -837,12 +838,16 @@ def test_closed_form_shape_algebra_both_presets():
 
 
 def test_fuse_head_zero_features_probability_half():
-    rng = np.random.default_rng(19)
     g = small_grid()
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=2)
-    zeros = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width + cfg.unet_width + 1)), g)
-    out = fuse_and_head_forward(zeros, FusionNet(cfg, 6, weights))
+    kernel = weights.kernel("fuse.conv1").copy()
+    kernel[:, :, -1] = 0.0  # no validity taps: the -1 of the cells no point hits adds nothing
+    weights = replace(weights, blocks={**weights.blocks, "fuse.conv1.kernel": kernel})
+    zeros = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width)), g)
+    no_hits = np.zeros((g.rows, g.cols, cfg.unet_width + 1))  # the projection of no points
+    no_hits[:, :, -1] = -1.0
+    out = fuse_and_head_forward(zeros, FeatureMap("bev", no_hits, g), FusionNet(cfg, 6, weights))
     out.validate()
     for cls in cfg.classes:
         assert np.all(out.prob[cls] == 0.5)
@@ -855,14 +860,94 @@ def test_fuse_head_deterministic():
     g = small_grid()
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=2)
-    features = rng.normal(size=(g.rows, g.cols, cfg.bev_width + cfg.unet_width))
-    validity = rng.choice([-1.0, 1.0], size=(g.rows, g.cols, 1))
-    fused = FeatureMap("bev", np.concatenate([features, validity], axis=2), g)
-    a = fuse_and_head_forward(fused, FusionNet(cfg, 6, weights))
-    b = fuse_and_head_forward(fused, FusionNet(cfg, 6, weights))
+    features = FeatureMap("bev", rng.normal(size=(g.rows, g.cols, cfg.bev_width)), g)
+    hit = rng.uniform(size=(g.rows, g.cols, 1)) < 0.5
+    projected = FeatureMap("bev", np.concatenate([rng.normal(size=(g.rows, g.cols, cfg.unet_width)) * hit,
+                                                  np.where(hit, 1.0, -1.0)], axis=2), g)
+    a = fuse_and_head_forward(features, projected, FusionNet(cfg, 6, weights))
+    b = fuse_and_head_forward(features, projected, FusionNet(cfg, 6, weights))
     for cls in cfg.classes:
         assert np.array_equal(a.prob[cls], b.prob[cls])
         assert np.array_equal(a.centers[cls], b.centers[cls])
+
+
+def _split_instance(h, w, hits, seed, dtype=np.float64):
+    """A net of tiny_config whose fuse.conv1 has a non-zero bias, BEV
+    features, and a projection (zero features, validity -1 off the hit
+    cells) on an (h, w) grid whose hit cells follow the named pattern."""
+    rng = np.random.default_rng(seed)
+    cfg = tiny_config()
+    weights = init_network_weights(cfg, bev_in_channels=6, seed=seed)
+    weights = replace(weights, blocks={**weights.blocks, "fuse.conv1.bias": rng.normal(size=cfg.head_widths[0])})
+    hit = np.zeros((h, w), dtype=bool)
+    if hits == "all":
+        hit[...] = True
+    elif hits == "scattered":
+        hit = rng.uniform(size=(h, w)) < 0.3
+    elif hits.startswith("corner"):
+        corner = int(hits[-1])
+        hit[-(corner // 2), -(corner % 2)] = True
+    grid = GridSpec(float(h), float(w), 1.0, 1.0, 1.0, 1.0)
+    bev = rng.normal(size=(h, w, cfg.bev_width))
+    projected = np.concatenate([rng.normal(size=(h, w, cfg.unet_width)) * hit[:, :, None],
+                                np.where(hit, 1.0, -1.0)[:, :, None]], axis=2)
+    return (FusionNet(cfg, 6, weights), FeatureMap("bev", bev.astype(dtype), grid),
+            FeatureMap("bev", projected.astype(dtype), grid))
+
+
+def _joined_fuse_conv1(net, bev, projected):
+    """fuse.conv1 by the literal conv over the joined input, with the stored 129-channel kernel."""
+    joined = np.concatenate([bev.data, projected.data], axis=2).astype(np.float64)
+    return naive_conv2d(joined, net.weights.kernel("fuse.conv1"), net.weights.bias("fuse.conv1"), (2, 2), relu=True)
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (5, 4), (4, 5), (6, 6), (7, 9)])
+@pytest.mark.parametrize("hits", ["none", "all", "corner0", "corner1", "corner2", "corner3", "scattered"])
+def test_split_fuse_conv1_equals_the_joined_conv_in_float64(h, w, hits):
+    net, bev, projected = _split_instance(h, w, hits, seed=h * 10 + w)
+    assert net.layers["fuse.conv1"].in_channels == net.config.bev_width
+    got = fuse_conv1_forward(bev, projected, net)
+    assert got.data.dtype == np.float64
+    assert np.abs(got.data - _joined_fuse_conv1(net, bev, projected)).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_split_fuse_conv1_float32_error_stays_inside_the_im2col_bound(seed):
+    net, bev, projected = _split_instance(37, 29, "scattered", seed, np.float32)
+    exact = _joined_fuse_conv1(net, bev, projected)
+    joined = np.concatenate([bev.data, projected.data], axis=2)
+    im2col = conv2d_raw(joined, net.weights.kernel("fuse.conv1"), net.weights.bias("fuse.conv1"), (2, 2))
+    split = fuse_conv1_forward(bev, projected, net).data
+    assert split.dtype == im2col.dtype == np.float32
+    scale = np.abs(exact).max()
+    assert np.abs(split - exact).max() / scale < 1e-6 and np.abs(im2col - exact).max() / scale < 1e-6
+
+
+@pytest.mark.parametrize("h,w", [(9, 8), (8, 9), (1, 1), (2, 3)])
+@pytest.mark.parametrize("stride", [(2, 2), (1, 2), (2, 1), (1, 1)])
+def test_strided_occupied_kernel_adds_into_out_over_the_given_pixels(monkeypatch, h, w, stride):
+    # the projected part alone: the strided occupied-pixel kernel with no
+    # bias adds the conv of the given pixels to what out holds, the same
+    # bits whatever its bands
+    rng = np.random.default_rng(h * w)
+    cin, cout = 3, 4
+    data = rng.normal(size=(h, w, cin)).astype(np.float32)
+    taken = np.flatnonzero(rng.uniform(size=h * w) < 0.4)
+    kernel = rng.normal(size=(3, 3, cin, cout)).astype(np.float32)
+    oh, ow = conv_output_shape(h, w, stride)
+    start = rng.normal(size=(oh, ow, cout)).astype(np.float32)
+    runs = []
+    for band_rows in (100, 1):
+        monkeypatch.setattr(network, "CHUNK_BYTES", band_rows * (ow + 2) * cout * 4)
+        out = start.copy()
+        network._conv2d_occupied(data.reshape(h * w, cin), taken, (h, w), kernel, None, "linear",
+                                 out.reshape(oh * ow, cout), None, stride)
+        runs.append(out)
+    assert np.array_equal(runs[0], runs[1])
+    sparse = np.zeros(h * w * cin)
+    sparse.reshape(h * w, cin)[taken] = data.reshape(h * w, cin)[taken]
+    want = start + naive_conv2d(sparse.reshape(h, w, cin), kernel, np.zeros(cout), stride, relu=False)
+    assert np.abs(runs[0] - want).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------

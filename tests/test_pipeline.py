@@ -16,7 +16,6 @@ from mvfusion.network import (
     bev_branch_forward,
     camera_net_forward,
     fuse_and_head_forward,
-    fuse_input_of,
     rv_branch_forward,
 )
 from mvfusion.pipeline import (
@@ -36,7 +35,7 @@ from mvfusion.pipeline import (
 from mvfusion.presets import bev_stack_channels, get_preset, preset_names
 from mvfusion.projection import project_features
 from mvfusion.scene import build_scene, scene_labels
-from mvfusion.views import FeatureMap
+from mvfusion.views import FeatureMap, OutputGrid
 
 
 def test_preset_registry():
@@ -112,19 +111,31 @@ def unplanned_net(preset, weights):
     return FusionNet(config, bev_stack_channels(preset), weights)
 
 
-def float64_forward(bundle, preset, weights):
-    """The frame DAG's branch calls with every raster in float64."""
+def float64_forward(bundle, preset, weights, joined=False):
+    """The frame DAG's branch calls with every raster in float64; with
+    joined, fuse.conv1 runs unsplit, as one conv over its stored
+    129-channel kernel and the BEV features joined with the projection."""
     net = unplanned_net(preset, weights)
-    config = net.config
     rasters = rasterize_frame(bundle, preset)
     lidar, map_raster = (FeatureMap(fm.view, fm.data.astype(np.float64), fm.geometry)
                          for fm in (rasters["lidar_stack"], rasters["map_raster"]))
     points = bundle.sweeps[-1].points
-    cam = camera_net_forward(bundle.camera_image, net)
+    cam = camera_net_forward(bundle.camera_image, net) if net.config.use_camera else None
     rv = rv_branch_forward(rasters["rv_image"], cam, points, net)
-    fuse_input = fuse_input_of(bev_branch_forward(lidar, map_raster, net), net)
-    project_features(rv, points, preset.grid, out=fuse_input.data[:, :, config.bev_width:])
-    return fuse_and_head_forward(fuse_input, net)
+    projected = np.empty((preset.grid.rows, preset.grid.cols, rv.channels + 1))
+    project_features(rv, points, preset.grid, out=projected)
+    bev = bev_branch_forward(lidar, map_raster, net)
+    if not joined:
+        return fuse_and_head_forward(bev, FeatureMap("bev", projected, preset.grid), net)
+    layer = next(layer for layer in network.network_plan(net.config, net.bev_in_channels) if layer.name == "fuse.conv1")
+    x = FeatureMap("bev", network.conv2d_raw(np.concatenate([bev.data, projected], axis=2),
+                                             weights.kernel("fuse.conv1"), weights.bias("fuse.conv1"), layer.stride,
+                                             layer.activation), preset.grid)
+    for i in range(1, len(net.config.head_widths)):
+        x = net.conv(x, f"fuse.conv{i + 1}")
+    grid = OutputGrid.from_grid(preset.grid, net.config.output_stride)
+    return network.CellOutputs.unpack(net.conv(x, "fuse.head").data, grid, preset.horizon, net.config.classes,
+                                      logits=True)
 
 
 # Largest deviation from the float64 path measured on 40 desk frames (seeds
@@ -163,6 +174,26 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
             assert np.abs(got - want).max() <= REGRESSION_BOUND
     dets = [(d.cls, d.cell) for d in decode_detections(outputs)]
     assert dets and dets == [(d.cls, d.cell) for d in decode_detections(reference)]
+
+
+@pytest.mark.parametrize("use_camera", [True, False])
+def test_forward_frame_equals_the_unsplit_fuse_conv1(desk_frame, use_camera):
+    # fuse.conv1 split by linearity: in float64 the frame equals the one
+    # whose fuse.conv1 reads the joined 129 channels, to rounding; in
+    # float32 it stays inside the dtype policy's bounds of it
+    preset, bundle = desk_frame
+    weights = make_weights(preset, seed=0, use_camera=use_camera)
+    outputs = forward_frame(bundle, preset, weights)
+    split = float64_forward(bundle, preset, weights)
+    joined = float64_forward(bundle, preset, weights, joined=True)
+    for cls in outputs.classes:
+        for field, bound in (("prob", PROB_BOUND), ("size", REGRESSION_BOUND), ("centers", REGRESSION_BOUND),
+                             ("headings", REGRESSION_BOUND)):
+            want = getattr(joined, field)[cls]
+            assert np.abs(getattr(split, field)[cls] - want).max() < 1e-12
+            assert np.abs(getattr(outputs, field)[cls] - want).max() <= bound
+    dets = [(d.cls, d.cell) for d in decode_detections(outputs)]
+    assert dets and dets == [(d.cls, d.cell) for d in decode_detections(joined)]
 
 
 def _kernels_run(bundle, preset, weights, monkeypatch):
@@ -230,34 +261,44 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
     arena = pipeline.fusion_net(preset, weights).arena
     plan = arena.plan
     fuse1, fuse2 = plan.steps.index("fuse.conv1"), plan.steps.index("fuse.conv2")
-    # the BEV stack, the BEV features (the sum is held in bev.lidar2's
-    # output) and rv_feats (unet.fuse's output) end before fuse.conv1, and
-    # the fuse input, which the RV->BEV projection writes, with fuse.conv1
-    for name in ("lidar_stack", "bev.lidar2", "unet.fuse"):
+    # the BEV stack and rv_feats (unet.fuse's output) end before fuse.conv1;
+    # the BEV features (the sum is held in bev.lidar2's output) and the
+    # projection, which the RV->BEV projection writes into its own view,
+    # end with it. No joined fuse input exists.
+    for name in ("lidar_stack", "unet.fuse"):
         assert plan.tensor(name).last < fuse1
-    fuse_input = plan.tensor("fuse.conv1.in")
-    assert plan.steps[fuse_input.first] == "fuse.conv1.in"
-    assert fuse_input.first < plan.steps.index("rv_to_bev") < fuse_input.last == fuse1 < fuse2
+    assert plan.tensor("bev.lidar2").last == fuse1
+    projection = plan.tensor("rv_to_bev")
+    assert plan.steps[projection.first] == "rv_to_bev" and projection.last == fuse1 < fuse2
+    assert not [t.name for t in plan.tensors if t.name.endswith(".in") and t.name.startswith("fuse.")]
 
-    # the forward pass writes the projection into that view and fuse.conv1 reads it
-    project_fn, conv_fn = pipeline.project_features, network.conv2d_forward
-    projected, fuse_in = [], []
+    # the forward pass writes the projection into that view; fuse.conv1's
+    # dense part reads bev.lidar2's view and its projected part the projection
+    project_fn, conv_fn, occupied_fn = pipeline.project_features, network.conv2d_forward, network._conv2d_occupied
+    projected, dense_in, hit_in = [], [], []
 
     def project(source, points, grid, out):
         feats, validity = project_fn(source, points, grid, out=out)
         assert feats.data.dtype == validity.data.dtype == source.data.dtype == np.float32
-        projected.append(np.shares_memory(out, arena.view("fuse.conv1.in")))
+        projected.append(out is arena.view("rv_to_bev"))
         return feats, validity
 
     def conv(fm, layer, net, **kwargs):
         if layer.name == "fuse.conv1":
-            fuse_in.append(fm.data is arena.view("fuse.conv1.in"))
+            dense_in.append(fm.data is arena.view("bev.lidar2"))
         return conv_fn(fm, layer, net, **kwargs)
+
+    def occupied(pixels, *args):
+        if args[7:] == ((2, 2),):  # the one strided call: fuse.conv1's projected part
+            view = arena.view("rv_to_bev")
+            hit_in.append(pixels.ctypes.data == view.ctypes.data and pixels.size == view.size)
+        return occupied_fn(pixels, *args)
 
     monkeypatch.setattr(pipeline, "project_features", project)
     monkeypatch.setattr(network, "conv2d_forward", conv)
+    monkeypatch.setattr(network, "_conv2d_occupied", occupied)
     forward_frame(bundle, preset, weights)
-    assert projected == fuse_in == [True]
+    assert projected == dense_in == hit_in == [True]
 
 
 @pytest.mark.parametrize("use_camera", [True, False])
