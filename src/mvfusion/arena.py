@@ -32,7 +32,7 @@ export.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,12 +51,15 @@ CHUNK_BYTES = 2 << 20
 
 class Step(NamedTuple):
     """One step of a frame: the tensors it writes, as (name, shape, dtype),
-    the tensors it reads, and the bytes of scratch it can use (work)."""
+    the tensors it reads, the bytes of scratch it can use (work), and what
+    it runs, run(views), views holding the frame's arrays by tensor name
+    and its inputs, such as its points. The planner reads all but run."""
 
     name: str
     writes: tuple[tuple[str, tuple[int, ...], str], ...] = ()
     reads: tuple[str, ...] = ()
     work: int = 0
+    run: Callable[[dict], object] | None = None
 
 
 class PlannedTensor(NamedTuple):

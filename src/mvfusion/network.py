@@ -56,30 +56,21 @@ project to float32) and after the head (CellOutputs.unpack). Seeded
 and loaded kernels are float64 blocks holding float32-exact values, so
 casting them to float32 is exact.
 
-Memory: every kernel writes into a caller's view when given one (out=).
-A FusionNet (one configuration, its validated weights and its layers'
-Winograd planes) may hold an Arena (arena.py) whose plan (pipeline.fusion_net
-plans it from pipeline.frame_steps) gives each grid-shaped tensor of a frame
-its bytes for its live range: each conv output, the joined inputs and the
-float32 images. A frame then allocates none of them, and a process reuses
-the same pages frame after frame instead of mapping, zero-filling and
-unmapping fresh ones; a net without an arena gives each tensor a new array.
-Residual sums, their ReLU and the BEV LiDAR + map sum are done in place.
-Two layers join a view's own features with projected ones. unet.enc1's
-input is built at full width: rv.conv2 writes its leading channels and
-project_features the projection and its validity into the rest.
-fuse.conv1's is never built: the layer is split by linearity over its
-input channels (split_conv), its dense part run on the BEV features where
-bev.lidar2 left them and its projected part only at the cells points hit
-(fuse_conv1_forward), so no joined copy of either input exists. Every kernel works
-in blocks of one size (_block_bytes): an im2col chunk's patch matrix, a
-Winograd tile block's planes, or an occupied-pixel band with the rows it
-reaches. The block is the layer's work when that holds at least
-arena.CHUNK_BYTES (its reason is given there), else CHUNK_BYTES on the
-heap. The plan asks CONV_WORK_BYTES of work for every conv and gives it
-only the room the frame's tensors leave, so work never makes the arena
-larger. Only what cannot be cut smaller outgrows the block, on the heap:
-one im2col row's patches, three Winograd tiles or a one-row band.
+Memory: the forward pass is one list of steps (pipeline.frame_steps, made
+of the stages' *_steps below), each naming the tensors it writes and reads
+and carrying what it runs; each branch function runs its stage's steps
+(FusionNet.run). A FusionNet (one configuration, its validated weights and
+its layers' Winograd planes) may hold an Arena (arena.py) planned from that
+list: each grid-shaped tensor of a frame gets its bytes for its live range,
+and a process reuses the same pages frame after frame; a net without an
+arena gives each tensor a new array. Sums and their ReLU are done in
+place, and fuse.conv1's joined input is never built (split_conv). Every
+kernel writes into a caller's view when given one (out=) and works in
+blocks of one size (_block_bytes): the layer's work, of which each conv
+step asks CONV_WORK_BYTES and the plan gives only the room the frame's
+tensors leave, when it holds at least arena.CHUNK_BYTES, else CHUNK_BYTES
+on the heap. Only what cannot be cut smaller outgrows the block, on the
+heap: one im2col row's patches, three Winograd tiles or a one-row band.
 """
 from __future__ import annotations
 
@@ -90,7 +81,7 @@ from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .arena import CHUNK_BYTES, Arena, output_array
+from .arena import CHUNK_BYTES, Arena, Step, output_array
 from .blockfile import BlockFileError, read_blocks, write_blocks
 from .projection import project_features
 from .scene import CLASSES
@@ -114,7 +105,7 @@ _OCCUPIED_SHARE = 0.25
 # narrower layers run slower (cam.conv3, 16 channels: 27 -> 41 ms;
 # cam.conv5, 32: 18.6 -> 21.8) or tie (rv.conv2, 32).
 _WINOGRAD_MIN_CHANNELS = 64
-# The work the frame plan asks for every conv (pipeline.frame_steps), and so
+# The work every conv step asks of the frame plan (_StepList.conv), and so
 # the block every kernel works in when the plan has room for it
 # (_block_bytes). 8 MiB Winograd blocks ran an atg4d frame about 4% faster,
 # but raised its peak RSS by 18 MB; 4 MiB still holds unet.down's im2col
@@ -812,11 +803,7 @@ class FusionNet:
     of the frame path, which pipeline.fusion_net plans for a preset. Only
     the arena changes with a frame.
 
-    With an arena, every tensor the branch functions produce is written into
-    its planned view: a conv into the view named after its layer, with the
-    layer's "<name>.work" bytes as its work, and the joined inputs into
-    "unet.enc1.in" and "unet.fuse.in". Without one (the default), each is a
-    new array.
+    run runs steps (the *_steps below), in the arena's views when it has one.
     """
 
     def __init__(self, config: FusionConfig, bev_in_channels: int, weights: NetworkWeights):
@@ -842,85 +829,21 @@ class FusionNet:
         self.planes: Mapping[str, np.ndarray] = MappingProxyType(planes)
         self.arena: Arena | None = None
 
-    def conv(self, fm: FeatureMap, name: str, out: np.ndarray | None = None) -> FeatureMap:
-        """conv2d_forward of the layer called name into out, by default the
-        arena's view of the layer's output."""
-        if out is None and self.arena is not None:
-            out = self.arena.view(name)
-        return conv2d_forward(fm, self.layers[name], self, out=out, work=self.work(name))
-
     def work(self, name: str) -> np.ndarray | None:
         """The arena's work bytes of the layer called name, if it has any."""
         return None if self.arena is None else self.arena.find(f"{name}.work")
 
-    def buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """The arena's view called name, checked against shape and dtype, or a new array."""
-        return output_array(None if self.arena is None else self.arena.view(name), shape, dtype)
-
-
-def camera_net_forward(image: FeatureMap, net: FusionNet) -> FeatureMap:
-    """6-conv camera feature extractor; total spatial downscale 8x with ceiling."""
-    if not isinstance(image.geometry, CameraGeometry):
-        raise ValueError("camera image must carry CameraGeometry")
-    out = image
-    for i in range(len(net.config.cam_widths)):
-        out = net.conv(out, f"cam.conv{i + 1}")
-    geometry = CameraGeometry(image.geometry.camera, pixel_stride=8 * image.geometry.pixel_stride)
-    return FeatureMap(CAMERA, out.data, geometry)
-
-
-def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None, points,
-                      net: FusionNet) -> FeatureMap:
-    """LiDAR RV convs, camera fusion by point projection, 2-scale U-net.
-
-    With the camera branch, unet.enc1's input is built in place: rv.conv2
-    writes its leading rv_width channels and the camera projection, with
-    its validity, the rest. The residual sums and their ReLU are written
-    into the block input's buffer.
-    """
-    rv = rv_image.geometry
-    if not isinstance(rv, RvSpec) or rv_image.height != rv.rows:
-        raise ValueError("rv image rows must match its RvSpec")
-    config = net.config
-    x = net.conv(rv_image, "rv.conv1")
-    if config.use_camera:
-        if camera_features is None:
-            raise ValueError("config.use_camera is set but no camera features were given")
-        enc1_in = net.buffer("unet.enc1.in", (x.height, x.width, config.concat_width), x.data.dtype)
-        net.conv(x, "rv.conv2", out=enc1_in[:, :, :config.rv_width])
-        project_features(camera_features, points, rv, out=enc1_in[:, :, config.rv_width:])
-        x = FeatureMap(RV, enc1_in, rv)
-    else:
-        x = net.conv(x, "rv.conv2")
-
-    enc1 = net.conv(x, "unet.enc1")
-    level1 = _residual_relu(enc1, net.conv(net.conv(enc1, "unet.res1.conv1"), "unet.res1.conv2"))
-    down = net.conv(level1, "unet.down")
-    level2 = _residual_relu(down, net.conv(net.conv(down, "unet.res2.conv1"), "unet.res2.conv2"))
-    up = net.conv(level2, "unet.up").data
-    up = up.reshape(up.shape[0], 2 * up.shape[1], -1)  # the pixel shuffle: (h, w, 2u) read as (h, 2w, u)
-    merged = net.buffer("unet.fuse.in", (level1.height, level1.width, up.shape[2] + level1.channels),
-                        level1.data.dtype)
-    np.concatenate([up[:, :level1.width], level1.data], axis=2, out=merged)  # ceil-width rounding crop
-    return net.conv(FeatureMap(RV, merged, rv), "unet.fuse")
-
-
-def _residual_relu(x: FeatureMap, residual: FeatureMap) -> FeatureMap:
-    """ReLU(x + residual), written into x's buffer."""
-    np.add(x.data, residual.data, out=x.data)
-    np.maximum(x.data, 0.0, out=x.data)
-    return x
-
-
-def bev_branch_forward(lidar_bev: FeatureMap, map_raster: FeatureMap, net: FusionNet) -> FeatureMap:
-    """Separate LiDAR and map embeddings summed on the shared BEV grid, in
-    bev.lidar2's output."""
-    if (lidar_bev.height, lidar_bev.width) != (map_raster.height, map_raster.width):
-        raise ValueError("lidar stack and map raster must share one grid")
-    lid = net.conv(net.conv(lidar_bev, "bev.lidar1"), "bev.lidar2")
-    mp = net.conv(net.conv(map_raster, "bev.map1"), "bev.map2")
-    np.add(lid.data, mp.data, out=lid.data)
-    return FeatureMap(BEV, lid.data, lidar_bev.geometry)
+    def run(self, steps: Iterable[Step], views: dict) -> dict:
+        """Runs steps over views, giving each tensor they write before its
+        first writer runs the arena's view or a new array of its shape and
+        dtype, float32 taking the compute dtype of the step's first read."""
+        for step in steps:
+            for name, shape, dtype in step.writes:
+                if name not in views:
+                    dtype = _compute_dtype(views[step.reads[0]]) if step.reads and dtype == "float32" else dtype
+                    views[name] = np.empty(shape, dtype) if self.arena is None else self.arena.view(name)
+            step.run(views)
+        return views
 
 
 # ---------------------------------------------------------------------------
@@ -1045,10 +968,11 @@ def _add_padding_taps(out: np.ndarray, validity: np.ndarray, grid: tuple[int, in
     out[inner_rows[:, None], edge_cols] += outside(inner_rows, edge_cols)
 
 
-def fuse_conv1_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet) -> FeatureMap:
+def fuse_conv1_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet,
+                       out: np.ndarray | None = None) -> FeatureMap:
     """fuse.conv1 on the BEV features joined with the RV->BEV projection,
     without joining them: split_conv's parts, summed into the layer's
-    output, then its activation.
+    output (out, when given), then its activation.
 
     projected is project_features' (rows, cols, unet_width + 1) array: the
     projected features, zero at the cells no point hits, and their validity.
@@ -1057,14 +981,11 @@ def fuse_conv1_forward(bev_features: FeatureMap, projected: FeatureMap, net: Fus
     the hit cells (validity +1), adding into the output and applying the
     activation as it goes.
     """
-    config = net.config
-    if bev_features.channels != config.bev_width or not isinstance(bev_features.geometry, GridSpec):
-        raise ValueError(f"bev features must have {config.bev_width} channels and carry a GridSpec")
-    shape = (bev_features.height, bev_features.width, config.unet_width + 1)
+    shape = (bev_features.height, bev_features.width, net.config.unet_width + 1)
     if projected.data.shape != shape:
         raise ValueError(f"the projection must be {shape}, got {projected.data.shape}")
-    x = net.conv(bev_features, "fuse.conv1")
     layer, part = net.layers["fuse.conv1"], net.projected
+    x = conv2d_forward(bev_features, layer, net, out=out, work=net.work("fuse.conv1"))
     grid = shape[:2]
     _add_padding_taps(x.data, part.validity, grid, layer.stride)
     pixels = _pixel_rows(projected.data)
@@ -1074,20 +995,161 @@ def fuse_conv1_forward(bev_features: FeatureMap, projected: FeatureMap, net: Fus
     return x
 
 
-def fuse_and_head_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet) -> CellOutputs:
-    """Reduce stride over the BEV features and the projected RV features, emit cells.
+# ---------------------------------------------------------------------------
+# the forward pass as steps: each stage's, run by its branch function
+# ---------------------------------------------------------------------------
 
-    bev_features are the BEV branch's; projected is the RV->BEV projection
-    with its validity, as project_features writes it. fuse.conv1 reads both
-    (fuse_conv1_forward). With an arena, the cell outputs are written into
-    its export, which lend hands over with its segment, so they never share
-    memory with the arena's later frames.
-    """
+class _StepList(list):
+    """A stage's steps in order, with the shape of every tensor they write
+    (shapes starts with the stage's inputs); view tags its convs' inputs."""
+
+    def __init__(self, net: FusionNet, view: str, shapes: dict[str, tuple[int, ...]]):
+        self.net, self.view, self.shapes = net, view, shapes
+
+    def add(self, name: str, run, writes: dict[str, tuple[int, ...]], reads: Sequence[str] = (), work: int = 0):
+        self.shapes.update(writes)
+        self.append(Step(name, tuple((t, shape, "float32") for t, shape in writes.items()), tuple(reads), work, run))
+
+    def conv(self, name: str, src: str, into: str | None = None, reads: Sequence[str] = (), run=None) -> None:
+        """The step of the layer called name, reading src: it writes the
+        tensor named after the layer or, given into, into's leading
+        channels, by the conv or, given run, by that."""
+        net, view, layer, dst = self.net, self.view, self.net.layers[name], into or name
+        h, w, _ = self.shapes[src]
+        shape = self.shapes[into] if into else (*conv_output_shape(h, w, layer.stride), layer.out_channels)
+
+        def conv(v):
+            out = v[dst][:, :, :layer.out_channels]
+            conv2d_forward(FeatureMap(view, v[src]), layer, net, out=out, work=net.work(name))
+
+        self.add(name, run or conv, {dst: shape}, (src, *reads), CONV_WORK_BYTES)
+
+    def chain(self, src: str, *names: str) -> None:
+        """Convs in order, each reading the one before, the first src."""
+        for name in names:
+            self.conv(name, src)
+            src = name
+
+    def sum(self, name: str, x: str, y: str, relu: bool = False) -> None:
+        """x + y, then ReLU if relu, written into x."""
+        def run(v):
+            np.add(v[x], v[y], out=v[x])
+            if relu:
+                np.maximum(v[x], 0.0, out=v[x])
+
+        self.add(name, run, {x: self.shapes[x]}, (x, y))
+
+
+def bev_branch_steps(net: FusionNet, rows: int, cols: int) -> list[Step]:
+    """LiDAR-stack and map-raster embeddings on a (rows, cols) grid, summed in bev.lidar2's output."""
+    s = _StepList(net, BEV, {"lidar_stack": (rows, cols, net.bev_in_channels), "map_raster": (rows, cols, 7)})
+    s.chain("lidar_stack", "bev.lidar1", "bev.lidar2")
+    s.chain("map_raster", "bev.map1", "bev.map2")
+    s.sum("bev.sum", "bev.lidar2", "bev.map2")
+    return s
+
+
+def camera_net_steps(net: FusionNet, height: int, width: int) -> list[Step]:
+    """The 6-conv camera net on a (height, width) image, stride 2 on alternate layers."""
+    s = _StepList(net, CAMERA, {"cam.conv1.in": (height, width, 3)})
+    s.chain("cam.conv1.in", *(f"cam.conv{i + 1}" for i in range(len(net.config.cam_widths))))
+    return s
+
+
+def camera_features_geometry(image: CameraGeometry) -> CameraGeometry:
+    """The camera net's features' geometry: 8x the image's pixel stride, with ceiling."""
+    return CameraGeometry(image.camera, pixel_stride=8 * image.pixel_stride)
+
+
+def rv_branch_steps(net: FusionNet, rv: RvSpec, camera: CameraGeometry | None) -> list[Step]:
+    """LiDAR RV convs, the camera features (of geometry camera) projected by
+    views["points"] into the rest of rv.conv2's output, with their validity
+    (unet.enc1's input), and the 2-scale U-net, whose unet.up output (h, w,
+    2u) is read as (h, 2w, u), the pixel shuffle, and cropped to level 1."""
     config = net.config
-    x = fuse_conv1_forward(bev_features, projected, net)
-    for i in range(1, len(config.head_widths)):
-        x = net.conv(x, f"fuse.conv{i + 1}")
-    raw = net.conv(x, "fuse.head")
-    out_grid = OutputGrid.from_grid(bev_features.geometry, config.output_stride)
-    return CellOutputs.unpack(raw.data, out_grid, config.horizon, config.classes, logits=True,
-                              out=None if net.arena is None else net.arena.lend())
+    s, cam = _StepList(net, RV, {"rv.conv1.in": (rv.rows, rv.cols, 4)}), f"cam.conv{len(config.cam_widths)}"
+    s.conv("rv.conv1", "rv.conv1.in")
+    if config.use_camera:
+        src = "unet.enc1.in"
+        s.shapes[src] = (*s.shapes["rv.conv1"][:2], config.concat_width)
+        s.conv("rv.conv2", "rv.conv1", into=src)
+        s.add("camera_to_rv", lambda v: project_features(FeatureMap(CAMERA, v[cam], camera), v["points"], rv,
+                                                         out=v[src][:, :, config.rv_width:]),
+              {src: s.shapes[src]}, (cam,))
+    else:
+        src = "rv.conv2"
+        s.conv(src, "rv.conv1")
+    s.chain(src, "unet.enc1", "unet.res1.conv1", "unet.res1.conv2")
+    s.sum("unet.res1", "unet.enc1", "unet.res1.conv2", relu=True)
+    s.chain("unet.enc1", "unet.down", "unet.res2.conv1", "unet.res2.conv2")
+    s.sum("unet.res2", "unet.down", "unet.res2.conv2", relu=True)
+    s.conv("unet.up", "unet.down")
+
+    h, w, u = s.shapes["unet.enc1"]
+    s.add("unet.fuse.in", lambda v: np.concatenate([v["unet.up"].reshape(h, -1, u)[:, :w], v["unet.enc1"]], axis=2,
+                                                    out=v["unet.fuse.in"]),
+          {"unet.fuse.in": (h, w, net.layers["unet.fuse"].in_channels)}, ("unet.up", "unet.enc1"))
+    s.conv("unet.fuse", "unet.fuse.in")
+    return s
+
+
+def fuse_head_steps(net: FusionNet, grid: GridSpec) -> list[Step]:
+    """The stride-reducing head over the BEV features (bev.lidar2's output)
+    and the RV->BEV projection ("rv_to_bev"), which fuse.conv1 reads apart
+    (fuse_conv1_forward); the last step writes the cell outputs into
+    "outputs", in float64, and their CellOutputs into views["cells"]."""
+    config = net.config
+    s = _StepList(net, BEV, {"bev.lidar2": (grid.rows, grid.cols, config.bev_width)})
+    s.conv("fuse.conv1", "bev.lidar2", reads=("rv_to_bev",),
+           run=lambda v: fuse_conv1_forward(FeatureMap(BEV, v["bev.lidar2"], grid),
+                                            FeatureMap(BEV, v["rv_to_bev"], grid), net, out=v["fuse.conv1"]))
+    s.chain("fuse.conv1", *(f"fuse.conv{i + 1}" for i in range(1, len(config.head_widths))), "fuse.head")
+    out_grid = OutputGrid.from_grid(grid, config.output_stride)
+    s.append(Step("outputs", (("outputs", (math.prod(s.shapes["fuse.head"]),), "float64"),), ("fuse.head",), 0,
+                  lambda v: v.update(cells=CellOutputs.unpack(v["fuse.head"], out_grid, config.horizon,
+                                                              config.classes, logits=True, out=v["outputs"]))))
+    return s
+
+
+def camera_net_forward(image: FeatureMap, net: FusionNet) -> FeatureMap:
+    """camera_net_steps over an image; total spatial downscale 8x."""
+    if not isinstance(image.geometry, CameraGeometry):
+        raise ValueError("camera image must carry CameraGeometry")
+    views = net.run(camera_net_steps(net, image.height, image.width), {"cam.conv1.in": image.data})
+    return FeatureMap(CAMERA, views[f"cam.conv{len(net.config.cam_widths)}"], camera_features_geometry(image.geometry))
+
+
+def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None, points,
+                      net: FusionNet) -> FeatureMap:
+    """rv_branch_steps over an RV image, the camera features and the points."""
+    rv, config = rv_image.geometry, net.config
+    if not isinstance(rv, RvSpec) or rv_image.height != rv.rows:
+        raise ValueError("rv image rows must match its RvSpec")
+    if config.use_camera and camera_features is None:
+        raise ValueError("config.use_camera is set but no camera features were given")
+    views, camera = {"rv.conv1.in": rv_image.data, "points": points}, None
+    if config.use_camera:
+        views[f"cam.conv{len(config.cam_widths)}"], camera = camera_features.data, camera_features.geometry
+    return FeatureMap(RV, net.run(rv_branch_steps(net, rv, camera), views)["unet.fuse"], rv)
+
+
+def bev_branch_forward(lidar_bev: FeatureMap, map_raster: FeatureMap, net: FusionNet) -> FeatureMap:
+    """bev_branch_steps over the LiDAR stack and the map raster."""
+    if (lidar_bev.height, lidar_bev.width) != (map_raster.height, map_raster.width):
+        raise ValueError("lidar stack and map raster must share one grid")
+    views = net.run(bev_branch_steps(net, lidar_bev.height, lidar_bev.width),
+                    {"lidar_stack": lidar_bev.data, "map_raster": map_raster.data})
+    return FeatureMap(BEV, views["bev.lidar2"], lidar_bev.geometry)
+
+
+def fuse_and_head_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet) -> CellOutputs:
+    """fuse_head_steps over the BEV features and the RV->BEV projection, as
+    project_features writes it; with an arena, the cell outputs are its
+    export, lent with its segment (Arena.lend)."""
+    if not isinstance(bev_features.geometry, GridSpec):
+        raise ValueError("bev features must carry a GridSpec")
+    views = net.run(fuse_head_steps(net, bev_features.geometry),
+                    {"bev.lidar2": bev_features.data, "rv_to_bev": projected.data})
+    if net.arena is not None:
+        net.arena.lend()
+    return views["cells"]

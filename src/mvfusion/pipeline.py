@@ -3,17 +3,15 @@
 Generation simulates the sweep history, camera frame, and labels for each
 reference time; rasterization and the forward pass turn a bundle into
 per-cell outputs; evaluation decodes and scores them against the bundled
-labels. The forward pass is one list of named stages (pipeline_stages),
-run by forward_frame and, followed by decode, by benchmark_frame, which
-times whole frames with a clock read at each stage boundary. The stages
-run one FusionNet per process (fusion_net), built on the first forward
-pass for a preset and a weights object and kept while both stay the same.
-Its arena, planned from frame_steps, holds every grid-shaped tensor of a
-frame and is reused frame after frame.
+labels. The forward pass is one list of steps (frame_steps), cut into named
+stages (frame_stages): it plans the arena of the process's one FusionNet
+(fusion_net), which holds every grid-shaped tensor of a frame and is reused
+frame after frame, and its stages run in order (pipeline_stages), by
+forward_frame and, followed by decode, by benchmark_frame, which reads a
+clock at each stage boundary.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -26,22 +24,25 @@ from .bundle_io import FrameBundle
 from .losses import encode_targets, fit_outputs
 from .metrics import MetricsReport, decode_detections, evaluate_frames
 from .network import (
-    CONV_WORK_BYTES,
     CellOutputs,
     FusionNet,
     NetworkWeights,
     bev_branch_forward,
+    bev_branch_steps,
+    camera_features_geometry,
     camera_net_forward,
-    conv_output_shape,
+    camera_net_steps,
     fuse_and_head_forward,
+    fuse_head_steps,
     init_network_weights,
     rv_branch_forward,
+    rv_branch_steps,
 )
 from .presets import Preset, bev_stack_channels
 from .projection import project_features
 from .raster import build_rv_image, rasterize_map, stack_history_bev
 from .scene import LABEL_RATE_HZ, Scene, SceneConfig, build_scene, render_camera, scene_labels, simulate_sweep
-from .views import BEV, CameraModel, FeatureMap, GridSpec, OutputGrid, RvSpec
+from .views import BEV, CAMERA, RV, CameraGeometry, CameraModel, FeatureMap, GridSpec, OutputGrid, RvSpec
 
 FRAME_SPACING = 0.5  # seconds between generated frame bundles
 
@@ -85,17 +86,12 @@ def generate_bundles(preset: Preset, seed: int, frames: int) -> tuple[Scene, lis
 # per-frame processing
 # ---------------------------------------------------------------------------
 
-def rasterize_frame(bundle: FrameBundle, preset: Preset, arena: Arena | None = None) -> dict:
-    """The BEV stack, the map raster and the RV image; with an arena, each is
-    written into its planned view ("lidar_stack", "map_raster" and, in
-    float32, rv.conv1's input "rv.conv1.in"), else the RV image is float64."""
-    def view(name):
-        return None if arena is None else arena.view(name)
-
-    lidar = stack_history_bev(bundle.sweeps, preset.grid, expected_count=preset.sweep_count, out=view("lidar_stack"))
-    map_raster = rasterize_map(bundle.map_geometry, preset.grid, out=view("map_raster"))
-    rv_image = build_rv_image(bundle.sweeps[-1], preset.rv, out=view("rv.conv1.in"))
-    return {"lidar_stack": lidar, "map_raster": map_raster, "rv_image": rv_image}
+def rasterize_frame(bundle: FrameBundle, preset: Preset) -> dict:
+    """The BEV stack, the map raster and the float64 RV image of a bundle,
+    each a new array (the frame's own steps write them into its arena)."""
+    return {"lidar_stack": stack_history_bev(bundle.sweeps, preset.grid, expected_count=preset.sweep_count),
+            "map_raster": rasterize_map(bundle.map_geometry, preset.grid),
+            "rv_image": build_rv_image(bundle.sweeps[-1], preset.rv)}
 
 
 def make_weights(preset: Preset, seed: int, use_camera: bool = True) -> NetworkWeights:
@@ -107,80 +103,42 @@ def make_weights(preset: Preset, seed: int, use_camera: bool = True) -> NetworkW
 # the frame's net and arena
 # ---------------------------------------------------------------------------
 
-def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet) -> list[Step]:
-    """The forward pass's steps in stage and layer order on a preset's BEV
-    grid, RV image and camera, with the arena tensors each writes and reads:
-    the one definition of their live ranges.
-
-    Rasterization writes the uint8 BEV stack and map raster and, in
-    float32, the RV image as rv.conv1's input. Every conv writes the tensor
-    named after its layer, except rv.conv2 when the camera branch runs: it
-    writes the leading channels of "unet.enc1.in". Each conv asks for the
-    same work, CONV_WORK_BYTES: the block its kernel works in. The residual
-    sums write their block input in place, and bev.lidar2's output ends up
-    holding the BEV features. The RV->BEV projection writes "rv_to_bev",
-    the projected features and their validity, and fuse.conv1 reads it and
-    bev.lidar2's output (network.fuse_conv1_forward), so the BEV features
-    live until then. The last step writes "outputs", the cell outputs in
-    float64, which the plan lends to the caller (ArenaPlan.export).
-    """
-    config = net.config
-    f32 = "float32"
-    steps: list[Step] = []
-
-    def conv(name: str, src: str, in_shape: tuple[int, int, int], dst=None, reads=()) -> tuple[int, int, int]:
-        layer = net.layers[name]
-        h, w, _ = in_shape
-        oh, ow = conv_output_shape(h, w, layer.stride)
-        shape = (oh, ow, layer.out_channels)
-        steps.append(Step(name, (dst or (name, shape, f32),), (src, *reads), CONV_WORK_BYTES))
-        return shape
-
+def frame_stages(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet) -> list[tuple[str, list[Step]]]:
+    """The forward pass on a preset's BEV grid, RV image and camera: its
+    stages in order, each a name and its steps, which name the tensors they
+    write and read and carry what they run (arena.Step). The network's
+    stages are its *_steps; rasterization, the float32 copy of the camera
+    image and the RV->BEV projection ("rv_to_bev") are the pipeline's. The
+    last step writes "outputs", which the plan lends to the caller. The
+    steps read the frame's bundle and points from views["bundle"] and
+    views["points"]."""
     rows, cols = grid.rows, grid.cols
-    bev_in, rv_in = (rows, cols, net.bev_in_channels), (rv.rows, rv.cols, 4)
-    steps += [Step("lidar_stack", (("lidar_stack", bev_in, "uint8"),)),
-              Step("map_raster", (("map_raster", (rows, cols, 7), "uint8"),)),
-              Step("rv.conv1.in", (("rv.conv1.in", rv_in, f32),))]
+    rasterize = [
+        Step("lidar_stack", (("lidar_stack", (rows, cols, net.bev_in_channels), "uint8"),),
+             run=lambda v: stack_history_bev(v["bundle"].sweeps, grid, out=v["lidar_stack"])),
+        Step("map_raster", (("map_raster", (rows, cols, 7), "uint8"),),
+             run=lambda v: rasterize_map(v["bundle"].map_geometry, grid, out=v["map_raster"])),
+        Step("rv.conv1.in", (("rv.conv1.in", (rv.rows, rv.cols, 4), "float32"),),
+             run=lambda v: build_rv_image(v["bundle"].sweeps[-1], rv, out=v["rv.conv1.in"]))]
+    stages = [("rasterize", rasterize), ("bev_branch", bev_branch_steps(net, rows, cols))]
+    features = None
+    if net.config.use_camera:
+        image = (camera.cropped_height, camera.width, 3)
+        copy = Step("cam.conv1.in", (("cam.conv1.in", image, "float32"),),
+                    run=lambda v: np.copyto(v["cam.conv1.in"], v["bundle"].camera_image.data))
+        stages.append(("camera_net", [copy, *camera_net_steps(net, *image[:2])]))
+        features = camera_features_geometry(CameraGeometry(camera))
+    projected = (rows, cols, net.config.unet_width + 1)
+    project = Step("rv_to_bev", (("rv_to_bev", projected, "float32"),), ("unet.fuse",),
+                   run=lambda v: project_features(FeatureMap(RV, v["unet.fuse"], rv), v["points"], grid,
+                                                  out=v["rv_to_bev"]))
+    return stages + [("rv_branch", rv_branch_steps(net, rv, features)), ("rv_to_bev", [project]),
+                     ("fuse_head", fuse_head_steps(net, grid))]
 
-    lid = conv("bev.lidar2", "bev.lidar1", conv("bev.lidar1", "lidar_stack", bev_in))
-    conv("bev.map2", "bev.map1", conv("bev.map1", "map_raster", (rows, cols, 7)))
-    steps.append(Step("bev.sum", (("bev.lidar2", lid, f32),), ("bev.lidar2", "bev.map2")))
 
-    if config.use_camera:
-        shape = (camera.cropped_height, camera.width, 3)
-        steps.append(Step("cam.conv1.in", (("cam.conv1.in", shape, f32),)))
-        src = "cam.conv1.in"
-        for i in range(len(config.cam_widths)):
-            shape = conv(f"cam.conv{i + 1}", src, shape)
-            src = f"cam.conv{i + 1}"
-
-    shape = conv("rv.conv1", "rv.conv1.in", rv_in)
-    if config.use_camera:
-        enc1_in = ("unet.enc1.in", (*shape[:2], config.concat_width), f32)
-        shape = conv("rv.conv2", "rv.conv1", shape, dst=enc1_in)
-        steps.append(Step("camera_to_rv", (enc1_in,), (f"cam.conv{len(config.cam_widths)}",)))
-        src = "unet.enc1.in"
-    else:
-        conv("rv.conv2", "rv.conv1", shape)
-        src = "rv.conv2"
-    level1 = conv("unet.enc1", src, shape)
-    conv("unet.res1.conv2", "unet.res1.conv1", conv("unet.res1.conv1", "unet.enc1", level1))
-    steps.append(Step("unet.res1", (("unet.enc1", level1, f32),), ("unet.enc1", "unet.res1.conv2")))
-    level2 = conv("unet.down", "unet.enc1", level1)
-    conv("unet.res2.conv2", "unet.res2.conv1", conv("unet.res2.conv1", "unet.down", level2))
-    steps.append(Step("unet.res2", (("unet.down", level2, f32),), ("unet.down", "unet.res2.conv2")))
-    conv("unet.up", "unet.down", level2)
-    merged = (*level1[:2], net.layers["unet.fuse"].in_channels)
-    steps.append(Step("unet.fuse.in", (("unet.fuse.in", merged, f32),), ("unet.up", "unet.enc1")))
-    conv("unet.fuse", "unet.fuse.in", merged)
-
-    steps.append(Step("rv_to_bev", (("rv_to_bev", (rows, cols, config.unet_width + 1), f32),), ("unet.fuse",)))
-    shape = conv("fuse.conv1", "bev.lidar2", lid, reads=("rv_to_bev",))
-    for i in range(1, len(config.head_widths)):
-        shape = conv(f"fuse.conv{i + 1}", f"fuse.conv{i}", shape)
-    head = conv("fuse.head", f"fuse.conv{len(config.head_widths)}", shape)
-    steps.append(Step("outputs", (("outputs", (math.prod(head),), "float64"),), ("fuse.head",)))
-    return steps
+def frame_steps(grid: GridSpec, rv: RvSpec, camera: CameraModel, net: FusionNet) -> list[Step]:
+    """The steps of frame_stages, in order: what the arena is planned from."""
+    return [step for _, steps in frame_stages(grid, rv, camera, net) for step in steps]
 
 
 _net: tuple[Preset, FusionNet] | None = None
@@ -211,59 +169,34 @@ def fusion_net(preset: Preset, weights: NetworkWeights) -> FusionNet:
 
 
 def pipeline_stages(preset: Preset, weights: NetworkWeights):
-    """The forward pass as named stages over a shared context, bundle to outputs.
-
-    Stage order: rasterize, bev_branch, camera_net (when the weights hold
-    the camera branch, cam.conv1.kernel), rv_branch, rv_to_bev, fuse_head.
-    Each stage reads the context dict and returns the entries it adds; the
-    last one adds "outputs". Every grid-shaped tensor the stages write lives
-    in the arena of the process's net (fusion_net), at the place its plan
-    gives it, so where and for how long each one lives is decided once per
-    net, not by the allocator. The network sees a float32 copy of the
-    camera image, the RV image rasterized in float32, and the uint8 0/1 BEV
-    stack and map raster as they are. The outputs are written into the
-    plan's export, whose segment of the arena passes to the caller with them
-    (Arena.lend), so they never share memory with what the arena writes
-    later.
-
-    bev_branch leaves the BEV features in bev.lidar2's output; rv_to_bev
-    projects the RV features into their own tensor; fuse_head reads both,
-    fuse.conv1 split by linearity so that they are never joined
-    (network.fuse_conv1_forward).
-    """
+    """frame_stages as (name, stage) pairs, bundle to outputs: a stage reads
+    the context dict and returns the entries it adds, the last "outputs".
+    The network's stages run through its branch functions, all in the
+    arena of the process's net (fusion_net), and the outputs are its
+    export, lent to the caller (Arena.lend)."""
     net = fusion_net(preset, weights)
-    config, arena = net.config, net.arena
+    grid, rv = preset.grid, preset.rv
+    steps = dict(frame_stages(grid, rv, preset.camera, net))
 
     def rasterize(ctx):
-        arena.begin_frame()
-        return rasterize_frame(ctx["bundle"], preset, arena)
-
-    def bev_branch(ctx):
-        return {"bev_feats": bev_branch_forward(ctx["lidar_stack"], ctx["map_raster"], net)}
+        net.arena.begin_frame()
+        return net.run(steps["rasterize"], {"bundle": ctx["bundle"], "points": ctx["bundle"].sweeps[-1].points})
 
     def camera_net(ctx):
-        image = ctx["bundle"].camera_image
-        data = arena.view("cam.conv1.in")
-        data[...] = image.data
-        return {"cam_feats": camera_net_forward(FeatureMap(image.view, data, image.geometry), net)}
-
-    def rv_branch(ctx):
-        return {"rv_feats": rv_branch_forward(ctx["rv_image"], ctx.get("cam_feats"), ctx["bundle"].sweeps[-1].points,
-                                              net)}
+        image = net.run(steps["camera_net"][:1], {"bundle": ctx["bundle"]})["cam.conv1.in"]
+        return {"cam_feats": camera_net_forward(FeatureMap(CAMERA, image, CameraGeometry(preset.camera)), net)}
 
     def rv_to_bev(ctx):
-        rv_feats = ctx["rv_feats"]
-        out = net.buffer("rv_to_bev", (preset.grid.rows, preset.grid.cols, rv_feats.channels + 1),
-                         rv_feats.data.dtype)
-        project_features(rv_feats, ctx["bundle"].sweeps[-1].points, preset.grid, out=out)
-        return {"projected": FeatureMap(BEV, out, preset.grid)}
+        views = net.run(steps["rv_to_bev"], {"unet.fuse": ctx["rv_feats"].data, "points": ctx["points"]})
+        return {"projected": FeatureMap(BEV, views["rv_to_bev"], grid)}
 
-    def fuse_head(ctx):
-        return {"outputs": fuse_and_head_forward(ctx["bev_feats"], ctx["projected"], net)}
-
-    stages = [("rasterize", rasterize), ("bev_branch", bev_branch), ("camera_net", camera_net),
-              ("rv_branch", rv_branch), ("rv_to_bev", rv_to_bev), ("fuse_head", fuse_head)]
-    return [(name, stage) for name, stage in stages if name != "camera_net" or config.use_camera]
+    run = {"rasterize": rasterize, "camera_net": camera_net, "rv_to_bev": rv_to_bev,
+           "bev_branch": lambda ctx: {"bev_feats": bev_branch_forward(FeatureMap(BEV, ctx["lidar_stack"], grid),
+                                                                      FeatureMap(BEV, ctx["map_raster"], grid), net)},
+           "rv_branch": lambda ctx: {"rv_feats": rv_branch_forward(FeatureMap(RV, ctx["rv.conv1.in"], rv),
+                                                                   ctx.get("cam_feats"), ctx["points"], net)},
+           "fuse_head": lambda ctx: {"outputs": fuse_and_head_forward(ctx["bev_feats"], ctx["projected"], net)}}
+    return [(name, run[name]) for name in steps]
 
 
 def forward_frame(bundle: FrameBundle, preset: Preset, weights: NetworkWeights) -> CellOutputs:

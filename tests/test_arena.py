@@ -8,23 +8,16 @@ next; and two tensors live at one step never share a byte.
 import hashlib
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvfusion import network, pipeline
 from mvfusion.arena import ALIGN, Arena, Step, greedy_by_size, plan_arena
-from mvfusion.network import (
-    FusionNet,
-    bev_branch_forward,
-    camera_net_forward,
-    fuse_and_head_forward,
-    rv_branch_forward,
-)
-from mvfusion.pipeline import forward_frame, generate_bundles, make_weights, rasterize_frame
+from mvfusion.network import FusionNet
+from mvfusion.pipeline import forward_frame, generate_bundles, make_weights
 from mvfusion.presets import bev_stack_channels, get_preset
-from mvfusion.projection import project_features
-from mvfusion.views import FeatureMap
 
 
 def sha(outputs) -> str:
@@ -55,23 +48,12 @@ def unplanned_net(preset, weights):
 
 
 def unplanned_forward(bundle, preset, weights):
-    """The stages' branch calls on new arrays, with float32 copies of the
-    camera image and of the float64 RV image."""
+    """The frame's steps run on a net without an arena: every tensor in a
+    new array, the rasters, camera image and RV image as the steps write
+    them (uint8, float32 and float32)."""
     net = unplanned_net(preset, weights)
-    config = net.config
-    rasters = rasterize_frame(bundle, preset)
-    points = bundle.sweeps[-1].points
-    cam = None
-    if config.use_camera:
-        image = bundle.camera_image
-        cam = camera_net_forward(FeatureMap(image.view, image.data.astype(np.float32), image.geometry), net)
-    rv_image = rasters["rv_image"]
-    rv_image = FeatureMap(rv_image.view, rv_image.data.astype(np.float32), rv_image.geometry)
-    rv = rv_branch_forward(rv_image, cam, points, net)
-    projected = np.empty((preset.grid.rows, preset.grid.cols, config.unet_width + 1), dtype=np.float32)
-    project_features(rv, points, preset.grid, out=projected)
-    return fuse_and_head_forward(bev_branch_forward(rasters["lidar_stack"], rasters["map_raster"], net),
-                                 FeatureMap("bev", projected, preset.grid), net)
+    steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
+    return net.run(steps, {"bundle": bundle, "points": bundle.sweeps[-1].points})["cells"]
 
 
 @pytest.mark.parametrize("use_camera", [True, False])
@@ -220,6 +202,24 @@ def test_every_conv_asks_the_same_work_and_none_gets_more(name, size, use_camera
     assert plan.size == size  # the frame's tensors set it, as when each conv asked for what its kernels could use
     works = [t.nbytes for t in plan.tensors if t.name.endswith(".work")]
     assert works and max(works) <= network.CONV_WORK_BYTES
+
+
+PLANS = Path(__file__).with_name("arena_plans.txt")
+
+
+@pytest.mark.parametrize("name", ["desk", "atg4d", "nuscenes"])
+@pytest.mark.parametrize("use_camera", [True, False])
+def test_every_plan_equals_the_recorded_one(name, use_camera):
+    # every tensor's name, shape, dtype and offset, the arena's size and
+    # where its lent segment starts, as recorded: a change to a plan shows
+    # in the record's diff
+    preset = get_preset(name)
+    net = unplanned_net(preset, make_weights(preset, 0, use_camera))
+    plan = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
+    key = f"{name} {'camera' if use_camera else 'lidar'}"
+    listing = [f"{key} size {plan.size} lent_at {plan.lent_at}"] + [
+        f"{key} {t.name} {'x'.join(map(str, t.shape))} {t.dtype} {t.offset}" for t in plan.tensors]
+    assert listing == [line for line in PLANS.read_text().splitlines() if line.startswith(key + " ")]
 
 
 @pytest.mark.parametrize("use_camera", [True, False])

@@ -4,7 +4,8 @@ The benchmark (perfbench/run.py) checks bundles, points, voxels, the
 RV->BEV projection, cell outputs, NMS and evaluation counts outside its
 timed spans (on desk-fit also the fit's monotone loss and its AP), and,
 traced, that every wrapped layer function is reached. These runs catch a
-change that breaks one of those checks.
+change that breaks one of those checks, and a traced run also that some
+conv layer goes untimed.
 """
 import json
 import os
@@ -13,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mvfusion.network import network_plan
+from mvfusion.presets import bev_stack_channels, get_preset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,11 +31,18 @@ def _run_passes_its_checks(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
+    return result
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_desk_stream_run_passes_its_checks(trace):
-    _run_passes_its_checks("desk-stream", trace)
+    metrics = _run_passes_its_checks("desk-stream", trace)["metrics"]
+    if trace == "1":
+        # every conv layer is timed: one run without calling the module's
+        # conv2d_forward (which the traced run wraps) would read 0 ms
+        preset = get_preset("desk")
+        layers = network_plan(preset.fusion, bev_stack_channels(preset))
+        assert len(layers) == 27 and all(metrics[f"network.{layer.name}.ms"]["value"] > 0 for layer in layers)
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

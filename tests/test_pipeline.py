@@ -10,14 +10,7 @@ from mvfusion import network, pipeline
 from mvfusion.blockfile import BlockFileError
 from mvfusion.bundle_io import write_frame_bundle
 from mvfusion.metrics import DetBox, decode_detections
-from mvfusion.network import (
-    FusionNet,
-    NetworkWeights,
-    bev_branch_forward,
-    camera_net_forward,
-    fuse_and_head_forward,
-    rv_branch_forward,
-)
+from mvfusion.network import FusionNet, NetworkWeights
 from mvfusion.pipeline import (
     FRAME_SPACING,
     benchmark_frame,
@@ -33,9 +26,7 @@ from mvfusion.pipeline import (
     scene_config_for,
 )
 from mvfusion.presets import bev_stack_channels, get_preset, preset_names
-from mvfusion.projection import project_features
 from mvfusion.scene import build_scene, scene_labels
-from mvfusion.views import FeatureMap, OutputGrid
 
 
 def test_preset_registry():
@@ -112,30 +103,28 @@ def unplanned_net(preset, weights):
 
 
 def float64_forward(bundle, preset, weights, joined=False):
-    """The frame DAG's branch calls with every raster in float64; with
-    joined, fuse.conv1 runs unsplit, as one conv over its stored
+    """The frame's steps run on a net without an arena from float64
+    rasters, camera image and RV image, so every tensor is a new float64
+    array; with joined, fuse.conv1 runs unsplit, as one conv over its stored
     129-channel kernel and the BEV features joined with the projection."""
     net = unplanned_net(preset, weights)
     rasters = rasterize_frame(bundle, preset)
-    lidar, map_raster = (FeatureMap(fm.view, fm.data.astype(np.float64), fm.geometry)
-                         for fm in (rasters["lidar_stack"], rasters["map_raster"]))
-    points = bundle.sweeps[-1].points
-    cam = camera_net_forward(bundle.camera_image, net) if net.config.use_camera else None
-    rv = rv_branch_forward(rasters["rv_image"], cam, points, net)
-    projected = np.empty((preset.grid.rows, preset.grid.cols, rv.channels + 1))
-    project_features(rv, points, preset.grid, out=projected)
-    bev = bev_branch_forward(lidar, map_raster, net)
-    if not joined:
-        return fuse_and_head_forward(bev, FeatureMap("bev", projected, preset.grid), net)
-    layer = next(layer for layer in network.network_plan(net.config, net.bev_in_channels) if layer.name == "fuse.conv1")
-    x = FeatureMap("bev", network.conv2d_raw(np.concatenate([bev.data, projected], axis=2),
-                                             weights.kernel("fuse.conv1"), weights.bias("fuse.conv1"), layer.stride,
-                                             layer.activation), preset.grid)
-    for i in range(1, len(net.config.head_widths)):
-        x = net.conv(x, f"fuse.conv{i + 1}")
-    grid = OutputGrid.from_grid(preset.grid, net.config.output_stride)
-    return network.CellOutputs.unpack(net.conv(x, "fuse.head").data, grid, preset.horizon, net.config.classes,
-                                      logits=True)
+    views = {"bundle": bundle, "points": bundle.sweeps[-1].points, "cam.conv1.in": bundle.camera_image.data,
+             "lidar_stack": rasters["lidar_stack"].data.astype(np.float64),
+             "map_raster": rasters["map_raster"].data.astype(np.float64), "rv.conv1.in": rasters["rv_image"].data}
+    steps = [step for step in pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
+             if step.name not in views]  # not the steps that write those inputs
+    if joined:
+        layer = next(layer for layer in network.network_plan(net.config, net.bev_in_channels)
+                     if layer.name == "fuse.conv1")
+
+        def unsplit(v):
+            network.conv2d_raw(np.concatenate([v["bev.lidar2"], v["rv_to_bev"]], axis=2),
+                               weights.kernel("fuse.conv1"), weights.bias("fuse.conv1"), layer.stride,
+                               layer.activation, out=v["fuse.conv1"])
+
+        steps = [step._replace(run=unsplit) if step.name == "fuse.conv1" else step for step in steps]
+    return net.run(steps, views)["cells"]
 
 
 # Largest deviation from the float64 path measured on 40 desk frames (seeds
@@ -303,10 +292,10 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
 
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch, use_camera):
-    # frame_steps and the branch functions both describe the forward pass:
-    # every conv must read the tensor its step reads and write the one it
-    # writes (for rv.conv2 with the camera, the leading channels of
-    # unet.enc1.in), in the plan's step order
+    # the branch functions run the steps frame_steps lists: every conv must
+    # read the tensor its step reads and write the one it writes (for
+    # rv.conv2 with the camera, the leading channels of unet.enc1.in), in
+    # the plan's step order
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0, use_camera=use_camera)
     net = pipeline.fusion_net(preset, weights)

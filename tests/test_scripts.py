@@ -5,13 +5,16 @@ CLI stage from gen through fit and eval, stage_memory.py prints the
 frame's arena plan, then the forward pass's tracemalloc peaks per stage and
 per conv layer, or with --frames the CPU time and page faults of frames,
 conv_kernels.py times every conv layer under each kernel it can take, and
-frame_digests.py prints the SHA-256 of the cell outputs of fixed frames.
+frame_digests.py prints the SHA-256 of the cell outputs of fixed frames,
+which on the BLAS they were recorded with must equal the recorded ones.
 """
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from mvfusion.network import network_plan, winograd_shape
 from mvfusion.pipeline import fusion_net, make_weights
@@ -108,3 +111,39 @@ def test_frame_digests_agree_from_run_to_run():
     assert [line.split()[:3] for line in lines] == [["desk", "1000", "0.200"], ["desk", "1000", "0.700"]]
     assert all(len(line.split()) == 5 and len(line.split()[3]) == len(line.split()[4]) == 64 for line in lines)
     assert _run_script("scripts/frame_digests.py", "--desk-frames", "2", "--atg4d-frames", "0") == first
+
+
+DIGESTS = ROOT / "tests" / "frame_digests_desk.txt"
+
+# Runs frame_digests.py in-process after printing the fingerprint of the
+# BLAS it runs on: numpy's version, its OpenBLAS build (which names the
+# core kernels) and thread count, read after the script has set its BLAS
+# thread defaults, since any of them may change the bits of a product.
+_FINGERPRINT_THEN_DIGESTS = """
+import ctypes, glob, os, runpy, sys
+script = runpy.run_path("scripts/frame_digests.py")
+import numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+config, threads = "unknown", "unknown"
+if libs:
+    blas = ctypes.CDLL(libs[0])
+    blas.scipy_openblas_get_config64_.restype, blas.scipy_openblas_get_config64_.argtypes = ctypes.c_char_p, []
+    blas.scipy_openblas_get_num_threads64_.restype, blas.scipy_openblas_get_num_threads64_.argtypes = ctypes.c_int, []
+    config, threads = blas.scipy_openblas_get_config64_().decode(), blas.scipy_openblas_get_num_threads64_()
+print(f"numpy {numpy.__version__}")
+print(f"blas {config}")
+print(f"blas_threads {threads}", flush=True)
+script["main"](sys.argv[1:])
+"""
+
+
+def test_frame_digests_equal_the_record():
+    # The 40 desk lines frame_digests.py prints, as recorded with the
+    # fingerprint of the BLAS they were computed on: a bit change shows in
+    # the record's diff. On another fingerprint the bits may differ, so the
+    # comparison is skipped there.
+    out = _run_script("-c", _FINGERPRINT_THEN_DIGESTS, "--atg4d-frames", "0").strip().splitlines()
+    recorded = DIGESTS.read_text().strip().splitlines()
+    if out[:3] != recorded[:3]:
+        pytest.skip(f"digests recorded on {recorded[:3]}, this host is {out[:3]}")
+    assert out[3:] == recorded[3:] and len(recorded) == 43
