@@ -5,7 +5,8 @@ Generates the first frame of scene seed --seed on --preset, writes it as a
 bundle and reads it back, then runs it through the pipeline with the
 benchmark's seeded weights (seed 0, camera branch on). Each conv layer's
 call is timed first under every kernel that can run it, on its own input,
-writing into its own output and work:
+writing into its own output and work (bev.map2, which adds into
+bev.lidar2's output, adds into a copy of it):
 
 - im2col, for every layer;
 - winograd, for the 3x3 stride-(1, 1) layers;
@@ -15,7 +16,8 @@ The transposed unet.up runs as its (1, 3) stride-(1, 1) sub-pixel conv
 (network.sub_pixel_conv), so it is timed like any stride-1 layer.
 fuse.conv1 is timed as its dense part only, the 64-channel stride-2 conv
 over the BEV features (network.split_conv): its projected part, over the
-cells points hit, runs outside conv2d_raw and is not timed here.
+cells points hit, runs outside conv2d_raw, in a step of its own, and is
+not timed here.
 
 A kernel is forced by setting the rule's constants in network, so each
 time is that of a whole conv2d_raw call with that kernel chosen, the
@@ -96,12 +98,13 @@ def layer_rows(preset, path, weights, repeats: int) -> list[dict]:
     rows = []
     conv_fn = network.conv2d_forward
 
-    def timed_conv(fm, layer, net, out=None, work=None):
+    def timed_conv(fm, layer, net, out=None, work=None, add_to=None):
         share = occupied_share(fm.data)
         rule = network.conv_kernel_of(fm.data, layer)
         row = {"layer": layer.name, "input": "x".join(map(str, fm.data.shape)), "occupied": share, "rule": rule,
                "ms": {}}
         kernel_block, bias = net.params[layer.name]
+        target = {"out": out} if add_to is None else {"add_to": add_to.copy()}  # the frame's sum stays as it is
         for kernel in eligible(layer, share):
             planes = None
             if kernel == network.WINOGRAD:
@@ -112,12 +115,12 @@ def layer_rows(preset, path, weights, repeats: int) -> list[dict]:
                 samples = []
                 for _ in range(repeats):
                     start = time.process_time()
-                    network.conv2d_raw(fm.data, kernel_block, bias, layer.stride, layer.activation, out=out,
-                                       work=work, planes=planes)
+                    network.conv2d_raw(fm.data, kernel_block, bias, layer.stride, layer.activation, work=work,
+                                       planes=planes, **target)
                     samples.append((time.process_time() - start) * 1e3)
             row["ms"][kernel] = float(np.median(samples))
         rows.append(row)
-        return conv_fn(fm, layer, net, out=out, work=work)
+        return conv_fn(fm, layer, net, out=out, work=work, add_to=add_to)
 
     network.conv2d_forward = timed_conv
     try:

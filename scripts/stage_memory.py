@@ -6,19 +6,22 @@ Generates the first frame of scene seed --seed on --preset and writes it as
 a bundle, with the benchmark's seeded weights (seed 0, camera branch on).
 First prints the arena plan of the frame's net (pipeline.fusion_net): one
 JSON line per tensor with its bytes, offset and live range (the names of
-its first and last steps), then the arena's size (the examples here are
-atg4d, scene seed 0):
+its first and last steps); one per step with the MiB of the frame's
+tensors live in it and of its work; then the arena's size, and the
+frame's largest moment, the most MiB its tensors hold at one step, which
+no plan can go below (the examples here are atg4d, scene seed 0):
 
-  {"kind": "tensor", "name": "bev.lidar1", "bytes": 75040000, "offset": 302505024, "first": "bev.lidar1", "last": "bev.lidar2"}
-  {"kind": "arena", "mib": 360.1, "tensors": 61}
+  {"kind": "tensor", "name": "bev.lidar1", "bytes": 75040000, "offset": 152425024, "first": "bev.lidar1", "last": "bev.lidar2"}
+  {"kind": "step", "name": "bev.lidar2", "live_mib": 220.6, "work_mib": 4.0}
+  {"kind": "arena", "mib": 252.6, "tensors": 61, "moment_mib": 220.6, "moment_step": "bev.lidar2"}
 
 Then, by default, reads the bundle back and runs the pipeline stages one
 by one under tracemalloc, printing one JSON line per conv layer and per
 stage, in the order they end, then one for the whole frame:
 
-  {"kind": "layer", "name": "bev.lidar1", "stage": "bev_branch", "peak_mib": 375.4}
-  {"kind": "stage", "name": "bev_branch", "peak_mib": 377.5}
-  {"kind": "frame", "name": "forward", "peak_mib": 384.4, "baseline_mib": 96.2}
+  {"kind": "layer", "name": "bev.lidar1", "stage": "bev_branch", "peak_mib": 268.0}
+  {"kind": "stage", "name": "bev_branch", "peak_mib": 269.5}
+  {"kind": "frame", "name": "forward", "peak_mib": 277.0, "baseline_mib": 96.2}
 
 A peak is the most memory held at once while the layer or stage ran, in
 MiB above the baseline taken right after the bundle read, so it counts what
@@ -33,7 +36,7 @@ CPU ms and the minor page faults of that read + forward, and the process's
 peak RSS (ru_maxrss) after it. The first frame allocates the arena and
 pays its page faults; later frames reuse it (a 2-core VM, one BLAS thread):
 
-  {"kind": "round", "frame": 1, "user_ms": 3234.3, "sys_ms": 124.3, "minor_faults": 7149, "maxrss_mb": 546.3}
+  {"kind": "round", "frame": 1, "user_ms": 3215.0, "sys_ms": 159.8, "minor_faults": 29692, "maxrss_mb": 426.9}
 
     PYTHONPATH=src python3 scripts/stage_memory.py --preset atg4d --seed 0
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/stage_memory.py --preset atg4d --frames 5
@@ -52,9 +55,19 @@ MIB = float(1 << 20)
 
 
 def plan_records(plan) -> list[dict]:
+    """One record per tensor, one per step with the bytes live in it, then the arena's."""
     records = [{"kind": "tensor", "name": t.name, "bytes": t.nbytes, "offset": t.offset,
                 "first": plan.steps[t.first], "last": plan.steps[t.last]} for t in plan.tensors]
-    return records + [{"kind": "arena", "mib": round(plan.size / MIB, 1), "tensors": len(plan.tensors)}]
+    live = []
+    for i, step in enumerate(plan.steps):
+        here = [t for t in plan.tensors if t.live_at(i)]
+        live.append(sum(t.end - t.offset for t in here if not t.name.endswith(".work")))
+        work = sum(t.nbytes for t in here if t.name.endswith(".work"))
+        records.append({"kind": "step", "name": step, "live_mib": round(live[-1] / MIB, 1),
+                        "work_mib": round(work / MIB, 1)})
+    moment = max(range(len(live)), key=live.__getitem__)
+    return records + [{"kind": "arena", "mib": round(plan.size / MIB, 1), "tensors": len(plan.tensors),
+                       "moment_mib": round(live[moment] / MIB, 1), "moment_step": plan.steps[moment]}]
 
 
 def forward_peaks(preset, bundle, weights, baseline: int) -> list[dict]:

@@ -28,6 +28,15 @@ frame once nothing refers to it any more (else it allocates a new one).
 Below lent_at the bytes are allocated once. Keeping the export out of the
 arena instead would hold both at once: the arena at its largest plus the
 export.
+
+The boundary lent_at is chosen with the placement, not after it: the
+greedy rule runs once for each candidate boundary, each tensor's rounded
+size (the room below it then fits that tensor), keeping every tensor off
+the boundary and the tensors live with the export below it, and the
+smallest arena wins (the highest boundary among equals). A boundary
+looked for in a finished placement puts the export above tensors spread
+over the whole arena: on atg4d that arena is 101 MiB above the frame's
+largest moment, this one 32 MiB.
 """
 from __future__ import annotations
 
@@ -109,27 +118,43 @@ def _round_up(n: int) -> int:
     return -(-n // ALIGN) * ALIGN
 
 
-def greedy_by_size(sizes: Sequence[int], ranges: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+def greedy_by_size(sizes: Sequence[int], ranges: Sequence[tuple[int, int]], boundary: int | None = None,
+                   below: Sequence[bool] = ()) -> tuple[list[int], int] | None:
     """Offsets for blocks of the given byte sizes and inclusive live ranges,
     and the arena size they need.
 
     Largest first (ties by index); each block takes the smallest gap
     between the placed blocks whose ranges overlap its own that fits it,
-    else the end of the highest of them.
+    else the end of the highest of them. With a boundary, no block
+    straddles it: a gap across it is two gaps, one ending and one starting
+    there, and a block that does not fit below it goes above it. A block
+    marked in below must fit below the boundary; None when one does not.
     """
     offsets: list[int] = [0] * len(sizes)
     placed: list[int] = []  # indices, kept sorted by offset
     total = 0
     for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)):
         size, (first, last) = _round_up(sizes[i]), ranges[i]
+        low = bool(below) and below[i]
         best, best_gap, prev_end = None, None, 0
+
+        def consider(start: int, end: int) -> None:
+            nonlocal best, best_gap
+            cuts = (start, end) if boundary is None or not start < boundary < end else (start, boundary, end)
+            for a, b in zip(cuts, cuts[1:]):
+                if b - a >= size and (best_gap is None or b - a < best_gap) and not (low and b > boundary):
+                    best, best_gap = a, b - a
+
         for j in placed:
             if ranges[j][0] > last or first > ranges[j][1]:
                 continue
-            gap = offsets[j] - prev_end
-            if gap >= size and (best_gap is None or gap < best_gap):
-                best, best_gap = prev_end, gap
+            consider(prev_end, offsets[j])
             prev_end = max(prev_end, offsets[j] + _round_up(sizes[j]))
+        if boundary is not None:
+            consider(prev_end, boundary)
+            prev_end = max(prev_end, boundary)
+        if best is None and low:
+            return None
         offsets[i] = prev_end if best is None else best
         placed.append(i)
         placed.sort(key=lambda j: offsets[j])
@@ -143,9 +168,10 @@ def plan_arena(steps: Iterable[Step], export: str | None = None) -> ArenaPlan:
     A tensor must be written before it is read, and written by one step
     first; later steps may write it again (in place) or read it. The
     export, if named, is placed at the start of the lent segment: a
-    boundary that no tensor straddles and above which nothing is live when
-    the export is written, the highest of those that give the smallest
-    arena. Then a step's work becomes a uint8 tensor "<step>.work", live in
+    boundary that no tensor straddles and above which nothing is live while
+    the export is, tried at each tensor's rounded size (greedy_by_size's
+    boundary), the highest of those that give the smallest arena. Then a
+    step's work becomes a uint8 tensor "<step>.work", live in
     that step only, in the largest stretch on one side of lent_at that no
     tensor live in the step covers, cut to that stretch: scratch takes the
     room the frame's tensors leave and never makes the arena larger.
@@ -167,14 +193,23 @@ def plan_arena(steps: Iterable[Step], export: str | None = None) -> ArenaPlan:
             last[name] = max(last.get(name, i), i)
     unplaced = [PlannedTensor(n, *specs[n], first[n], last[n], 0) for n in first]
     fixed = [t for t in unplaced if t.name != export]
-    offsets, total = greedy_by_size([t.nbytes for t in fixed], [(t.first, t.last) for t in fixed])
-    tensors = [t._replace(offset=offset) for t, offset in zip(fixed, offsets)]
-    lent_at = total
-    if export is not None:
+    sizes, ranges = [t.nbytes for t in fixed], [(t.first, t.last) for t in fixed]
+    if export is None:
+        offsets, total = greedy_by_size(sizes, ranges)
+        tensors = [t._replace(offset=offset) for t, offset in zip(fixed, offsets)]
+        lent_at = total
+    else:
         out = next(t for t in unplaced if t.name == export)
-        lent_at = _lent_segment(tensors, out, total)
-        tensors.append(out._replace(offset=lent_at))
-        total = max(total, lent_at + _round_up(out.nbytes))
+        below = [t.first <= out.last and out.first <= t.last for t in fixed]
+        best = None
+        for q in sorted({0, sum(map(_round_up, sizes)), *map(_round_up, sizes)}):
+            placed = greedy_by_size(sizes, ranges, q, below)
+            if placed is not None:
+                size = max(placed[1], q + _round_up(out.nbytes))
+                if best is None or size <= best[0]:
+                    best = size, q, placed[0]
+        total, lent_at, offsets = best
+        tensors = [t._replace(offset=offset) for t, offset in zip(fixed, offsets)] + [out._replace(offset=lent_at)]
     for i, step in enumerate(steps):
         if step.work > 0:
             live = [t for t in tensors if t.live_at(i)]
@@ -184,16 +219,6 @@ def plan_arena(steps: Iterable[Step], export: str | None = None) -> ArenaPlan:
             if room > 0:
                 tensors.append(PlannedTensor(f"{step.name}.work", (room,), np.dtype(np.uint8).str, i, i, offset))
     return ArenaPlan(tuple(s.name for s in steps), tuple(tensors), total, export, lent_at)
-
-
-def _lent_segment(tensors: list[PlannedTensor], export: PlannedTensor, total: int) -> int:
-    """The boundary q of the placed tensors that none straddles, with none
-    live at the export's step above it, that minimizes max(total, q + the
-    export's bytes); the highest such one."""
-    candidates = {0, total, *(t.offset for t in tensors), *(t.end for t in tensors)}
-    fits = [q for q in sorted(candidates)
-            if all(t.end <= q or (t.offset >= q and not t.live_at(export.first)) for t in tensors)]
-    return min(fits, key=lambda q: (max(total, q + _round_up(export.nbytes)), -q))
 
 
 def _largest_gap(live: list[PlannedTensor], lo: int, hi: int) -> tuple[int, int]:

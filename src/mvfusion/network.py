@@ -64,13 +64,17 @@ its layers' Winograd planes) may hold an Arena (arena.py) planned from that
 list: each grid-shaped tensor of a frame gets its bytes for its live range,
 and a process reuses the same pages frame after frame; a net without an
 arena gives each tensor a new array. Sums and their ReLU are done in
-place, and fuse.conv1's joined input is never built (split_conv). Every
-kernel writes into a caller's view when given one (out=) and works in
-blocks of one size (_block_bytes): the layer's work, of which each conv
-step asks CONV_WORK_BYTES and the plan gives only the room the frame's
-tensors leave, when it holds at least arena.CHUNK_BYTES, else CHUNK_BYTES
-on the heap. Only what cannot be cut smaller outgrows the block, on the
-heap: one im2col row's patches, three Winograd tiles or a one-row band.
+place: bev.map2 adds into bev.lidar2's output (add_to=), so the map
+features have no tensor of their own. fuse.conv1's joined input is never
+built (split_conv): its dense part ends the BEV branch, so the BEV
+features die before the camera net, and its projected part starts the
+head. Every kernel writes into a caller's view when given one (out=) and
+works in blocks of one size (_block_bytes): the layer's work, of which
+each conv step asks CONV_WORK_BYTES and the plan gives only the room the
+frame's tensors leave, when it holds at least arena.CHUNK_BYTES, else
+CHUNK_BYTES on the heap. Only what cannot be cut smaller outgrows the
+block, on the heap: one im2col row's patches (with add_to, its chunk's
+products too), three Winograd tiles or a one-row band.
 """
 from __future__ import annotations
 
@@ -177,7 +181,7 @@ OCCUPIED, WINOGRAD, IM2COL = "occupied", "winograd", "im2col"
 def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                stride: tuple[int, int] = (1, 1), activation: str = RELU,
                out: np.ndarray | None = None, work: np.ndarray | None = None,
-               planes: np.ndarray | None = None) -> np.ndarray:
+               planes: np.ndarray | None = None, add_to: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation with zero SAME padding; output = ceil(input / stride).
 
     Stride-(1, 1) inputs whose occupied pixels (channel row not all zero) are
@@ -196,25 +200,33 @@ def conv2d_raw(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     Winograd transform in the compute dtype, kept by the caller
     (FusionNet.planes, float32); else the Winograd kernel makes it
     (winograd_kernel).
+
+    add_to, given instead of out, is an array of out's kind that the result
+    is added to after the activation, add_to += act(conv + bias), and is
+    returned: the bits of the conv written into an array of its own and
+    then added (np.add), under every kernel, with no such array.
     """
     h, w, cin = data.shape
     kh, kw, kcin, cout = kernel.shape
     if kcin != cin:
         raise ValueError(f"kernel expects {kcin} input channels, data has {cin}")
+    if out is not None and add_to is not None:
+        raise ValueError("give out or add_to, not both")
     dtype = _compute_dtype(data)
     bias = bias.astype(dtype, copy=False)
-    out = output_array(out, (*conv_output_shape(h, w, stride), cout), dtype)
+    accumulate = add_to is not None
+    out = output_array(add_to if accumulate else out, (*conv_output_shape(h, w, stride), cout), dtype)
     name, occupied = _choose_kernel(data, (kh, kw), stride)
     if name == WINOGRAD:
         planes = winograd_kernel(kernel, dtype) if planes is None else planes
-        _conv2d_winograd(data, planes, bias, activation, out, work)
+        _conv2d_winograd(data, planes, bias, activation, out, work, accumulate)
         return out
     kernel = kernel.astype(dtype, copy=False)
     if name == OCCUPIED:
         _conv2d_occupied(data.reshape(h * w, cin), occupied, (h, w), kernel, bias, activation, _pixel_rows(out),
-                         work)
+                         work, (1, 1), accumulate)
         return out
-    _conv2d_im2col(data, kernel, bias, stride, activation, _pixel_rows(out), work)
+    _conv2d_im2col(data, kernel, bias, stride, activation, _pixel_rows(out), work, accumulate)
     return out
 
 
@@ -300,10 +312,14 @@ def _occupied_bands(lo: np.ndarray, hi: np.ndarray, row: int, pixel: int, block:
 
 def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, int],
                      kernel: np.ndarray, bias: np.ndarray | None, activation: str, out: np.ndarray,
-                     work: np.ndarray | None, stride: tuple[int, int] = (1, 1)) -> None:
+                     work: np.ndarray | None, stride: tuple[int, int] = (1, 1), accumulate: bool = False) -> None:
     """SAME conv plus bias and activation of the (h * w, cin) pixel rows,
     summed over the occupied ones only, written into out's (oh * ow, cout)
-    rows; with bias None, the sums are added to what out holds instead.
+    rows, or with accumulate added to them after the activation. With bias
+    None, the sums are added to what out holds before the activation
+    instead: only the bands the pixels reach are visited, then the
+    activation makes one pass over out (a band they do not reach would add
+    +0.0, which changes no bit that the ReLU keeps: max(-0.0, 0) is +0.0).
 
     Ordinary sparse convolution: every output cell, including the ones next
     to an occupied pixel, equals the dense conv's. The output is made in
@@ -319,7 +335,7 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     class and row tap, the pixels whose row reaches the band are one run of
     the class's gathered rows (searchsorted on their pixel index); each tap
     multiplies the run by its (cin, cout) slice and adds the product into
-    the shifted cells. Bias (or out) and activation are applied as the band
+    the shifted cells. Bias and activation (or out) are applied as the band
     is copied into out, while it is in cache. Indices within one tap are
     unique and every cell adds its taps in class, then (dy, dx) order, so
     the sums do not depend on the bands.
@@ -347,6 +363,8 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     bounds = _occupied_bands(lo, hi, wide * cout, cin + 2 * cout, _block_bytes(work) // kernel.itemsize,
                              2 * len(classes))
     for y0, y1 in zip(bounds, bounds[1:]):
+        if bias is None and all(c.first[y0] == c.first[y1 + c.reach] for c in classes):
+            continue
         # numpy runs a one-row product as a matrix-vector call, which rounds
         # differently from the same row in a larger product, so a run of one
         # row is multiplied together with a neighbour: one is gathered on
@@ -377,20 +395,32 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
                     acc += tap
                     band[cells] = acc
         y = np.reshape(out[y0 * ow:y1 * ow], (y1 - y0, ow, cout), copy=False)
-        np.add(band.reshape(y1 - y0, wide, cout)[:, pad:pad + ow], y if bias is None else bias, out=y)
-        _activate_inplace(y, activation)
+        sums = band.reshape(y1 - y0, wide, cout)[:, pad:pad + ow]
+        if bias is None:
+            y += sums
+        elif accumulate:
+            sums += bias
+            y += _activate_inplace(sums, activation)
+        else:
+            _activate_inplace(np.add(sums, bias, out=y), activation)
+    if bias is None:
+        _activate_inplace(out, activation)
 
 
 def _conv2d_im2col(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: tuple[int, int],
-                   activation: str, out: np.ndarray, work: np.ndarray | None) -> None:
+                   activation: str, out: np.ndarray, work: np.ndarray | None, accumulate: bool = False) -> None:
     """SAME conv plus bias and activation via im2col + matmul, chunked over
-    output rows, written into out's (oh * ow, cout) rows.
+    output rows, written into out's (oh * ow, cout) rows, or with accumulate
+    added to them after the activation.
 
     A chunk is as many output rows as their patch matrix fits the kernel's
     block (_block_bytes), at least one. Each chunk zero-pads only the input
     rows it reads, so no padded copy of the whole input exists; the matmul
-    writes straight into the output, and bias and activation are applied
-    to the chunk while it is in cache.
+    writes straight into the output, and bias and activation are applied to
+    the chunk while it is in cache. With accumulate the matmul writes the
+    chunk's products after its patches, in work when it holds both: the
+    chunks stay those of writing, since a float32 matmul's bits depend on
+    how many rows it multiplies at once.
     """
     h, w, cin = data.shape
     kh, kw, _, cout = kernel.shape
@@ -398,13 +428,16 @@ def _conv2d_im2col(data: np.ndarray, kernel: np.ndarray, bias: np.ndarray, strid
     wmat = kernel.reshape(kh * kw * cin, cout)
     row = ow * kh * kw * cin  # one output row's patches
     chunk = min(oh, max(1, _block_bytes(work) // (row * kernel.itemsize)))
-    patches = _scratch(work, chunk * row, kernel.dtype)
+    flat = _scratch(work, chunk * (row + (ow * cout if accumulate else 0)), kernel.dtype)
     for r0 in range(0, oh, chunk):
         r1 = min(r0 + chunk, oh)
         block = out[r0 * ow:r1 * ow]
-        np.matmul(_im2col_rows(data, kernel, stride, r0, r1, patches), wmat, out=block)
-        block += bias
-        _activate_inplace(block, activation)
+        products = flat[chunk * row:chunk * row + block.size].reshape(block.shape) if accumulate else block
+        np.matmul(_im2col_rows(data, kernel, stride, r0, r1, flat), wmat, out=products)
+        products += bias
+        _activate_inplace(products, activation)
+        if accumulate:
+            block += products
 
 
 def _im2col_rows(data: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
@@ -486,9 +519,10 @@ def _winograd_elements(blocks: list[tuple[int, int, int, int]], cin: int, cout: 
 
 
 def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray, activation: str,
-                     out: np.ndarray, work: np.ndarray | None) -> None:
+                     out: np.ndarray, work: np.ndarray | None, accumulate: bool = False) -> None:
     """Stride-1 SAME 3x3 conv plus bias and activation by Winograd F(2x2,
-    3x3), written into out (h, w, cout).
+    3x3), written into out (h, w, cout), or with accumulate added to it
+    after the activation.
 
     The output is cut into 2x2 tiles and the tiles into blocks
     (_winograd_blocks). Per block:
@@ -502,8 +536,9 @@ def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray
       contiguously as the block's output rows in the elements V took (V is
       read by then; when 4 cout > 16 cin the tiles need more, and
       _winograd_elements counts it); bias and activation are added there,
-      and the rows are copied into out once. Writing each tile pixel into
-      out's stride-2 view of it instead took four strided passes over out.
+      and the rows are copied (or added) into out once. Writing each tile
+      pixel into out's stride-2 view of it instead took four strided passes
+      over out.
     Padding rows and columns enter as zeros and are never stored: rows
     outside the input are a broadcast zero, the row-pass rows' columns
     outside it are zeroed. The blocks' planes fit the kernel's block
@@ -549,7 +584,11 @@ def _conv2d_winograd(data: np.ndarray, transformed: np.ndarray, bias: np.ndarray
         tiles += bias
         _activate_inplace(tiles, activation)
         y1, x1 = min(2 * t1, h), min(2 * s1, w)
-        out[2 * t0:y1, 2 * s0:x1] = tiles.reshape(2 * nt, 2 * ns, cout)[:y1 - 2 * t0, :x1 - 2 * s0]
+        rows = tiles.reshape(2 * nt, 2 * ns, cout)[:y1 - 2 * t0, :x1 - 2 * s0]
+        if accumulate:
+            out[2 * t0:y1, 2 * s0:x1] += rows
+        else:
+            out[2 * t0:y1, 2 * s0:x1] = rows
 
 
 def _winograd_input_rows(data: np.ndarray, i0: int, i1: int, k: int, c0: int, c1: int,
@@ -781,15 +820,16 @@ def split_conv(layer: ConvLayerSpec, kernel: np.ndarray, bias: np.ndarray,
 # forward passes
 # ---------------------------------------------------------------------------
 
-def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, net: FusionNet,
-                   out: np.ndarray | None = None, work: np.ndarray | None = None) -> FeatureMap:
+def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, net: FusionNet, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None, add_to: np.ndarray | None = None) -> FeatureMap:
     """Apply one of net's layers to a feature map (geometry carried through);
-    out and work as in conv2d_raw; net's float32 planes only for a float32 computation."""
+    out, work and add_to as in conv2d_raw; net's float32 planes only for a float32 computation."""
     if fm.channels != layer.in_channels:
         raise ValueError(f"{layer.name}: expected {layer.in_channels} channels, got {fm.channels}")
     kernel, bias = net.params[layer.name]
     planes = net.planes.get(layer.name) if _compute_dtype(fm.data) == np.float32 else None
-    data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work, planes=planes)
+    data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work, planes=planes,
+                      add_to=add_to)
     return FeatureMap(fm.view, data, fm.geometry)
 
 
@@ -968,31 +1008,37 @@ def _add_padding_taps(out: np.ndarray, validity: np.ndarray, grid: tuple[int, in
     out[inner_rows[:, None], edge_cols] += outside(inner_rows, edge_cols)
 
 
-def fuse_conv1_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet,
-                       out: np.ndarray | None = None) -> FeatureMap:
-    """fuse.conv1 on the BEV features joined with the RV->BEV projection,
-    without joining them: split_conv's parts, summed into the layer's
-    output (out, when given), then its activation.
-
-    projected is project_features' (rows, cols, unet_width + 1) array: the
-    projected features, zero at the cells no point hits, and their validity.
-    The dense part runs as net's fuse.conv1 (conv2d_forward) on the BEV
-    features; the projected part is the occupied-pixel kernel, strided, over
-    the hit cells (validity +1), adding into the output and applying the
-    activation as it goes.
-    """
-    shape = (bev_features.height, bev_features.width, net.config.unet_width + 1)
-    if projected.data.shape != shape:
-        raise ValueError(f"the projection must be {shape}, got {projected.data.shape}")
-    layer, part = net.layers["fuse.conv1"], net.projected
-    x = conv2d_forward(bev_features, layer, net, out=out, work=net.work("fuse.conv1"))
-    grid = shape[:2]
-    _add_padding_taps(x.data, part.validity, grid, layer.stride)
-    pixels = _pixel_rows(projected.data)
-    hits = np.flatnonzero(pixels[:, -1] > 0)
-    _conv2d_occupied(pixels, hits, grid, part.kernel.astype(x.data.dtype, copy=False), None, part.activation,
-                     _pixel_rows(x.data), net.work("fuse.conv1"), layer.stride)
+def fuse_conv1_dense(bev_features: FeatureMap, net: FusionNet, out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> FeatureMap:
+    """fuse.conv1's part that reads the BEV features (split_conv): net's
+    fuse.conv1 (conv2d_forward) with the folded bias, plus the validity taps
+    its windows put on the zero padding, written into out when given. The
+    result waits for the projected part (fuse_conv1_projected), which adds
+    the rest of the layer and applies its activation."""
+    layer = net.layers["fuse.conv1"]
+    x = conv2d_forward(bev_features, layer, net, out=out, work=work)
+    _add_padding_taps(x.data, net.projected.validity, (bev_features.height, bev_features.width), layer.stride)
     return x
+
+
+def fuse_conv1_projected(dense: np.ndarray, projected: np.ndarray, net: FusionNet,
+                         work: np.ndarray | None = None) -> None:
+    """Completes fuse.conv1 in dense, fuse_conv1_dense's output: adds the
+    part that reads the RV->BEV projection and applies the layer's
+    activation. projected is project_features' (rows, cols, unet_width + 1)
+    array: the projected features, zero at the cells no point hits, and
+    their validity. This part is the occupied-pixel kernel, strided, over
+    the hit cells (validity +1) only."""
+    layer, part = net.layers["fuse.conv1"], net.projected
+    grid = projected.shape[:2]
+    want = (*conv_output_shape(*grid, layer.stride), layer.out_channels)
+    if projected.shape[2] != net.config.unet_width + 1 or dense.shape != want:
+        raise ValueError(f"the projection must be {(*grid, net.config.unet_width + 1)} and fuse.conv1's "
+                         f"dense part {want}, got {projected.shape} and {dense.shape}")
+    pixels = _pixel_rows(projected)
+    hits = np.flatnonzero(pixels[:, -1] > 0)
+    _conv2d_occupied(pixels, hits, grid, part.kernel.astype(dense.dtype, copy=False), None, part.activation,
+                     _pixel_rows(dense), work, layer.stride)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,19 +1056,20 @@ class _StepList(list):
         self.shapes.update(writes)
         self.append(Step(name, tuple((t, shape, "float32") for t, shape in writes.items()), tuple(reads), work, run))
 
-    def conv(self, name: str, src: str, into: str | None = None, reads: Sequence[str] = (), run=None) -> None:
+    def conv(self, name: str, src: str, into: str | None = None, add: bool = False, run=None) -> None:
         """The step of the layer called name, reading src: it writes the
         tensor named after the layer or, given into, into's leading
-        channels, by the conv or, given run, by that."""
+        channels, or with add adds into into (conv2d_raw's add_to), by the
+        conv or, given run, by that."""
         net, view, layer, dst = self.net, self.view, self.net.layers[name], into or name
         h, w, _ = self.shapes[src]
         shape = self.shapes[into] if into else (*conv_output_shape(h, w, layer.stride), layer.out_channels)
 
         def conv(v):
-            out = v[dst][:, :, :layer.out_channels]
-            conv2d_forward(FeatureMap(view, v[src]), layer, net, out=out, work=net.work(name))
+            target = {"add_to" if add else "out": v[dst][:, :, :layer.out_channels]}
+            conv2d_forward(FeatureMap(view, v[src]), layer, net, work=net.work(name), **target)
 
-        self.add(name, run or conv, {dst: shape}, (src, *reads), CONV_WORK_BYTES)
+        self.add(name, run or conv, {dst: shape}, (src,), CONV_WORK_BYTES)
 
     def chain(self, src: str, *names: str) -> None:
         """Convs in order, each reading the one before, the first src."""
@@ -1030,22 +1077,26 @@ class _StepList(list):
             self.conv(name, src)
             src = name
 
-    def sum(self, name: str, x: str, y: str, relu: bool = False) -> None:
-        """x + y, then ReLU if relu, written into x."""
+    def sum(self, name: str, x: str, y: str) -> None:
+        """x + y, then ReLU, written into x."""
         def run(v):
             np.add(v[x], v[y], out=v[x])
-            if relu:
-                np.maximum(v[x], 0.0, out=v[x])
+            np.maximum(v[x], 0.0, out=v[x])
 
         self.add(name, run, {x: self.shapes[x]}, (x, y))
 
 
 def bev_branch_steps(net: FusionNet, rows: int, cols: int) -> list[Step]:
-    """LiDAR-stack and map-raster embeddings on a (rows, cols) grid, summed in bev.lidar2's output."""
+    """LiDAR-stack and map-raster embeddings on a (rows, cols) grid, the map's
+    added into bev.lidar2's output (the BEV features), then fuse.conv1's
+    dense part over them (fuse_conv1_dense): the branch ends with the
+    stride-2 "fuse.conv1", a quarter of their size, and they die with it."""
     s = _StepList(net, BEV, {"lidar_stack": (rows, cols, net.bev_in_channels), "map_raster": (rows, cols, 7)})
     s.chain("lidar_stack", "bev.lidar1", "bev.lidar2")
-    s.chain("map_raster", "bev.map1", "bev.map2")
-    s.sum("bev.sum", "bev.lidar2", "bev.map2")
+    s.conv("bev.map1", "map_raster")
+    s.conv("bev.map2", "bev.map1", into="bev.lidar2", add=True)
+    s.conv("fuse.conv1", "bev.lidar2", run=lambda v: fuse_conv1_dense(FeatureMap(BEV, v["bev.lidar2"]), net,
+                                                                      out=v["fuse.conv1"], work=net.work("fuse.conv1")))
     return s
 
 
@@ -1080,9 +1131,9 @@ def rv_branch_steps(net: FusionNet, rv: RvSpec, camera: CameraGeometry | None) -
         src = "rv.conv2"
         s.conv(src, "rv.conv1")
     s.chain(src, "unet.enc1", "unet.res1.conv1", "unet.res1.conv2")
-    s.sum("unet.res1", "unet.enc1", "unet.res1.conv2", relu=True)
+    s.sum("unet.res1", "unet.enc1", "unet.res1.conv2")
     s.chain("unet.enc1", "unet.down", "unet.res2.conv1", "unet.res2.conv2")
-    s.sum("unet.res2", "unet.down", "unet.res2.conv2", relu=True)
+    s.sum("unet.res2", "unet.down", "unet.res2.conv2")
     s.conv("unet.up", "unet.down")
 
     h, w, u = s.shapes["unet.enc1"]
@@ -1094,15 +1145,17 @@ def rv_branch_steps(net: FusionNet, rv: RvSpec, camera: CameraGeometry | None) -
 
 
 def fuse_head_steps(net: FusionNet, grid: GridSpec) -> list[Step]:
-    """The stride-reducing head over the BEV features (bev.lidar2's output)
-    and the RV->BEV projection ("rv_to_bev"), which fuse.conv1 reads apart
-    (fuse_conv1_forward); the last step writes the cell outputs into
-    "outputs", in float64, and their CellOutputs into views["cells"]."""
-    config = net.config
-    s = _StepList(net, BEV, {"bev.lidar2": (grid.rows, grid.cols, config.bev_width)})
-    s.conv("fuse.conv1", "bev.lidar2", reads=("rv_to_bev",),
-           run=lambda v: fuse_conv1_forward(FeatureMap(BEV, v["bev.lidar2"], grid),
-                                            FeatureMap(BEV, v["rv_to_bev"], grid), net, out=v["fuse.conv1"]))
+    """The stride-reducing head on a BEV grid: fuse.conv1 completed by its
+    projected part over the RV->BEV projection ("rv_to_bev"), in place
+    (fuse_conv1_projected), then the rest of the head; the last step writes
+    the cell outputs into "outputs", in float64, and their CellOutputs into
+    views["cells"]."""
+    config, layer = net.config, net.layers["fuse.conv1"]
+    shape = (*conv_output_shape(grid.rows, grid.cols, layer.stride), layer.out_channels)
+    s = _StepList(net, BEV, {"fuse.conv1": shape})
+    s.add("fuse.conv1.projected", lambda v: fuse_conv1_projected(v["fuse.conv1"], v["rv_to_bev"], net,
+                                                                 net.work("fuse.conv1.projected")),
+          {"fuse.conv1": shape}, ("fuse.conv1", "rv_to_bev"), CONV_WORK_BYTES)
     s.chain("fuse.conv1", *(f"fuse.conv{i + 1}" for i in range(1, len(config.head_widths))), "fuse.head")
     out_grid = OutputGrid.from_grid(grid, config.output_stride)
     s.append(Step("outputs", (("outputs", (math.prod(s.shapes["fuse.head"]),), "float64"),), ("fuse.head",), 0,
@@ -1134,22 +1187,23 @@ def rv_branch_forward(rv_image: FeatureMap, camera_features: FeatureMap | None, 
 
 
 def bev_branch_forward(lidar_bev: FeatureMap, map_raster: FeatureMap, net: FusionNet) -> FeatureMap:
-    """bev_branch_steps over the LiDAR stack and the map raster."""
+    """bev_branch_steps over the LiDAR stack and the map raster: fuse.conv1's
+    dense part over the BEV features, carrying the stack's grid."""
     if (lidar_bev.height, lidar_bev.width) != (map_raster.height, map_raster.width):
         raise ValueError("lidar stack and map raster must share one grid")
     views = net.run(bev_branch_steps(net, lidar_bev.height, lidar_bev.width),
                     {"lidar_stack": lidar_bev.data, "map_raster": map_raster.data})
-    return FeatureMap(BEV, views["bev.lidar2"], lidar_bev.geometry)
+    return FeatureMap(BEV, views["fuse.conv1"], lidar_bev.geometry)
 
 
-def fuse_and_head_forward(bev_features: FeatureMap, projected: FeatureMap, net: FusionNet) -> CellOutputs:
-    """fuse_head_steps over the BEV features and the RV->BEV projection, as
-    project_features writes it; with an arena, the cell outputs are its
-    export, lent with its segment (Arena.lend)."""
-    if not isinstance(bev_features.geometry, GridSpec):
+def fuse_and_head_forward(bev_part: FeatureMap, projected: FeatureMap, net: FusionNet) -> CellOutputs:
+    """fuse_head_steps over bev_branch_forward's fuse.conv1 part, on the grid
+    it carries, and the RV->BEV projection, as project_features writes it;
+    with an arena, the cell outputs are its export, lent with its segment
+    (Arena.lend)."""
+    if not isinstance(bev_part.geometry, GridSpec):
         raise ValueError("bev features must carry a GridSpec")
-    views = net.run(fuse_head_steps(net, bev_features.geometry),
-                    {"bev.lidar2": bev_features.data, "rv_to_bev": projected.data})
+    views = net.run(fuse_head_steps(net, bev_part.geometry), {"fuse.conv1": bev_part.data, "rv_to_bev": projected.data})
     if net.arena is not None:
         net.arena.lend()
     return views["cells"]

@@ -191,11 +191,11 @@ def pipeline_stages(preset: Preset, weights: NetworkWeights):
         return {"projected": FeatureMap(BEV, views["rv_to_bev"], grid)}
 
     run = {"rasterize": rasterize, "camera_net": camera_net, "rv_to_bev": rv_to_bev,
-           "bev_branch": lambda ctx: {"bev_feats": bev_branch_forward(FeatureMap(BEV, ctx["lidar_stack"], grid),
-                                                                      FeatureMap(BEV, ctx["map_raster"], grid), net)},
+           "bev_branch": lambda ctx: {"bev_part": bev_branch_forward(FeatureMap(BEV, ctx["lidar_stack"], grid),
+                                                                     FeatureMap(BEV, ctx["map_raster"], grid), net)},
            "rv_branch": lambda ctx: {"rv_feats": rv_branch_forward(FeatureMap(RV, ctx["rv.conv1.in"], rv),
                                                                    ctx.get("cam_feats"), ctx["points"], net)},
-           "fuse_head": lambda ctx: {"outputs": fuse_and_head_forward(ctx["bev_feats"], ctx["projected"], net)}}
+           "fuse_head": lambda ctx: {"outputs": fuse_and_head_forward(ctx["bev_part"], ctx["projected"], net)}}
     return [(name, run[name]) for name in steps]
 
 

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .arena import CHUNK_BYTES
 from .geometry import Pose2, RotatedBox2D, rotated_iou, se2_compose, se2_inverse, transform_box
 from .views import CAMERA, CameraGeometry, CameraModel, FeatureMap, RvSpec
 
@@ -572,35 +573,38 @@ def simulate_sweep(scene: Scene, spec: LidarSensorSpec, t: float) -> Sweep:
 
 
 def render_camera(scene: Scene, camera: CameraModel, t: float) -> FeatureMap:
-    """Depth-shaded RGB render of the cropped front-camera view at time t."""
-    boxes, heights, classes = _scene_boxes_in_ego(scene, t)
+    """Depth-shaded RGB render of the cropped front-camera view at time t.
 
-    rows = np.arange(camera.crop_top, camera.height)
-    cols = np.arange(camera.width)
-    u = (cols + 0.5 - camera.cx) / camera.fx
-    v = (rows + 0.5 - camera.cy) / camera.fy
-    uu, vv = np.meshgrid(u, v)
+    Rays are cast in blocks of image rows, each about CHUNK_BYTES of float64
+    ray directions, at least one row, so the temporaries stay that small;
+    every ray is computed on its own, so the image does not depend on the
+    blocks."""
+    boxes, heights, classes = _scene_boxes_in_ego(scene, t)
+    img = np.empty((camera.cropped_height, camera.width, 3))
+    u = (np.arange(camera.width) + 0.5 - camera.cx) / camera.fx
     # camera frame: forward +x(ego), right -y, down -z; rotate by mount yaw
     yaw = camera.mount.yaw
     c, s = math.cos(yaw), math.sin(yaw)
-    dx, dy, dz = np.ones_like(uu), -uu, -vv
-    d_ego = np.stack([c * dx - s * dy, s * dx + c * dy, dz], axis=2).reshape(-1, 3)
-    d_ego /= np.linalg.norm(d_ego, axis=1, keepdims=True)
     origin = np.array([camera.mount.tx, camera.mount.ty, camera.mount_height])
+    block = max(1, CHUNK_BYTES // (camera.width * 3 * 8))
+    for r0 in range(0, camera.cropped_height, block):
+        r1 = min(r0 + block, camera.cropped_height)
+        v = (np.arange(camera.crop_top + r0, camera.crop_top + r1) + 0.5 - camera.cy) / camera.fy
+        uu, vv = np.meshgrid(u, v)
+        dx, dy, dz = np.ones_like(uu), -uu, -vv
+        d_ego = np.stack([c * dx - s * dy, s * dx + c * dy, dz], axis=2).reshape(-1, 3)
+        d_ego /= np.linalg.norm(d_ego, axis=1, keepdims=True)
 
-    # actors only; pixels hitting nothing stay sky-valued
-    n = d_ego.shape[0]
-    best_t = np.full(n, np.inf)
-    color = np.empty((n, 3))
-    color[:] = SKY_COLOR
-    for box, height, cls in zip(boxes, heights, classes):
-        t_hit, _ = _ray_box_hits(origin, d_ego, box, height)
-        closer = t_hit < best_t
-        best_t = np.where(closer, t_hit, best_t)
-        shade = np.clip(1.0 / (1.0 + t_hit / 40.0), 0.15, 1.0)
-        color[closer] = np.array(BASE_COLORS[cls]) * shade[closer, None]
-
-    img = color.reshape(camera.cropped_height, camera.width, 3)
+        # actors only; pixels hitting nothing stay sky-valued
+        best_t = np.full(d_ego.shape[0], np.inf)
+        color = img[r0:r1].reshape(-1, 3)
+        color[:] = SKY_COLOR
+        for box, height, cls in zip(boxes, heights, classes):
+            t_hit, _ = _ray_box_hits(origin, d_ego, box, height)
+            closer = t_hit < best_t
+            best_t = np.where(closer, t_hit, best_t)
+            shade = np.clip(1.0 / (1.0 + t_hit / 40.0), 0.15, 1.0)
+            color[closer] = np.array(BASE_COLORS[cls]) * shade[closer, None]
     return FeatureMap(CAMERA, img, CameraGeometry(camera, pixel_stride=1))
 
 

@@ -191,17 +191,23 @@ def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
     assert with_winograd.size == without.size
 
 
-@pytest.mark.parametrize("name,size", [("desk", 4_980_736), ("atg4d", 377_545_024)])
+@pytest.mark.parametrize("name,size", [("desk", 4_390_912), ("atg4d", 264_881_024)])
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_every_conv_asks_the_same_work_and_none_gets_more(name, size, use_camera):
+    # each layer's step, and the step of fuse.conv1's projected part, asks
+    # the same work; on atg4d each gets all of it
     preset = get_preset(name)
     net = unplanned_net(preset, make_weights(preset, 0, use_camera))
     steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
-    assert {step.name: step.work for step in steps if step.work} == dict.fromkeys(net.layers, network.CONV_WORK_BYTES)
+    assert {step.name: step.work for step in steps if step.work} == dict.fromkeys(
+        [*net.layers, "fuse.conv1.projected"], network.CONV_WORK_BYTES)
     plan = plan_arena(steps, export="outputs")
     assert plan.size == size  # the frame's tensors set it, as when each conv asked for what its kernels could use
-    works = [t.nbytes for t in plan.tensors if t.name.endswith(".work")]
-    assert works and max(works) <= network.CONV_WORK_BYTES
+    assert plan.size == plan_arena([step._replace(work=0) for step in steps], export="outputs").size
+    works = {t.name: t.nbytes for t in plan.tensors if t.name.endswith(".work")}
+    assert works and max(works.values()) <= network.CONV_WORK_BYTES
+    if name == "atg4d":
+        assert works == {f"{step.name}.work": network.CONV_WORK_BYTES for step in steps if step.work}
 
 
 PLANS = Path(__file__).with_name("arena_plans.txt")
@@ -232,4 +238,23 @@ def test_the_atg4d_plan_holds_no_joined_fuse_input(use_camera):
     plan = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
     assert "fuse.conv1.in" not in {t.name for t in plan.tensors}
     assert plan.tensor("rv_to_bev").shape == (preset.grid.rows, preset.grid.cols, net.config.unet_width + 1)
-    assert plan.size <= 360.1 * 2**20
+    assert plan.size <= 256 * 2**20
+
+
+@pytest.mark.parametrize("name,mib", [("desk", 4.8), ("atg4d", 256), ("nuscenes", 330)])
+@pytest.mark.parametrize("use_camera", [True, False])
+def test_the_bev_features_die_with_the_bev_branch(name, mib, use_camera):
+    # bev.map2 adds into bev.lidar2's output and fuse.conv1's dense part
+    # reads it last, at the end of the BEV branch: no map features of their
+    # own, no sum step, and the BEV features are dead in the camera net and
+    # the RV branch
+    preset = get_preset(name)
+    net = unplanned_net(preset, make_weights(preset, 0, use_camera))
+    stages = pipeline.frame_stages(preset.grid, preset.rv, preset.camera, net)
+    plan = plan_arena([step for _, steps in stages for step in steps], export="outputs")
+    assert "bev.map2" not in {t.name for t in plan.tensors} and "bev.sum" not in plan.steps
+    assert [step.name for step in dict(stages)["bev_branch"]][-1] == plan.steps[plan.tensor("bev.lidar2").last]
+    later = {step.name for stage, steps in stages if stage in ("camera_net", "rv_branch") for step in steps}
+    assert later and not [step for i, step in enumerate(plan.steps) if step in later
+                          and plan.tensor("bev.lidar2").live_at(i)]
+    assert plan.size <= mib * 2**20

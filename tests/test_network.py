@@ -22,7 +22,8 @@ from mvfusion.network import (
     conv2d_raw,
     conv_output_shape,
     fuse_and_head_forward,
-    fuse_conv1_forward,
+    fuse_conv1_dense,
+    fuse_conv1_projected,
     init_network_weights,
     load_weights,
     network_plan,
@@ -786,10 +787,11 @@ def test_bev_branch_zero_map_equals_lidar_embedding():
     lidar = FeatureMap("bev", rng.uniform(size=(g.rows, g.cols, 6)), g)
     zero_map = FeatureMap("bev", np.zeros((g.rows, g.cols, 7)), g)
     net = FusionNet(cfg, 6, weights)
-    out = bev_branch_forward(lidar, zero_map, net)
+    out = bev_branch_forward(lidar, zero_map, net)  # fuse.conv1's dense part over the BEV features
     lid = conv2d_forward(conv2d_forward(lidar, net.layers["bev.lidar1"], net), net.layers["bev.lidar2"], net)
-    assert np.array_equal(out.data, lid.data)
-    assert out.data.shape == (g.rows, g.cols, cfg.bev_width)
+    assert np.array_equal(out.data, fuse_conv1_dense(lid, net).data)
+    assert out.data.shape == (*conv_output_shape(g.rows, g.cols, (2, 2)), cfg.head_widths[0])
+    assert out.geometry is g
 
 
 def test_bev_branch_sum_node_additivity():
@@ -844,10 +846,11 @@ def test_fuse_head_zero_features_probability_half():
     kernel = weights.kernel("fuse.conv1").copy()
     kernel[:, :, -1] = 0.0  # no validity taps: the -1 of the cells no point hits adds nothing
     weights = replace(weights, blocks={**weights.blocks, "fuse.conv1.kernel": kernel})
-    zeros = FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width)), g)
+    net = FusionNet(cfg, 6, weights)
+    zeros = fuse_conv1_dense(FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width)), g), net)
     no_hits = np.zeros((g.rows, g.cols, cfg.unet_width + 1))  # the projection of no points
     no_hits[:, :, -1] = -1.0
-    out = fuse_and_head_forward(zeros, FeatureMap("bev", no_hits, g), FusionNet(cfg, 6, weights))
+    out = fuse_and_head_forward(zeros, FeatureMap("bev", no_hits, g), net)
     out.validate()
     for cls in cfg.classes:
         assert np.all(out.prob[cls] == 0.5)
@@ -864,8 +867,8 @@ def test_fuse_head_deterministic():
     hit = rng.uniform(size=(g.rows, g.cols, 1)) < 0.5
     projected = FeatureMap("bev", np.concatenate([rng.normal(size=(g.rows, g.cols, cfg.unet_width)) * hit,
                                                   np.where(hit, 1.0, -1.0)], axis=2), g)
-    a = fuse_and_head_forward(features, projected, FusionNet(cfg, 6, weights))
-    b = fuse_and_head_forward(features, projected, FusionNet(cfg, 6, weights))
+    a, b = (fuse_and_head_forward(fuse_conv1_dense(features, net), projected, net)
+            for net in (FusionNet(cfg, 6, weights), FusionNet(cfg, 6, weights)))
     for cls in cfg.classes:
         assert np.array_equal(a.prob[cls], b.prob[cls])
         assert np.array_equal(a.centers[cls], b.centers[cls])
@@ -895,6 +898,14 @@ def _split_instance(h, w, hits, seed, dtype=np.float64):
             FeatureMap("bev", projected.astype(dtype), grid))
 
 
+def _split_fuse_conv1(net, bev, projected):
+    """fuse.conv1 by its two parts, as the frame runs them: the dense part
+    over the BEV features, then the projected part added in place."""
+    x = fuse_conv1_dense(bev, net)
+    fuse_conv1_projected(x.data, projected.data, net)
+    return x
+
+
 def _joined_fuse_conv1(net, bev, projected):
     """fuse.conv1 by the literal conv over the joined input, with the stored 129-channel kernel."""
     joined = np.concatenate([bev.data, projected.data], axis=2).astype(np.float64)
@@ -906,7 +917,7 @@ def _joined_fuse_conv1(net, bev, projected):
 def test_split_fuse_conv1_equals_the_joined_conv_in_float64(h, w, hits):
     net, bev, projected = _split_instance(h, w, hits, seed=h * 10 + w)
     assert net.layers["fuse.conv1"].in_channels == net.config.bev_width
-    got = fuse_conv1_forward(bev, projected, net)
+    got = _split_fuse_conv1(net, bev, projected)
     assert got.data.dtype == np.float64
     assert np.abs(got.data - _joined_fuse_conv1(net, bev, projected)).max() < 1e-12
 
@@ -917,7 +928,7 @@ def test_split_fuse_conv1_float32_error_stays_inside_the_im2col_bound(seed):
     exact = _joined_fuse_conv1(net, bev, projected)
     joined = np.concatenate([bev.data, projected.data], axis=2)
     im2col = conv2d_raw(joined, net.weights.kernel("fuse.conv1"), net.weights.bias("fuse.conv1"), (2, 2))
-    split = fuse_conv1_forward(bev, projected, net).data
+    split = _split_fuse_conv1(net, bev, projected).data
     assert split.dtype == im2col.dtype == np.float32
     scale = np.abs(exact).max()
     assert np.abs(split - exact).max() / scale < 1e-6 and np.abs(im2col - exact).max() / scale < 1e-6
@@ -948,6 +959,71 @@ def test_strided_occupied_kernel_adds_into_out_over_the_given_pixels(monkeypatch
     sparse.reshape(h * w, cin)[taken] = data.reshape(h * w, cin)[taken]
     want = start + naive_conv2d(sparse.reshape(h, w, cin), kernel, np.zeros(cout), stride, relu=False)
     assert np.abs(runs[0] - want).max() < 1e-5
+
+
+def test_projected_part_visits_only_the_bands_its_pixels_reach(monkeypatch):
+    # with no bias the occupied-pixel kernel adds into out before its
+    # activation: it skips the bands no given pixel reaches and applies the
+    # ReLU in one pass over out, the bits of adding their +0.0 and applying
+    # it band by band (max(-0.0, 0) is +0.0), here those of one band
+    rng = np.random.default_rng(21)
+    h, w, cin, cout, stride = 40, 9, 3, 4, (2, 2)
+    data = rng.normal(size=(h, w, cin)).astype(np.float32)
+    taken = np.flatnonzero((np.arange(h * w) // w % 13 == 5) & (rng.uniform(size=h * w) < 0.5))
+    kernel = rng.normal(size=(3, 3, cin, cout)).astype(np.float32)
+    oh, ow = conv_output_shape(h, w, stride)
+    start = rng.normal(size=(oh, ow, cout)).astype(np.float32)
+    start[::3, ::2] = -0.0
+    scratch_fn, bands, runs = network._scratch, [], []
+    monkeypatch.setattr(network, "_scratch", lambda *a: bands.append(1) or scratch_fn(*a))
+    for band_rows in (100, 1):
+        monkeypatch.setattr(network, "CHUNK_BYTES", band_rows * (ow + 2) * cout * 4)
+        bands.clear()
+        out = start.copy()
+        network._conv2d_occupied(data.reshape(h * w, cin), taken, (h, w), kernel, None, "relu",
+                                 out.reshape(oh * ow, cout), None, stride)
+        runs.append((out, len(bands)))
+    (whole, one_band), (banded, visited) = runs
+    assert one_band == 1 and 0 < visited < oh  # the rows of 3 pixel rows out of 13 and their neighbours
+    assert banded.tobytes() == whole.tobytes() and not np.signbit(banded).any()
+
+
+# The rule's constants that force each kernel wherever it can run (as in
+# scripts/conv_kernels.py).
+_FORCED = {
+    network.IM2COL: {"_OCCUPIED_SHARE": -1.0, "_WINOGRAD_MIN_CHANNELS": float("inf")},
+    network.WINOGRAD: {"_OCCUPIED_SHARE": -1.0, "_WINOGRAD_MIN_CHANNELS": 0},
+    network.OCCUPIED: {"_OCCUPIED_SHARE": 1.0},
+}
+
+
+@pytest.mark.parametrize("forced", [network.IM2COL, network.WINOGRAD, network.OCCUPIED])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("chunk_rows", [1, 3, 100])
+def test_add_to_equals_the_conv_then_np_add(monkeypatch, forced, dtype, chunk_rows):
+    # bev.map2's mode: add_to += act(conv + bias), with non-zero biases,
+    # gives the bits of the conv written into an array of its own and then
+    # added by np.add, under every kernel and whatever its blocks
+    rng = np.random.default_rng(31)
+    h, w, cin, cout = 29, 23, 6, 5
+    mask = rng.uniform(size=(h, w, 1)) < 0.2
+    data = (rng.normal(size=(h, w, cin)) * mask).astype(dtype)
+    kernel, bias = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+    base = rng.normal(size=(h, w, cout)).astype(dtype)
+    for name, value in _FORCED[forced].items():
+        monkeypatch.setattr(network, name, value)
+    monkeypatch.setattr(network, "CHUNK_BYTES", chunk_rows * w * 9 * max(cin, cout) * np.dtype(dtype).itemsize)
+    assert network._choose_kernel(data, (3, 3), (1, 1))[0] == forced
+    for activation in ("relu", "linear"):
+        want = np.add(base, conv2d_raw(data, kernel, bias, activation=activation))
+        got = base.copy()
+        assert conv2d_raw(data, kernel, bias, activation=activation, add_to=got) is got
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    strided = base[::2, ::2].copy()  # im2col's accumulate mode with a stride, the only kernel that takes one
+    want = np.add(strided, conv2d_raw(data, kernel, bias, stride=(2, 2)))
+    assert conv2d_raw(data, kernel, bias, stride=(2, 2), add_to=strided).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="out or add_to"):
+        conv2d_raw(data, kernel, bias, out=base.copy(), add_to=base.copy())
 
 
 # ---------------------------------------------------------------------------

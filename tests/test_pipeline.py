@@ -105,8 +105,9 @@ def unplanned_net(preset, weights):
 def float64_forward(bundle, preset, weights, joined=False):
     """The frame's steps run on a net without an arena from float64
     rasters, camera image and RV image, so every tensor is a new float64
-    array; with joined, fuse.conv1 runs unsplit, as one conv over its stored
-    129-channel kernel and the BEV features joined with the projection."""
+    array; with joined, fuse.conv1 runs unsplit where its projected part
+    would, as one conv over its stored 129-channel kernel and the BEV
+    features joined with the projection, overwriting its dense part."""
     net = unplanned_net(preset, weights)
     rasters = rasterize_frame(bundle, preset)
     views = {"bundle": bundle, "points": bundle.sweeps[-1].points, "cam.conv1.in": bundle.camera_image.data,
@@ -123,7 +124,7 @@ def float64_forward(bundle, preset, weights, joined=False):
                                weights.kernel("fuse.conv1"), weights.bias("fuse.conv1"), layer.stride,
                                layer.activation, out=v["fuse.conv1"])
 
-        steps = [step._replace(run=unsplit) if step.name == "fuse.conv1" else step for step in steps]
+        steps = [step._replace(run=unsplit) if step.name == "fuse.conv1.projected" else step for step in steps]
     return net.run(steps, views)["cells"]
 
 
@@ -250,15 +251,18 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
     arena = pipeline.fusion_net(preset, weights).arena
     plan = arena.plan
     fuse1, fuse2 = plan.steps.index("fuse.conv1"), plan.steps.index("fuse.conv2")
-    # the BEV stack and rv_feats (unet.fuse's output) end before fuse.conv1;
-    # the BEV features (the sum is held in bev.lidar2's output) and the
-    # projection, which the RV->BEV projection writes into its own view,
-    # end with it. No joined fuse input exists.
-    for name in ("lidar_stack", "unet.fuse"):
-        assert plan.tensor(name).last < fuse1
+    hits = plan.steps.index("fuse.conv1.projected")
+    # the BEV stack ends before fuse.conv1's dense part and the BEV features
+    # (the sum is held in bev.lidar2's output) with it, at the end of the
+    # BEV branch, before the camera net; rv_feats (unet.fuse's output) ends
+    # before its projected part, and the projection, which the RV->BEV
+    # projection writes into its own view, with it. No joined fuse input
+    # exists.
+    assert plan.tensor("lidar_stack").last < fuse1 < plan.steps.index("cam.conv1") < hits < fuse2
     assert plan.tensor("bev.lidar2").last == fuse1
+    assert plan.tensor("unet.fuse").last < hits
     projection = plan.tensor("rv_to_bev")
-    assert plan.steps[projection.first] == "rv_to_bev" and projection.last == fuse1 < fuse2
+    assert plan.steps[projection.first] == "rv_to_bev" and projection.last == hits
     assert not [t.name for t in plan.tensors if t.name.endswith(".in") and t.name.startswith("fuse.")]
 
     # the forward pass writes the projection into that view; fuse.conv1's
@@ -294,8 +298,9 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
 def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch, use_camera):
     # the branch functions run the steps frame_steps lists: every conv must
     # read the tensor its step reads and write the one it writes (for
-    # rv.conv2 with the camera, the leading channels of unet.enc1.in), in
-    # the plan's step order
+    # rv.conv2 with the camera, the leading channels of unet.enc1.in; for
+    # bev.map2, bev.lidar2's output, which it adds into), in the plan's
+    # step order
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0, use_camera=use_camera)
     net = pipeline.fusion_net(preset, weights)
@@ -306,16 +311,18 @@ def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch
     conv_fn = network.conv2d_forward
     calls = []
 
-    def conv(fm, layer, net, out=None, **kwargs):
+    def conv(fm, layer, net, **kwargs):
         step = steps[layer.name]
         written = arena.view(step.writes[0][0])
+        out = kwargs.get("add_to" if layer.name == "bev.map2" else "out")
         calls.append((layer.name, fm.data is arena.view(step.reads[0]),
                       out is not None and out.ctypes.data == written.ctypes.data and np.shares_memory(out, written)))
-        return conv_fn(fm, layer, net, out=out, **kwargs)
+        return conv_fn(fm, layer, net, **kwargs)
 
     monkeypatch.setattr(network, "conv2d_forward", conv)
     forward_frame(bundle, preset, weights)
     assert any(s.name == "rv.conv2" and s.writes[0][0] == "unet.enc1.in" for s in conv_steps) == use_camera
+    assert steps["bev.map2"].writes[0][0] == "bev.lidar2"
     assert calls == [(s.name, True, True) for s in conv_steps]
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,29 @@ def test_render_deterministic():
     a = render_camera(scene, _test_camera(), 0.1)
     b = render_camera(scene, _test_camera(), 0.1)
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("camera_of", ["desk", "test"])
+@pytest.mark.parametrize("block_rows", [1, 7, 45])
+def test_render_in_row_blocks_equals_the_whole_image(monkeypatch, camera_of, block_rows):
+    # rays are cast in blocks of image rows; the image is the same, bit for
+    # bit, whatever the blocks, also when the last block is a short one
+    # (192 and the desk camera's rows are no multiple of 7 or 45)
+    from mvfusion.presets import get_preset
+
+    if camera_of == "desk":
+        preset = get_preset("desk")
+        world, cam = build_scene(replace(preset.scene, seed=1000)), preset.camera
+    else:
+        world, cam = build_scene(SceneConfig(seed=4)), _test_camera()
+    assert cam.cropped_height % 7 and cam.cropped_height % 45
+    images = []
+    for chunk in (2**40, block_rows * cam.width * 3 * 8):
+        monkeypatch.setattr(scene, "CHUNK_BYTES", chunk)
+        images.append(render_camera(world, cam, 0.9).data)
+    whole, blocked = images
+    assert whole.shape == (cam.cropped_height, cam.width, 3)
+    assert whole.tobytes() == blocked.tobytes() and not np.all(whole == np.array(SKY))
 
 
 # ---------------------------------------------------------------------------

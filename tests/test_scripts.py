@@ -47,13 +47,25 @@ def test_run_demo_one_frame(tmp_path):
 
 
 def _plan_checks(records, preset):
-    """The plan's records: every tensor of the arena plan of pipeline.fusion_net, then the arena's size."""
+    """The plan's records: every tensor of the arena plan of pipeline.fusion_net,
+    every step with the bytes of the frame's tensors live in it and its
+    work, then the arena's size and the largest of those moments, which it
+    cannot be smaller than."""
     plan = fusion_net(preset, make_weights(preset, 0)).arena.plan
     tensors = [r for r in records if r["kind"] == "tensor"]
     assert [(r["name"], r["bytes"], r["offset"], r["first"], r["last"]) for r in tensors] == [
         (t.name, t.nbytes, t.offset, plan.steps[t.first], plan.steps[t.last]) for t in plan.tensors]
+    steps = [r for r in records if r["kind"] == "step"]
+    assert [r["name"] for r in steps] == list(plan.steps)
+    live = [sum(t.end - t.offset for t in plan.tensors if t.live_at(i) and not t.name.endswith(".work"))
+            for i in range(len(plan.steps))]
+    assert [r["live_mib"] for r in steps] == [round(n / 2**20, 1) for n in live]
+    work = {plan.steps[t.first]: t.nbytes for t in plan.tensors if t.name.endswith(".work")}
+    assert [r["work_mib"] for r in steps] == [round(work.get(step, 0) / 2**20, 1) for step in plan.steps]
     arena = next(r for r in records if r["kind"] == "arena")
-    assert arena == {"kind": "arena", "mib": round(plan.size / 2**20, 1), "tensors": len(plan.tensors)}
+    assert arena == {"kind": "arena", "mib": round(plan.size / 2**20, 1), "tensors": len(plan.tensors),
+                     "moment_mib": round(max(live) / 2**20, 1), "moment_step": plan.steps[live.index(max(live))]}
+    assert max(live) <= plan.size
 
 
 def test_stage_memory_reports_every_stage_and_conv_layer():
