@@ -1056,17 +1056,17 @@ class _StepList(list):
         self.shapes.update(writes)
         self.append(Step(name, tuple((t, shape, "float32") for t, shape in writes.items()), tuple(reads), work, run))
 
-    def conv(self, name: str, src: str, into: str | None = None, add: bool = False, run=None) -> None:
+    def conv(self, name: str, src: str, into: str | None = None, add_to: str | None = None, run=None) -> None:
         """The step of the layer called name, reading src: it writes the
         tensor named after the layer or, given into, into's leading
-        channels, or with add adds into into (conv2d_raw's add_to), by the
-        conv or, given run, by that."""
-        net, view, layer, dst = self.net, self.view, self.net.layers[name], into or name
+        channels, or given add_to adds into that tensor (conv2d_raw's
+        add_to), by the conv or, given run, by that."""
+        net, view, layer, dst = self.net, self.view, self.net.layers[name], into or add_to or name
         h, w, _ = self.shapes[src]
         shape = self.shapes[into] if into else (*conv_output_shape(h, w, layer.stride), layer.out_channels)
 
         def conv(v):
-            target = {"add_to" if add else "out": v[dst][:, :, :layer.out_channels]}
+            target = {"add_to" if add_to else "out": v[dst][:, :, :layer.out_channels]}
             conv2d_forward(FeatureMap(view, v[src]), layer, net, work=net.work(name), **target)
 
         self.add(name, run or conv, {dst: shape}, (src,), CONV_WORK_BYTES)
@@ -1077,13 +1077,12 @@ class _StepList(list):
             self.conv(name, src)
             src = name
 
-    def sum(self, name: str, x: str, y: str) -> None:
-        """x + y, then ReLU, written into x."""
-        def run(v):
-            np.add(v[x], v[y], out=v[x])
-            np.maximum(v[x], 0.0, out=v[x])
-
-        self.add(name, run, {x: self.shapes[x]}, (x, y))
+    def residual(self, name: str, x: str) -> None:
+        """The residual block called name over x, in x: name.conv1, then the
+        linear name.conv2 adding into x, then a ReLU step in place."""
+        self.chain(x, f"{name}.conv1")
+        self.conv(f"{name}.conv2", f"{name}.conv1", add_to=x)
+        self.add(name, lambda v: np.maximum(v[x], 0.0, out=v[x]), {x: self.shapes[x]}, (x,))
 
 
 def bev_branch_steps(net: FusionNet, rows: int, cols: int) -> list[Step]:
@@ -1094,7 +1093,7 @@ def bev_branch_steps(net: FusionNet, rows: int, cols: int) -> list[Step]:
     s = _StepList(net, BEV, {"lidar_stack": (rows, cols, net.bev_in_channels), "map_raster": (rows, cols, 7)})
     s.chain("lidar_stack", "bev.lidar1", "bev.lidar2")
     s.conv("bev.map1", "map_raster")
-    s.conv("bev.map2", "bev.map1", into="bev.lidar2", add=True)
+    s.conv("bev.map2", "bev.map1", add_to="bev.lidar2")
     s.conv("fuse.conv1", "bev.lidar2", run=lambda v: fuse_conv1_dense(FeatureMap(BEV, v["bev.lidar2"]), net,
                                                                       out=v["fuse.conv1"], work=net.work("fuse.conv1")))
     return s
@@ -1130,10 +1129,10 @@ def rv_branch_steps(net: FusionNet, rv: RvSpec, camera: CameraGeometry | None) -
     else:
         src = "rv.conv2"
         s.conv(src, "rv.conv1")
-    s.chain(src, "unet.enc1", "unet.res1.conv1", "unet.res1.conv2")
-    s.sum("unet.res1", "unet.enc1", "unet.res1.conv2")
-    s.chain("unet.enc1", "unet.down", "unet.res2.conv1", "unet.res2.conv2")
-    s.sum("unet.res2", "unet.down", "unet.res2.conv2")
+    s.conv("unet.enc1", src)
+    s.residual("unet.res1", "unet.enc1")
+    s.conv("unet.down", "unet.enc1")
+    s.residual("unet.res2", "unet.down")
     s.conv("unet.up", "unet.down")
 
     h, w, u = s.shapes["unet.enc1"]

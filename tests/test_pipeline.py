@@ -298,15 +298,16 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
 def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch, use_camera):
     # the branch functions run the steps frame_steps lists: every conv must
     # read the tensor its step reads and write the one it writes (for
-    # rv.conv2 with the camera, the leading channels of unet.enc1.in; for
-    # bev.map2, bev.lidar2's output, which it adds into), in the plan's
-    # step order
+    # rv.conv2 with the camera, the leading channels of unet.enc1.in), or
+    # add into it when that tensor is not named after the layer (bev.map2
+    # and the residual convs), in the plan's step order
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0, use_camera=use_camera)
     net = pipeline.fusion_net(preset, weights)
     conv_steps = [s for s in pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
                   if s.name in net.layers]
     steps = {s.name: s for s in conv_steps}
+    adds = {s.name for s in conv_steps if s.writes[0][0] not in (s.name, "unet.enc1.in")}
     arena = net.arena
     conv_fn = network.conv2d_forward
     calls = []
@@ -314,7 +315,7 @@ def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch
     def conv(fm, layer, net, **kwargs):
         step = steps[layer.name]
         written = arena.view(step.writes[0][0])
-        out = kwargs.get("add_to" if layer.name == "bev.map2" else "out")
+        out = kwargs.get("add_to" if layer.name in adds else "out")
         calls.append((layer.name, fm.data is arena.view(step.reads[0]),
                       out is not None and out.ctypes.data == written.ctypes.data and np.shares_memory(out, written)))
         return conv_fn(fm, layer, net, **kwargs)
@@ -322,7 +323,8 @@ def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch
     monkeypatch.setattr(network, "conv2d_forward", conv)
     forward_frame(bundle, preset, weights)
     assert any(s.name == "rv.conv2" and s.writes[0][0] == "unet.enc1.in" for s in conv_steps) == use_camera
-    assert steps["bev.map2"].writes[0][0] == "bev.lidar2"
+    assert {name: steps[name].writes[0][0] for name in adds} == {
+        "bev.map2": "bev.lidar2", "unet.res1.conv2": "unet.enc1", "unet.res2.conv2": "unet.down"}
     assert calls == [(s.name, True, True) for s in conv_steps]
 
 
