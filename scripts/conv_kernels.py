@@ -13,21 +13,25 @@ bev.lidar2's output, adds into a copy of it):
 - occupied, for the stride-(1, 1) layers whose input has an empty pixel.
 
 The transposed unet.up runs as its (1, 3) stride-(1, 1) sub-pixel conv
-(network.sub_pixel_conv), so it is timed like any stride-1 layer.
-fuse.conv1 is timed as its dense part only, the 64-channel stride-2 conv
-over the BEV features (network.split_conv): its projected part, over the
-cells points hit, runs outside conv2d_raw, in a step of its own, and is
-not timed here.
+(network.sub_pixel_conv), so it is timed like any stride-1 layer. A
+joined layer (fuse.conv1, and unet.enc1 with the camera) is split by
+linearity (network.split_conv): its row times its dense part, the conv
+over its features, and a row of its own, "<layer>.projected", times its
+projected part (network.projected_part) adding into a copy of the dense
+part's output. That part always runs the occupied-pixel kernel over the
+cells points hit, so its row gives the share of the projection's cells
+hit as "occupied" and only an occupied time.
 
 A kernel is forced by setting the rule's constants in network, so each
 time is that of a whole conv2d_raw call with that kernel chosen, the
 occupancy scan included. A forced Winograd call gets the layer's float32
 planes: the net's own (FusionNet.planes), or, for a layer the net holds
 none for, planes made once before the timed calls. Prints one Markdown
-table row per layer, in call order: the input shape, the share of its
-pixels that are occupied (channel row not all zero), the kernel the rule
-picks (network.conv_kernel_of) and the median CPU ms of --repeats calls
-under each eligible kernel ("-" where a kernel cannot run the layer):
+table row per layer and per projected part, in call order: the input
+shape, the share of its pixels that are occupied (channel row not all
+zero), the kernel the rule picks (network.conv_kernel_of) and the median
+CPU ms of --repeats calls under each eligible kernel ("-" where a kernel
+cannot run the layer):
 
   | layer | input | occupied | rule | im2col ms | winograd ms | occupied ms |
   |---|---|---|---|---|---|---|
@@ -94,7 +98,7 @@ def eligible(layer, share: float) -> list[str]:
 
 
 def layer_rows(preset, path, weights, repeats: int) -> list[dict]:
-    """One record per conv call of a forward pass of the bundle at path."""
+    """One record per conv call and per projected part of a forward pass of the bundle at path."""
     rows = []
     conv_fn = network.conv2d_forward
 
@@ -122,11 +126,25 @@ def layer_rows(preset, path, weights, repeats: int) -> list[dict]:
         rows.append(row)
         return conv_fn(fm, layer, net, out=out, work=work, add_to=add_to)
 
-    network.conv2d_forward = timed_conv
+    part_fn = network.projected_part
+
+    def timed_part(dense, projected, name, net, work=None):
+        hits = np.count_nonzero(projected[:, :, -1] > 0) / (projected.shape[0] * projected.shape[1])
+        samples = []
+        for _ in range(repeats):
+            copy = dense.copy()  # the frame's dense part stays as it is
+            start = time.process_time()
+            part_fn(copy, projected, name, net, work)
+            samples.append((time.process_time() - start) * 1e3)
+        rows.append({"layer": f"{name}.projected", "input": "x".join(map(str, projected.shape)), "occupied": hits,
+                     "rule": network.OCCUPIED, "ms": {network.OCCUPIED: float(np.median(samples))}})
+        return part_fn(dense, projected, name, net, work)
+
+    network.conv2d_forward, network.projected_part = timed_conv, timed_part
     try:
         pipeline.forward_frame(bundle_io.read_frame_bundle(path, preset.name), preset, weights)
     finally:
-        network.conv2d_forward = conv_fn
+        network.conv2d_forward, network.projected_part = conv_fn, part_fn
     return rows
 
 

@@ -11,8 +11,8 @@ Weights are seeded pseudo-random or loaded from a block file; there is no
 training here. Convolutions are plain cross-correlations with zero SAME
 padding, computed by one of three kernels chosen from the input's shape and
 occupancy alone, by a constant rule (conv_kernel_of), never tuned at run
-time (the transposed unet.up runs as its sub_pixel_conv, fuse.conv1 as
-its split_conv's parts):
+time (the transposed unet.up runs as its sub_pixel_conv, each joined layer
+as its split_conv's parts):
 
 - occupied-pixel: a stride-(1, 1) input whose occupied pixels (channel rows
   that are not all zero) are at most _OCCUPIED_SHARE of the grid, such as
@@ -20,12 +20,13 @@ its split_conv's parts):
   each band gathers the occupied rows its taps reach, and each tap
   multiplies those rows and adds into the shifted cells. This is ordinary
   sparse convolution (SECOND), not the submanifold kind: every output cell
-  equals the dense conv's, up to summation order. fuse.conv1's projected
-  part runs it with stride 2 over the cells points hit (split_conv).
+  equals the dense conv's, up to summation order. The joined layers'
+  projected parts run it over the cells points hit (split_conv),
+  fuse.conv1's with stride 2.
 - Winograd F(2x2, 3x3) (Lavin & Gray, CVPR 2016) for a dense input of a
   3x3 stride-(1, 1) layer of at least _WINOGRAD_MIN_CHANNELS input
-  channels, whatever its size (winograd_shape): on atg4d, unet.enc1, the
-  unet residual convs, unet.fuse, fuse.conv2, fuse.conv4-6 and fuse.head;
+  channels, whatever its size (winograd_shape): on atg4d, the unet
+  residual convs, unet.fuse, fuse.conv2, fuse.conv4-6 and fuse.head;
   on desk, the unet.res2 convs, unet.fuse, fuse.conv4-6 and fuse.head.
   Each 2x2 output tile costs 16 products over the channels instead of 36.
   Its input and output transforms only add and subtract; the kernel
@@ -41,9 +42,12 @@ its split_conv's parts):
   in cache. The Winograd kernel applies them to each tile block's output
   tiles, assembled contiguously before one copy into the output; the
   occupied-pixel kernel to each band after its last tap, as it copies the
-  band into the output. Neither adds a pass over the whole output, and
-  the bits of every kernel are the same whatever its chunks, bands or
-  blocks.
+  band into the output. Neither adds a pass over the whole output. A
+  layer's bits are fixed by its kernel and its block, which the plan's
+  work sizes: a float32 matmul's bits can depend on how many rows it
+  multiplies at once (OpenBLAS SkylakeX: A(667, 54) @ B(54, 5) done 23 or
+  46 rows at a time differs from the whole product), so resizing a
+  layer's work at or above CHUNK_BYTES can change its bits.
 
 Dtype policy: every layer keeps the dtype of a float input and computes a
 non-float input in float32. The frame path feeds uint8 0/1 BEV rasters
@@ -63,12 +67,14 @@ and carrying what it runs; each branch function runs its stage's steps
 its layers' Winograd planes) may hold an Arena (arena.py) planned from that
 list: each grid-shaped tensor of a frame gets its bytes for its live range,
 and a process reuses the same pages frame after frame; a net without an
-arena gives each tensor a new array. Sums and their ReLU are done in
-place: bev.map2 adds into bev.lidar2's output (add_to=), so the map
-features have no tensor of their own. fuse.conv1's joined input is never
-built (split_conv): its dense part ends the BEV branch, so the BEV
-features die before the camera net, and its projected part starts the
-head. Every kernel writes into a caller's view when given one (out=) and
+arena gives each tensor a new array. Where two branches meet, the second
+conv adds into the first one's tensor: bev.map2 into bev.lidar2's output
+and each residual block's second conv into its input (add_to=, then a
+ReLU step in place), a joined layer's projected part into its dense
+part's (split_conv), so no joined input but unet.fuse's skip concat is
+built. fuse.conv1's dense part ends the BEV branch, so the BEV features
+die before the camera net, and its projected part starts the head. Every
+kernel writes into a caller's view when given one (out=) and
 works in blocks of one size (_block_bytes): the layer's work, of which
 each conv step asks CONV_WORK_BYTES and the plan gives only the room the
 frame's tensors leave, when it holds at least arena.CHUNK_BYTES, else
@@ -104,7 +110,7 @@ _OCCUPIED_SHARE = 0.25
 # Dense inputs of 3x3 stride-(1, 1) layers of at least this many input
 # channels, whatever their size, take the Winograd kernel, every other dense
 # input im2col (winograd_shape). Measured per layer on one core (README.md,
-# "Convolution kernels"): the 11 atg4d layers it picks run 16-36% faster,
+# "Convolution kernels"): the 10 atg4d layers it picks run 16-36% faster,
 # 4 of the 7 desk ones 5-35% (fuse.conv4-6, 24x16 pixels, lose 0.02-0.06 ms);
 # narrower layers run slower (cam.conv3, 16 channels: 27 -> 41 ms;
 # cam.conv5, 32: 18.6 -> 21.8) or tie (rv.conv2, 32).
@@ -337,8 +343,10 @@ def _conv2d_occupied(pixels: np.ndarray, occupied: np.ndarray, grid: tuple[int, 
     multiplies the run by its (cin, cout) slice and adds the product into
     the shifted cells. Bias and activation (or out) are applied as the band
     is copied into out, while it is in cache. Indices within one tap are
-    unique and every cell adds its taps in class, then (dy, dx) order, so
-    the sums do not depend on the bands.
+    unique and every cell adds its taps in class, then (dy, dx) order,
+    whatever the bands. The products may not be: a tap multiplies its run
+    in one matmul, whose float32 bits can depend on the run's length, and
+    the bands cut the runs (see the module docstring).
     """
     h, w = grid
     kh, kw, cin, cout = kernel.shape
@@ -691,9 +699,10 @@ class FusionConfig:
         return self.cam_widths[-1]
 
     @property
-    def concat_width(self) -> int:
-        # LiDAR RV features, plus projected camera features and their validity
-        return self.rv_width + (self.cam_out + 1 if self.use_camera else 0)
+    def joined(self) -> dict[str, int]:
+        """The layers whose input joins features with projected features and their validity (split_conv),
+        each with its features' channels: unet.enc1 (RV, camera) with the camera, fuse.conv1 (BEV, RV)."""
+        return {**({"unet.enc1": self.rv_width} if self.use_camera else {}), "fuse.conv1": self.bev_width}
 
     @property
     def per_class_channels(self) -> int:
@@ -723,7 +732,7 @@ def network_plan(config: FusionConfig, bev_in_channels: int) -> list[ConvLayerSp
     layers.append(ConvLayerSpec("rv.conv1", 4, w))
     layers.append(ConvLayerSpec("rv.conv2", w, w))
     u = config.unet_width
-    layers.append(ConvLayerSpec("unet.enc1", config.concat_width, u))
+    layers.append(ConvLayerSpec("unet.enc1", w + (config.cam_out + 1 if config.use_camera else 0), u))
     layers.append(ConvLayerSpec("unet.res1.conv1", u, u))
     layers.append(ConvLayerSpec("unet.res1.conv2", u, u, activation=LINEAR))
     layers.append(ConvLayerSpec("unet.down", u, 2 * u, stride=(1, 2)))
@@ -793,9 +802,9 @@ class ProjectedPart(NamedTuple):
 
 def split_conv(layer: ConvLayerSpec, kernel: np.ndarray, bias: np.ndarray,
                channels: int) -> tuple[ConvLayerSpec, np.ndarray, np.ndarray, ProjectedPart]:
-    """fuse.conv1 split by linearity over its input channels [a; r; v]: the
-    features a in the first channels, then projected features r and their
-    validity v, +1 at the cells points hit and -1 with r = 0 elsewhere
+    """A joined layer (FusionConfig.joined) split by linearity over its
+    input channels [a; r; v]: the features a, then projected features r and
+    their validity v, +1 at the cells points hit and -1 with r = 0 elsewhere
     (project_features). conv(K, [a; r; v]) = conv(K_a, a) + conv(K_r, r) +
     conv(K_v, v), and v = -1 + 2 [hit] inside the grid, 0 on its zero
     padding, so the layer is:
@@ -823,13 +832,18 @@ def split_conv(layer: ConvLayerSpec, kernel: np.ndarray, bias: np.ndarray,
 def conv2d_forward(fm: FeatureMap, layer: ConvLayerSpec, net: FusionNet, out: np.ndarray | None = None,
                    work: np.ndarray | None = None, add_to: np.ndarray | None = None) -> FeatureMap:
     """Apply one of net's layers to a feature map (geometry carried through);
-    out, work and add_to as in conv2d_raw; net's float32 planes only for a float32 computation."""
+    out, work and add_to as in conv2d_raw; net's float32 planes only for a
+    float32 computation. A joined layer runs its dense part (split_conv):
+    the folded bias, plus the validity taps its windows put on the zero
+    padding. Its projected part (projected_part) adds the rest."""
     if fm.channels != layer.in_channels:
         raise ValueError(f"{layer.name}: expected {layer.in_channels} channels, got {fm.channels}")
     kernel, bias = net.params[layer.name]
     planes = net.planes.get(layer.name) if _compute_dtype(fm.data) == np.float32 else None
     data = conv2d_raw(fm.data, kernel, bias, layer.stride, layer.activation, out=out, work=work, planes=planes,
                       add_to=add_to)
+    if layer.name in net.projected:
+        _add_padding_taps(data, net.projected[layer.name].validity, (fm.height, fm.width), layer.stride)
     return FeatureMap(fm.view, data, fm.geometry)
 
 
@@ -837,11 +851,11 @@ class FusionNet:
     """The network of one configuration and one set of weights: the config,
     the layers by name, the weights, checked against the layers once when
     the net is built, the kernel and bias each layer runs (params: its
-    stored blocks, the transposed unet.up's sub_pixel_conv, or the dense
-    part of fuse.conv1's split_conv, whose projected part is projected), the
-    float32 planes of its Winograd layers (planes), made here, and the arena
-    of the frame path, which pipeline.fusion_net plans for a preset. Only
-    the arena changes with a frame.
+    stored blocks, the transposed unet.up's sub_pixel_conv, or a joined
+    layer's dense part, whose projected part is projected[name]; split_conv),
+    the float32 planes of its Winograd layers (planes), made here, and the
+    arena of the frame path, which pipeline.fusion_net plans for a preset.
+    Only the arena changes with a frame.
 
     run runs steps (the *_steps below), in the arena's views when it has one.
     """
@@ -854,19 +868,20 @@ class FusionNet:
         self.weights = weights
         self.layers: dict[str, ConvLayerSpec] = {}
         self.params: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        planes = {}
+        planes, projected = {}, {}
         for layer in plan:
             kernel, bias = weights.kernel(layer.name), weights.bias(layer.name)
             if layer.transposed:
                 layer, kernel, bias = sub_pixel_conv(layer, kernel, bias)
-            if layer.name == "fuse.conv1":
-                layer, kernel, bias, self.projected = split_conv(layer, kernel, bias, config.bev_width)
+            if layer.name in config.joined:
+                layer, kernel, bias, projected[layer.name] = split_conv(layer, kernel, bias, config.joined[layer.name])
             self.layers[layer.name] = layer
             self.params[layer.name] = kernel, bias
             if winograd_shape(layer.in_channels, layer.kernel, layer.stride):
                 planes[layer.name] = winograd_kernel(kernel, np.float32)
                 planes[layer.name].flags.writeable = False
         self.planes: Mapping[str, np.ndarray] = MappingProxyType(planes)
+        self.projected: Mapping[str, ProjectedPart] = MappingProxyType(projected)
         self.arena: Arena | None = None
 
     def work(self, name: str) -> np.ndarray | None:
@@ -1008,33 +1023,17 @@ def _add_padding_taps(out: np.ndarray, validity: np.ndarray, grid: tuple[int, in
     out[inner_rows[:, None], edge_cols] += outside(inner_rows, edge_cols)
 
 
-def fuse_conv1_dense(bev_features: FeatureMap, net: FusionNet, out: np.ndarray | None = None,
-                     work: np.ndarray | None = None) -> FeatureMap:
-    """fuse.conv1's part that reads the BEV features (split_conv): net's
-    fuse.conv1 (conv2d_forward) with the folded bias, plus the validity taps
-    its windows put on the zero padding, written into out when given. The
-    result waits for the projected part (fuse_conv1_projected), which adds
-    the rest of the layer and applies its activation."""
-    layer = net.layers["fuse.conv1"]
-    x = conv2d_forward(bev_features, layer, net, out=out, work=work)
-    _add_padding_taps(x.data, net.projected.validity, (bev_features.height, bev_features.width), layer.stride)
-    return x
-
-
-def fuse_conv1_projected(dense: np.ndarray, projected: np.ndarray, net: FusionNet,
-                         work: np.ndarray | None = None) -> None:
-    """Completes fuse.conv1 in dense, fuse_conv1_dense's output: adds the
-    part that reads the RV->BEV projection and applies the layer's
-    activation. projected is project_features' (rows, cols, unet_width + 1)
-    array: the projected features, zero at the cells no point hits, and
-    their validity. This part is the occupied-pixel kernel, strided, over
-    the hit cells (validity +1) only."""
-    layer, part = net.layers["fuse.conv1"], net.projected
+def projected_part(dense: np.ndarray, projected: np.ndarray, name: str, net: FusionNet,
+                   work: np.ndarray | None = None) -> None:
+    """Completes the joined layer called name in dense, its dense part's output:
+    the occupied-pixel kernel over projected's hit cells (validity +1),
+    project_features' (rows, cols, c + 1) array, then the activation."""
+    layer, part = net.layers[name], net.projected[name]
     grid = projected.shape[:2]
     want = (*conv_output_shape(*grid, layer.stride), layer.out_channels)
-    if projected.shape[2] != net.config.unet_width + 1 or dense.shape != want:
-        raise ValueError(f"the projection must be {(*grid, net.config.unet_width + 1)} and fuse.conv1's "
-                         f"dense part {want}, got {projected.shape} and {dense.shape}")
+    if projected.shape[2] != part.kernel.shape[2] or dense.shape != want:
+        raise ValueError(f"the projection must be {(*grid, part.kernel.shape[2])} and {name}'s dense part {want}, "
+                         f"got {projected.shape} and {dense.shape}")
     pixels = _pixel_rows(projected)
     hits = np.flatnonzero(pixels[:, -1] > 0)
     _conv2d_occupied(pixels, hits, grid, part.kernel.astype(dense.dtype, copy=False), None, part.activation,
@@ -1056,20 +1055,26 @@ class _StepList(list):
         self.shapes.update(writes)
         self.append(Step(name, tuple((t, shape, "float32") for t, shape in writes.items()), tuple(reads), work, run))
 
-    def conv(self, name: str, src: str, into: str | None = None, add_to: str | None = None, run=None) -> None:
+    def conv(self, name: str, src: str, add_to: str | None = None) -> None:
         """The step of the layer called name, reading src: it writes the
-        tensor named after the layer or, given into, into's leading
-        channels, or given add_to adds into that tensor (conv2d_raw's
-        add_to), by the conv or, given run, by that."""
-        net, view, layer, dst = self.net, self.view, self.net.layers[name], into or add_to or name
+        tensor named after the layer or, given add_to, adds into that tensor
+        (conv2d_raw's add_to). A joined layer's step runs its dense part."""
+        net, view, layer = self.net, self.view, self.net.layers[name]
         h, w, _ = self.shapes[src]
-        shape = self.shapes[into] if into else (*conv_output_shape(h, w, layer.stride), layer.out_channels)
 
         def conv(v):
-            target = {"add_to" if add_to else "out": v[dst][:, :, :layer.out_channels]}
+            target = {"add_to" if add_to else "out": v[add_to or name]}
             conv2d_forward(FeatureMap(view, v[src]), layer, net, work=net.work(name), **target)
 
-        self.add(name, run or conv, {dst: shape}, (src,), CONV_WORK_BYTES)
+        self.add(name, conv, {add_to or name: (*conv_output_shape(h, w, layer.stride), layer.out_channels)}, (src,),
+                 CONV_WORK_BYTES)
+
+    def projected(self, name: str, src: str) -> None:
+        """The step that completes the joined layer called name in its
+        tensor: its projected part over src, the projection (projected_part)."""
+        net, step = self.net, f"{name}.projected"
+        self.add(step, lambda v: projected_part(v[name], v[src], name, net, net.work(step)),
+                 {name: self.shapes[name]}, (name, src), CONV_WORK_BYTES)
 
     def chain(self, src: str, *names: str) -> None:
         """Convs in order, each reading the one before, the first src."""
@@ -1088,14 +1093,13 @@ class _StepList(list):
 def bev_branch_steps(net: FusionNet, rows: int, cols: int) -> list[Step]:
     """LiDAR-stack and map-raster embeddings on a (rows, cols) grid, the map's
     added into bev.lidar2's output (the BEV features), then fuse.conv1's
-    dense part over them (fuse_conv1_dense): the branch ends with the
+    dense part over them (conv2d_forward): the branch ends with the
     stride-2 "fuse.conv1", a quarter of their size, and they die with it."""
     s = _StepList(net, BEV, {"lidar_stack": (rows, cols, net.bev_in_channels), "map_raster": (rows, cols, 7)})
     s.chain("lidar_stack", "bev.lidar1", "bev.lidar2")
     s.conv("bev.map1", "map_raster")
     s.conv("bev.map2", "bev.map1", add_to="bev.lidar2")
-    s.conv("fuse.conv1", "bev.lidar2", run=lambda v: fuse_conv1_dense(FeatureMap(BEV, v["bev.lidar2"]), net,
-                                                                      out=v["fuse.conv1"], work=net.work("fuse.conv1")))
+    s.conv("fuse.conv1", "bev.lidar2")
     return s
 
 
@@ -1112,24 +1116,19 @@ def camera_features_geometry(image: CameraGeometry) -> CameraGeometry:
 
 
 def rv_branch_steps(net: FusionNet, rv: RvSpec, camera: CameraGeometry | None) -> list[Step]:
-    """LiDAR RV convs, the camera features (of geometry camera) projected by
-    views["points"] into the rest of rv.conv2's output, with their validity
-    (unet.enc1's input), and the 2-scale U-net, whose unet.up output (h, w,
-    2u) is read as (h, 2w, u), the pixel shuffle, and cropped to level 1."""
+    """LiDAR RV convs; unet.enc1, with the camera completed by its projected
+    part over the camera features (of geometry camera) projected by
+    views["points"] ("camera_to_rv"); and the 2-scale U-net, whose unet.up
+    output (h, w, 2u) is read as (h, 2w, u), the pixel shuffle, cropped."""
     config = net.config
-    s, cam = _StepList(net, RV, {"rv.conv1.in": (rv.rows, rv.cols, 4)}), f"cam.conv{len(config.cam_widths)}"
-    s.conv("rv.conv1", "rv.conv1.in")
+    s = _StepList(net, RV, {"rv.conv1.in": (rv.rows, rv.cols, 4)})
+    s.chain("rv.conv1.in", "rv.conv1", "rv.conv2", "unet.enc1")
     if config.use_camera:
-        src = "unet.enc1.in"
-        s.shapes[src] = (*s.shapes["rv.conv1"][:2], config.concat_width)
-        s.conv("rv.conv2", "rv.conv1", into=src)
+        cam = f"cam.conv{len(config.cam_widths)}"
         s.add("camera_to_rv", lambda v: project_features(FeatureMap(CAMERA, v[cam], camera), v["points"], rv,
-                                                         out=v[src][:, :, config.rv_width:]),
-              {src: s.shapes[src]}, (cam,))
-    else:
-        src = "rv.conv2"
-        s.conv(src, "rv.conv1")
-    s.conv("unet.enc1", src)
+                                                         out=v["camera_to_rv"]),
+              {"camera_to_rv": (rv.rows, rv.cols, config.cam_out + 1)}, (cam,))
+        s.projected("unet.enc1", "camera_to_rv")
     s.residual("unet.res1", "unet.enc1")
     s.conv("unet.down", "unet.enc1")
     s.residual("unet.res2", "unet.down")
@@ -1146,15 +1145,13 @@ def rv_branch_steps(net: FusionNet, rv: RvSpec, camera: CameraGeometry | None) -
 def fuse_head_steps(net: FusionNet, grid: GridSpec) -> list[Step]:
     """The stride-reducing head on a BEV grid: fuse.conv1 completed by its
     projected part over the RV->BEV projection ("rv_to_bev"), in place
-    (fuse_conv1_projected), then the rest of the head; the last step writes
+    (projected_part), then the rest of the head; the last step writes
     the cell outputs into "outputs", in float64, and their CellOutputs into
     views["cells"]."""
     config, layer = net.config, net.layers["fuse.conv1"]
-    shape = (*conv_output_shape(grid.rows, grid.cols, layer.stride), layer.out_channels)
-    s = _StepList(net, BEV, {"fuse.conv1": shape})
-    s.add("fuse.conv1.projected", lambda v: fuse_conv1_projected(v["fuse.conv1"], v["rv_to_bev"], net,
-                                                                 net.work("fuse.conv1.projected")),
-          {"fuse.conv1": shape}, ("fuse.conv1", "rv_to_bev"), CONV_WORK_BYTES)
+    s = _StepList(net, BEV, {"fuse.conv1": (*conv_output_shape(grid.rows, grid.cols, layer.stride),
+                                            layer.out_channels)})
+    s.projected("fuse.conv1", "rv_to_bev")
     s.chain("fuse.conv1", *(f"fuse.conv{i + 1}" for i in range(1, len(config.head_widths))), "fuse.head")
     out_grid = OutputGrid.from_grid(grid, config.output_stride)
     s.append(Step("outputs", (("outputs", (math.prod(s.shapes["fuse.head"]),), "float64"),), ("fuse.head",), 0,

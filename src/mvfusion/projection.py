@@ -31,8 +31,8 @@ of a narrow array pairwise, which changes the bits of long cells of 1-3
 channels. Only the averages are scattered into the target grid, which has
 the source's dtype (float32 stays float32, anything else is float64), so a
 float32 result is exactly the float64 result cast to float32. The target
-grid may be a caller's buffer (project_features' out), so the projection
-can be written straight into the input of the convolution that reads it.
+grid may be a caller's buffer (project_features' out), such as the
+projection's own tensor in the frame's arena.
 """
 from __future__ import annotations
 
@@ -106,10 +106,9 @@ def project_features(
 
     Both are views of one (rows, cols, C + 1) array, features its first C
     channels and validity its last: out when given, which must have that
-    shape and dtype and may be a channel slice of a wider buffer (such as
-    the input of the convolution that reads the projection), else a new
-    array. Every element of out is written, through (row, col) indices, so a
-    strided out is filled in place.
+    shape and dtype and may be strided (a channel slice of a wider buffer
+    qualifies), else a new array. Every element of out is written, through
+    (row, col) indices, so a strided out is filled in place.
     """
     channels = source.channels
     xyz, laser, azimuth = points.xyz, points.laser, points.azimuth

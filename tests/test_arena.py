@@ -180,7 +180,7 @@ def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
     winograd = {step.name: shapes[step.reads[0]] for step in steps if step.name in layers
                 and network.winograd_shape(layers[step.name].in_channels, layers[step.name].kernel,
                                            layers[step.name].stride)}
-    assert len(winograd) == 12  # 11 dense layers and bev.lidar1, whose sparse stack the occupied kernel takes
+    assert len(winograd) == 11  # 10 dense layers and bev.lidar1, whose sparse stack the occupied kernel takes
     for name, (h, w, _) in winograd.items():  # each gets room for the planes of its tile blocks
         layer = layers[name]
         blocks = network._winograd_blocks(h, w, layer.in_channels, layer.out_channels, 4, network.CONV_WORK_BYTES)
@@ -194,13 +194,13 @@ def test_winograd_work_never_sets_the_atg4d_arena_size(monkeypatch):
 @pytest.mark.parametrize("name,size", [("desk", 4_390_912), ("atg4d", 264_881_024)])
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_every_conv_asks_the_same_work_and_none_gets_more(name, size, use_camera):
-    # each layer's step, and the step of fuse.conv1's projected part, asks
-    # the same work; on atg4d each gets all of it
+    # each layer's step, and the step of each joined layer's projected
+    # part, asks the same work; on atg4d each gets all of it
     preset = get_preset(name)
     net = unplanned_net(preset, make_weights(preset, 0, use_camera))
     steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
     assert {step.name: step.work for step in steps if step.work} == dict.fromkeys(
-        [*net.layers, "fuse.conv1.projected"], network.CONV_WORK_BYTES)
+        [*net.layers, *(f"{name}.projected" for name in net.projected)], network.CONV_WORK_BYTES)
     plan = plan_arena(steps, export="outputs")
     assert plan.size == size  # the frame's tensors set it, as when each conv asked for what its kernels could use
     assert plan.size == plan_arena([step._replace(work=0) for step in steps], export="outputs").size
@@ -230,15 +230,30 @@ def test_every_plan_equals_the_recorded_one(name, use_camera):
 
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_the_atg4d_plan_holds_no_joined_fuse_input(use_camera):
-    # fuse.conv1 reads the BEV features and the projection apart (split by
-    # linearity), so the frame's largest moment is the BEV branch's, not a
-    # copy of the BEV features into a 129-channel input
-    preset = get_preset("atg4d")
-    net = unplanned_net(preset, make_weights(preset, 0, use_camera))
-    plan = plan_arena(pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net), export="outputs")
-    assert "fuse.conv1.in" not in {t.name for t in plan.tensors}
-    assert plan.tensor("rv_to_bev").shape == (preset.grid.rows, preset.grid.cols, net.config.unet_width + 1)
-    assert plan.size <= 256 * 2**20
+    # the joined layers read their features and the projection apart (split
+    # by linearity), on every preset: no plan holds a joined input but the
+    # U-Net's skip concat, unet.fuse.in, every conv step writes a tensor of
+    # its layer's width, never the leading channels of a wider one, and each
+    # projection has a tensor of its own; the plans are no larger than with
+    # unet.enc1 unsplit
+    for name, size in (("desk", 4_390_912), ("atg4d", 264_881_024), ("nuscenes", 343_448_576)):
+        preset = get_preset(name)
+        net = unplanned_net(preset, make_weights(preset, 0, use_camera))
+        steps = pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
+        plan = plan_arena(steps, export="outputs")
+        images = {"rv.conv1.in", "cam.conv1.in"} if use_camera else {"rv.conv1.in"}
+        assert {t.name for t in plan.tensors if t.name.endswith(".in")} == images | {"unet.fuse.in"}
+        for step in steps:
+            if step.name in net.layers:
+                assert [shape[2] for _, shape, _ in step.writes] == [net.layers[step.name].out_channels]
+        projections = {"rv_to_bev": "fuse.conv1", "camera_to_rv": "unet.enc1"}
+        assert {step.reads for step in steps if step.name.endswith(".projected")} == {
+            (layer, projection) for projection, layer in projections.items() if layer in net.projected}
+        for projection, layer in projections.items():
+            if layer in net.projected:
+                assert plan.tensor(projection).shape[2] == net.projected[layer].kernel.shape[2]
+        assert ("camera_to_rv" in {t.name for t in plan.tensors}) == use_camera
+        assert plan.size <= size
 
 
 @pytest.mark.parametrize("name,mib", [("desk", 4.8), ("atg4d", 256), ("nuscenes", 330)])

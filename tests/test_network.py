@@ -22,11 +22,10 @@ from mvfusion.network import (
     conv2d_raw,
     conv_output_shape,
     fuse_and_head_forward,
-    fuse_conv1_dense,
-    fuse_conv1_projected,
     init_network_weights,
     load_weights,
     network_plan,
+    projected_part,
     rv_branch_forward,
     save_weights,
 )
@@ -759,13 +758,13 @@ def test_rv_branch_invisible_camera_equals_zeroed_camera_path():
     net = FusionNet(cfg, 4, weights)
     out = rv_branch_forward(rv_img, cam_feats, pts, net)
 
-    # manual zeroed-camera path
+    # manual zeroed-camera path, unet.enc1 unsplit over the joined input
     x_ = conv2d_forward(rv_img, net.layers["rv.conv1"], net)
     x_ = conv2d_forward(x_, net.layers["rv.conv2"], net)
     zeros = np.zeros((8, 64, cfg.cam_out))
     minus = np.full((8, 64, 1), -1.0)
-    manual_in = FeatureMap("rv", np.concatenate([x_.data, zeros, minus], axis=2), rv)
-    enc1 = conv2d_forward(manual_in, net.layers["unet.enc1"], net)
+    manual_in = np.concatenate([x_.data, zeros, minus], axis=2)
+    enc1 = FeatureMap("rv", conv2d_raw(manual_in, weights.kernel("unet.enc1"), weights.bias("unet.enc1")), rv)
     r = conv2d_forward(enc1, net.layers["unet.res1.conv1"], net)
     r = conv2d_forward(r, net.layers["unet.res1.conv2"], net)
     level1 = FeatureMap("rv", np.maximum(enc1.data + r.data, 0.0), rv)
@@ -776,7 +775,7 @@ def test_rv_branch_invisible_camera_equals_zeroed_camera_path():
     up = conv2d_forward(level2, net.layers["unet.up"], net).data.reshape(8, 64, cfg.unet_width)
     merged = FeatureMap("rv", np.concatenate([up, level1.data], axis=2), rv)
     want = conv2d_forward(merged, net.layers["unet.fuse"], net)
-    assert np.array_equal(out.data, want.data)
+    assert np.abs(out.data - want.data).max() < 1e-12  # the split unet.enc1 adds in another order
 
 
 def test_bev_branch_zero_map_equals_lidar_embedding():
@@ -789,7 +788,7 @@ def test_bev_branch_zero_map_equals_lidar_embedding():
     net = FusionNet(cfg, 6, weights)
     out = bev_branch_forward(lidar, zero_map, net)  # fuse.conv1's dense part over the BEV features
     lid = conv2d_forward(conv2d_forward(lidar, net.layers["bev.lidar1"], net), net.layers["bev.lidar2"], net)
-    assert np.array_equal(out.data, fuse_conv1_dense(lid, net).data)
+    assert np.array_equal(out.data, conv2d_forward(lid, net.layers["fuse.conv1"], net).data)
     assert out.data.shape == (*conv_output_shape(g.rows, g.cols, (2, 2)), cfg.head_widths[0])
     assert out.geometry is g
 
@@ -847,7 +846,8 @@ def test_fuse_head_zero_features_probability_half():
     kernel[:, :, -1] = 0.0  # no validity taps: the -1 of the cells no point hits adds nothing
     weights = replace(weights, blocks={**weights.blocks, "fuse.conv1.kernel": kernel})
     net = FusionNet(cfg, 6, weights)
-    zeros = fuse_conv1_dense(FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width)), g), net)
+    zeros = conv2d_forward(FeatureMap("bev", np.zeros((g.rows, g.cols, cfg.bev_width)), g), net.layers["fuse.conv1"],
+                           net)
     no_hits = np.zeros((g.rows, g.cols, cfg.unet_width + 1))  # the projection of no points
     no_hits[:, :, -1] = -1.0
     out = fuse_and_head_forward(zeros, FeatureMap("bev", no_hits, g), net)
@@ -867,21 +867,24 @@ def test_fuse_head_deterministic():
     hit = rng.uniform(size=(g.rows, g.cols, 1)) < 0.5
     projected = FeatureMap("bev", np.concatenate([rng.normal(size=(g.rows, g.cols, cfg.unet_width)) * hit,
                                                   np.where(hit, 1.0, -1.0)], axis=2), g)
-    a, b = (fuse_and_head_forward(fuse_conv1_dense(features, net), projected, net)
+    a, b = (fuse_and_head_forward(conv2d_forward(features, net.layers["fuse.conv1"], net), projected, net)
             for net in (FusionNet(cfg, 6, weights), FusionNet(cfg, 6, weights)))
     for cls in cfg.classes:
         assert np.array_equal(a.prob[cls], b.prob[cls])
         assert np.array_equal(a.centers[cls], b.centers[cls])
 
 
-def _split_instance(h, w, hits, seed, dtype=np.float64):
-    """A net of tiny_config whose fuse.conv1 has a non-zero bias, BEV
-    features, and a projection (zero features, validity -1 off the hit
-    cells) on an (h, w) grid whose hit cells follow the named pattern."""
+def _split_instance(name, h, w, hits, seed, dtype=np.float64):
+    """A net of tiny_config whose joined layer called name has a non-zero
+    bias, the layer's features and a projection (zero features, validity -1
+    off the hit cells) on an (h, w) grid of its view, a BEV grid for
+    fuse.conv1 and an RV image for unet.enc1, whose hit cells follow the
+    named pattern."""
     rng = np.random.default_rng(seed)
     cfg = tiny_config()
     weights = init_network_weights(cfg, bev_in_channels=6, seed=seed)
-    weights = replace(weights, blocks={**weights.blocks, "fuse.conv1.bias": rng.normal(size=cfg.head_widths[0])})
+    layer = next(layer for layer in network_plan(cfg, 6) if layer.name == name)
+    weights = replace(weights, blocks={**weights.blocks, f"{name}.bias": rng.normal(size=layer.out_channels)})
     hit = np.zeros((h, w), dtype=bool)
     if hits == "all":
         hit[...] = True
@@ -890,48 +893,56 @@ def _split_instance(h, w, hits, seed, dtype=np.float64):
     elif hits.startswith("corner"):
         corner = int(hits[-1])
         hit[-(corner // 2), -(corner % 2)] = True
-    grid = GridSpec(float(h), float(w), 1.0, 1.0, 1.0, 1.0)
-    bev = rng.normal(size=(h, w, cfg.bev_width))
-    projected = np.concatenate([rng.normal(size=(h, w, cfg.unet_width)) * hit[:, :, None],
+    view, geometry = ("bev", GridSpec(float(h), float(w), 1.0, 1.0, 1.0, 1.0)) if name == "fuse.conv1" else (
+        "rv", RvSpec(h, w))
+    channels = cfg.joined[name]
+    features = rng.normal(size=(h, w, channels))
+    projected = np.concatenate([rng.normal(size=(h, w, layer.in_channels - channels - 1)) * hit[:, :, None],
                                 np.where(hit, 1.0, -1.0)[:, :, None]], axis=2)
-    return (FusionNet(cfg, 6, weights), FeatureMap("bev", bev.astype(dtype), grid),
-            FeatureMap("bev", projected.astype(dtype), grid))
+    return (FusionNet(cfg, 6, weights), FeatureMap(view, features.astype(dtype), geometry),
+            FeatureMap(view, projected.astype(dtype), geometry))
 
 
-def _split_fuse_conv1(net, bev, projected):
-    """fuse.conv1 by its two parts, as the frame runs them: the dense part
-    over the BEV features, then the projected part added in place."""
-    x = fuse_conv1_dense(bev, net)
-    fuse_conv1_projected(x.data, projected.data, net)
+def _split_conv(net, name, features, projected):
+    """The joined layer called name by its two parts, as the frame runs
+    them: the dense part over its features, then the projected part added
+    in place."""
+    x = conv2d_forward(features, net.layers[name], net)
+    projected_part(x.data, projected.data, name, net)
     return x
 
 
-def _joined_fuse_conv1(net, bev, projected):
-    """fuse.conv1 by the literal conv over the joined input, with the stored 129-channel kernel."""
-    joined = np.concatenate([bev.data, projected.data], axis=2).astype(np.float64)
-    return naive_conv2d(joined, net.weights.kernel("fuse.conv1"), net.weights.bias("fuse.conv1"), (2, 2), relu=True)
+def _joined_conv(net, name, features, projected):
+    """The joined layer called name by the literal conv over the joined input, with its stored kernel."""
+    joined = np.concatenate([features.data, projected.data], axis=2).astype(np.float64)
+    return naive_conv2d(joined, net.weights.kernel(name), net.weights.bias(name), net.layers[name].stride,
+                        relu=True)
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (5, 4), (4, 5), (6, 6), (7, 9)])
 @pytest.mark.parametrize("hits", ["none", "all", "corner0", "corner1", "corner2", "corner3", "scattered"])
 def test_split_fuse_conv1_equals_the_joined_conv_in_float64(h, w, hits):
-    net, bev, projected = _split_instance(h, w, hits, seed=h * 10 + w)
-    assert net.layers["fuse.conv1"].in_channels == net.config.bev_width
-    got = _split_fuse_conv1(net, bev, projected)
-    assert got.data.dtype == np.float64
-    assert np.abs(got.data - _joined_fuse_conv1(net, bev, projected)).max() < 1e-12
+    # both joined layers: fuse.conv1 at stride 2 on a BEV grid, unet.enc1 at
+    # stride 1 on an RV image
+    for name, stride in (("fuse.conv1", (2, 2)), ("unet.enc1", (1, 1))):
+        net, features, projected = _split_instance(name, h, w, hits, seed=h * 10 + w)
+        assert net.layers[name].in_channels == net.config.joined[name] and net.layers[name].stride == stride
+        got = _split_conv(net, name, features, projected)
+        assert got.data.dtype == np.float64
+        assert np.abs(got.data - _joined_conv(net, name, features, projected)).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_split_fuse_conv1_float32_error_stays_inside_the_im2col_bound(seed):
-    net, bev, projected = _split_instance(37, 29, "scattered", seed, np.float32)
-    exact = _joined_fuse_conv1(net, bev, projected)
-    joined = np.concatenate([bev.data, projected.data], axis=2)
-    im2col = conv2d_raw(joined, net.weights.kernel("fuse.conv1"), net.weights.bias("fuse.conv1"), (2, 2))
-    split = _split_fuse_conv1(net, bev, projected).data
-    assert split.dtype == im2col.dtype == np.float32
-    scale = np.abs(exact).max()
-    assert np.abs(split - exact).max() / scale < 1e-6 and np.abs(im2col - exact).max() / scale < 1e-6
+    for name in ("fuse.conv1", "unet.enc1"):
+        net, features, projected = _split_instance(name, 37, 29, "scattered", seed, np.float32)
+        exact = _joined_conv(net, name, features, projected)
+        joined = np.concatenate([features.data, projected.data], axis=2)
+        im2col = conv2d_raw(joined, net.weights.kernel(name), net.weights.bias(name), net.layers[name].stride)
+        split = _split_conv(net, name, features, projected).data
+        assert split.dtype == im2col.dtype == np.float32
+        scale = np.abs(exact).max()
+        assert np.abs(split - exact).max() / scale < 1e-6 and np.abs(im2col - exact).max() / scale < 1e-6
 
 
 @pytest.mark.parametrize("h,w", [(9, 8), (8, 9), (1, 1), (2, 3)])

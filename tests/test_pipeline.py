@@ -105,9 +105,9 @@ def unplanned_net(preset, weights):
 def float64_forward(bundle, preset, weights, joined=False):
     """The frame's steps run on a net without an arena from float64
     rasters, camera image and RV image, so every tensor is a new float64
-    array; with joined, fuse.conv1 runs unsplit where its projected part
-    would, as one conv over its stored 129-channel kernel and the BEV
-    features joined with the projection, overwriting its dense part."""
+    array; with joined, each joined layer (FusionConfig.joined) runs unsplit
+    where its projected part would, as one conv over its stored kernel and
+    its features joined with the projection, overwriting its dense part."""
     net = unplanned_net(preset, weights)
     rasters = rasterize_frame(bundle, preset)
     views = {"bundle": bundle, "points": bundle.sweeps[-1].points, "cam.conv1.in": bundle.camera_image.data,
@@ -116,15 +116,17 @@ def float64_forward(bundle, preset, weights, joined=False):
     steps = [step for step in pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
              if step.name not in views]  # not the steps that write those inputs
     if joined:
-        layer = next(layer for layer in network.network_plan(net.config, net.bev_in_channels)
-                     if layer.name == "fuse.conv1")
+        reads = {step.name: step.reads for step in steps}
+        layers = {layer.name: layer for layer in network.network_plan(net.config, net.bev_in_channels)}
 
-        def unsplit(v):
-            network.conv2d_raw(np.concatenate([v["bev.lidar2"], v["rv_to_bev"]], axis=2),
-                               weights.kernel("fuse.conv1"), weights.bias("fuse.conv1"), layer.stride,
-                               layer.activation, out=v["fuse.conv1"])
+        def unsplit(name, features, projection):
+            def run(v):
+                network.conv2d_raw(np.concatenate([v[features], v[projection]], axis=2), weights.kernel(name),
+                                   weights.bias(name), layers[name].stride, layers[name].activation, out=v[name])
+            return run
 
-        steps = [step._replace(run=unsplit) if step.name == "fuse.conv1.projected" else step for step in steps]
+        steps = [step._replace(run=unsplit(step.reads[0], reads[step.reads[0]][0], step.reads[1]))
+                 if step.name in {f"{name}.projected" for name in net.projected} else step for step in steps]
     return net.run(steps, views)["cells"]
 
 
@@ -168,11 +170,14 @@ def test_forward_frame_dtype_policy(desk_frame, monkeypatch):
 
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_forward_frame_equals_the_unsplit_fuse_conv1(desk_frame, use_camera):
-    # fuse.conv1 split by linearity: in float64 the frame equals the one
-    # whose fuse.conv1 reads the joined 129 channels, to rounding; in
-    # float32 it stays inside the dtype policy's bounds of it
+    # the joined layers split by linearity (fuse.conv1, and unet.enc1 with
+    # the camera): in float64 the frame equals the one whose joined layers
+    # read their joined inputs, to rounding; in float32 it stays inside the
+    # dtype policy's bounds of it
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0, use_camera=use_camera)
+    assert set(unplanned_net(preset, weights).projected) == {"unet.enc1", "fuse.conv1"} if use_camera else {
+        "fuse.conv1"}
     outputs = forward_frame(bundle, preset, weights)
     split = float64_forward(bundle, preset, weights)
     joined = float64_forward(bundle, preset, weights, joined=True)
@@ -223,7 +228,7 @@ def test_kernel_choice_of_every_desk_and_atg4d_layer(desk_frame, monkeypatch):
     # about 15% of its pixels occupied, so the occupied-pixel kernel takes it
     # first (README.md, "Convolution kernels").
     assert _winograd_shaped(get_preset("atg4d")) == {
-        "bev.lidar1", "unet.enc1", "unet.res1.conv1", "unet.res1.conv2", "unet.res2.conv1", "unet.res2.conv2",
+        "bev.lidar1", "unet.res1.conv1", "unet.res1.conv2", "unet.res2.conv1", "unet.res2.conv2",
         "unet.fuse", "fuse.conv2", "fuse.conv4", "fuse.conv5", "fuse.conv6", "fuse.head"}
 
 
@@ -297,17 +302,16 @@ def test_frame_tensors_are_dead_when_the_fuse_convolutions_run(desk_frame, monke
 @pytest.mark.parametrize("use_camera", [True, False])
 def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch, use_camera):
     # the branch functions run the steps frame_steps lists: every conv must
-    # read the tensor its step reads and write the one it writes (for
-    # rv.conv2 with the camera, the leading channels of unet.enc1.in), or
-    # add into it when that tensor is not named after the layer (bev.map2
-    # and the residual convs), in the plan's step order
+    # read the tensor its step reads and write the whole tensor it writes,
+    # or add into it when that tensor is not named after the layer
+    # (bev.map2 and the residual convs), in the plan's step order
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0, use_camera=use_camera)
     net = pipeline.fusion_net(preset, weights)
     conv_steps = [s for s in pipeline.frame_steps(preset.grid, preset.rv, preset.camera, net)
                   if s.name in net.layers]
     steps = {s.name: s for s in conv_steps}
-    adds = {s.name for s in conv_steps if s.writes[0][0] not in (s.name, "unet.enc1.in")}
+    adds = {s.name for s in conv_steps if s.writes[0][0] != s.name}
     arena = net.arena
     conv_fn = network.conv2d_forward
     calls = []
@@ -316,13 +320,22 @@ def test_every_conv_reads_and_writes_its_planned_tensors(desk_frame, monkeypatch
         step = steps[layer.name]
         written = arena.view(step.writes[0][0])
         out = kwargs.get("add_to" if layer.name in adds else "out")
-        calls.append((layer.name, fm.data is arena.view(step.reads[0]),
-                      out is not None and out.ctypes.data == written.ctypes.data and np.shares_memory(out, written)))
+        calls.append((layer.name, fm.data is arena.view(step.reads[0]), out is not None and out.shape == written.shape
+                      and out.ctypes.data == written.ctypes.data and np.shares_memory(out, written)))
         return conv_fn(fm, layer, net, **kwargs)
 
+    # the camera features projected into RV go into a tensor of their own, whole
+    project_fn, projected = network.project_features, []
+
+    def project(source, points, rv, out):
+        projected.append(out.shape == arena.view("camera_to_rv").shape and out.ctypes.data == arena.view(
+            "camera_to_rv").ctypes.data)
+        return project_fn(source, points, rv, out=out)
+
     monkeypatch.setattr(network, "conv2d_forward", conv)
+    monkeypatch.setattr(network, "project_features", project)
     forward_frame(bundle, preset, weights)
-    assert any(s.name == "rv.conv2" and s.writes[0][0] == "unet.enc1.in" for s in conv_steps) == use_camera
+    assert projected == ([True] if use_camera else [])
     assert {name: steps[name].writes[0][0] for name in adds} == {
         "bev.map2": "bev.lidar2", "unet.res1.conv2": "unet.enc1", "unet.res2.conv2": "unet.down"}
     assert calls == [(s.name, True, True) for s in conv_steps]
@@ -363,7 +376,9 @@ def test_frames_with_one_weights_object_build_the_net_once(desk_frame, monkeypat
     dense = [layer.name for layer in network.network_plan(preset.fusion, bev_stack_channels(preset))
              if layer.kernel == (3, 3) and layer.stride == (1, 1)]
     assert len(transformed) == len(dense) == len(net.planes) == 20
-    assert {id(kernel) for kernel in transformed} == {id(weights.kernel(name)) for name in dense}
+    # the kernels the layers run: the stored ones, or unet.enc1's dense part
+    assert {id(kernel) for kernel in transformed} == {id(net.params[name][0]) for name in dense}
+    assert net.params["unet.enc1"][0] is not weights.kernel("unet.enc1")
 
 
 def test_alternating_weights_share_one_arena_and_give_fresh_digests(desk_frame, monkeypatch):

@@ -103,8 +103,16 @@ def test_conv_kernels_times_every_layer_under_its_eligible_kernels():
     assert header == "| layer | input | occupied | rule | im2col ms | winograd ms | occupied ms |"
     assert rule == "|---" * 7 + "|"
     preset = get_preset("desk")
-    plan = fusion_net(preset, make_weights(preset, 0)).layers  # the layers as run: fuse.conv1's dense part
+    net = fusion_net(preset, make_weights(preset, 0))
+    plan = net.layers  # the layers as run: the joined layers' dense parts
     cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    # a row for each joined layer's projected part, timed under the occupied-pixel kernel only
+    parts = [c for c in cells if c[0].endswith(".projected")]
+    assert sorted(c[0] for c in parts) == ["fuse.conv1.projected", "unet.enc1.projected"]
+    for name, shape, hits, kernel, *times in parts:
+        assert int(shape.split("x")[2]) == net.projected[name[:-len(".projected")]].kernel.shape[2]
+        assert 0.0 < float(hits) < 1.0 and kernel == "occupied" and times[:2] == ["-", "-"] and float(times[2]) >= 0
+    cells = [c for c in cells if c not in parts]
     assert sorted(c[0] for c in cells) == sorted(layer.name for layer in network_plan(preset.fusion,
                                                                                       bev_stack_channels(preset)))
     for name, shape, occupied, kernel, *times in cells:
