@@ -21,7 +21,7 @@ stage, in the order they end, then one for the whole frame:
 
   {"kind": "layer", "name": "bev.lidar1", "stage": "bev_branch", "peak_mib": 268.0}
   {"kind": "stage", "name": "bev_branch", "peak_mib": 269.5}
-  {"kind": "frame", "name": "forward", "peak_mib": 277.0, "baseline_mib": 96.2}
+  {"kind": "frame", "name": "forward", "peak_mib": 277.1, "baseline_mib": 96.2}
 
 A peak is the most memory held at once while the layer or stage ran, in
 MiB above the baseline taken right after the bundle read, so it counts what

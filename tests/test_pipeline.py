@@ -125,8 +125,10 @@ def float64_forward(bundle, preset, weights, joined=False):
                                    weights.bias(name), layers[name].stride, layers[name].activation, out=v[name])
             return run
 
+        parts = {f"{name}.projected" for name in net.projected}
+        assert parts <= set(reads)  # every joined layer is completed by its projected part
         steps = [step._replace(run=unsplit(step.reads[0], reads[step.reads[0]][0], step.reads[1]))
-                 if step.name in {f"{name}.projected" for name in net.projected} else step for step in steps]
+                 if step.name in parts else step for step in steps]
     return net.run(steps, views)["cells"]
 
 
@@ -176,8 +178,8 @@ def test_forward_frame_equals_the_unsplit_fuse_conv1(desk_frame, use_camera):
     # dtype policy's bounds of it
     preset, bundle = desk_frame
     weights = make_weights(preset, seed=0, use_camera=use_camera)
-    assert set(unplanned_net(preset, weights).projected) == {"unet.enc1", "fuse.conv1"} if use_camera else {
-        "fuse.conv1"}
+    assert set(unplanned_net(preset, weights).projected) == ({"unet.enc1", "fuse.conv1"} if use_camera
+                                                             else {"fuse.conv1"})
     outputs = forward_frame(bundle, preset, weights)
     split = float64_forward(bundle, preset, weights)
     joined = float64_forward(bundle, preset, weights, joined=True)
