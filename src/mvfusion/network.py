@@ -700,8 +700,9 @@ class FusionConfig:
 
     @property
     def joined(self) -> dict[str, int]:
-        """The layers whose input joins features with projected features and their validity (split_conv),
-        each with its features' channels: unet.enc1 (RV, camera) with the camera, fuse.conv1 (BEV, RV)."""
+        """The layers whose input joins features with projected features and
+        their validity (split_conv), each with its features' channels:
+        unet.enc1 (RV, then camera) with the camera, fuse.conv1 (BEV, then RV)."""
         return {**({"unet.enc1": self.rv_width} if self.use_camera else {}), "fuse.conv1": self.bev_width}
 
     @property
